@@ -14,7 +14,7 @@ import pathlib
 import time
 
 from repro.engine import Engine, TrialCache, use_engine
-from repro.engine.bench import record_trajectory
+from repro.perf.baseline import record_trajectory
 from repro.experiments.extensions import run_entity_modes
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"

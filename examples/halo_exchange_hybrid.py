@@ -12,7 +12,7 @@ differs.
 Run:  python examples/halo_exchange_hybrid.py
 """
 
-import numpy as np
+import random
 
 from repro import MpiWorld, Scheduler, ThreadingConfig
 
@@ -63,9 +63,9 @@ def thread_slab(env, comm, state, rank, tid, barrier, residuals):
         # Jacobi relaxation on the row slab.  Reads and writes are
         # separated by a barrier so the numerics cannot depend on the
         # communication design's timing.
-        padded = np.concatenate(([left_halo], slab, [right_halo]))
-        new = 0.5 * (padded[:-2] + padded[2:])
-        residuals[rank][tid] = float(np.abs(new - slab).max())
+        padded = [left_halo, *slab, right_halo]
+        new = [0.5 * (a + b) for a, b in zip(padded, padded[2:])]
+        residuals[rank][tid] = max(abs(n - old) for n, old in zip(new, slab))
         yield from barrier.wait()   # everyone has read the old state
         slab[:] = new
 
@@ -86,8 +86,9 @@ def run(config):
     world = MpiWorld(sched, nprocs=NPROCS, config=config)
     comm = world.comm_world
 
-    rng = np.random.default_rng(1234)
-    state = {r: [rng.random(CELLS_PER_THREAD) for _ in range(THREADS_PER_PROC)]
+    rng = random.Random(1234)
+    state = {r: [[rng.random() for _ in range(CELLS_PER_THREAD)]
+                 for _ in range(THREADS_PER_PROC)]
              for r in range(NPROCS)}
     residuals = {r: [0.0] * THREADS_PER_PROC for r in range(NPROCS)}
     for r in range(NPROCS):
@@ -99,7 +100,7 @@ def run(config):
             sched.spawn(thread_slab(world.env(r, f"r{r}t{t}"), comm, state,
                                     r, t, barrier, residuals))
     elapsed = sched.run()
-    checksum = sum(float(np.sum(state[r][t])) for r in range(NPROCS)
+    checksum = sum(sum(state[r][t]) for r in range(NPROCS)
                    for t in range(THREADS_PER_PROC))
     return elapsed, checksum, residuals[NPROCS]
 

@@ -9,7 +9,7 @@ instance collapses (Figures 6/7).
 Run:  python examples/rma_put_flush.py
 """
 
-import numpy as np
+from array import array
 
 from repro import (
     MpiWorld,
@@ -35,10 +35,10 @@ def correctness_tour():
                            data=b"hello world")
         # remote atomics on a typed view
         yield from env.accumulate(win, target=1,
-                                  values=np.array([40, 1], dtype=np.int64),
+                                  values=array("q", [40, 1]),
                                   target_offset=64)
         yield from env.accumulate(win, target=1,
-                                  values=np.array([2, 1], dtype=np.int64),
+                                  values=array("q", [2, 1]),
                                   target_offset=64)
         yield from env.flush(win)
         # remote read of what we just wrote
@@ -48,9 +48,9 @@ def correctness_tour():
 
     t = sched.spawn(origin(env))
     sched.run()
-    counters = win.buffer(1)[64:80].view(np.int64)
+    counters = memoryview(win.buffer(1))[64:80].cast("q").tolist()
     print(f"get returned      : {t.result!r}")
-    print(f"accumulated int64s: {list(counters[:2])}  (expected [42, 2])")
+    print(f"accumulated int64s: {counters}  (expected [42, 2])")
 
 
 def thread_sweep():

@@ -27,7 +27,7 @@ Layers (each in its own module):
 * :mod:`~repro.engine.journal` -- :class:`SweepJournal`, the durable
   append-only plan/outcome log that makes ``--resume`` and
   ``--shard k/N`` possible;
-* :mod:`~repro.engine.pool` -- the worker-pool executor;
+* :mod:`~repro.engine.pool` -- the serial executor and :class:`TaskOutcome`;
 * :mod:`~repro.engine.supervise` -- the supervised pool: per-trial
   timeouts, dead-worker detection, bounded retry with backoff
   (:class:`RetryPolicy`), chaos-testable via
@@ -38,8 +38,6 @@ Layers (each in its own module):
 * :mod:`~repro.engine.handle` -- :class:`JobHandle`, the lifecycle
   wrapper the experiment service schedules sweeps through (state
   machine, waiters, telemetry callbacks over one engine);
-* :mod:`~repro.engine.bench` -- the ``BENCH_engine.json`` baseline
-  writer recording the serial-vs-parallel trajectory;
 * :mod:`~repro.engine.manifest` -- run-provenance ``manifest.json``
   documents (seed, params, code fingerprint, aggregated counters)
   written next to every ``--out`` artifact set.

@@ -1,4 +1,4 @@
-"""Worker-pool executor for trial tasks.
+"""Serial executor and the per-trial outcome record.
 
 Trials are pure and independent, so execution order cannot affect
 results; the pool maps tasks by index and the engine reassembles them in
@@ -58,21 +58,3 @@ def run_serial(tasks: list[TrialTask], on_outcome=None,
             on_outcome(index, outcome)
     return outcomes
 
-
-def run_parallel(tasks: list[TrialTask], jobs: int, policy=None, faults=None,
-                 on_outcome=None) -> list[TaskOutcome]:
-    """Execute tasks on a supervised ``jobs``-wide pool, in submission order.
-
-    Small batches fall back to the serial path (no pool start-up cost;
-    fault plans target pool workers and are not applied there).  See
-    :func:`repro.engine.supervise.run_supervised` for the supervision
-    semantics; this wrapper discards the :class:`PoolStats` -- callers
-    that surface retry/timeout counters use ``run_supervised`` directly.
-    """
-    if jobs < 2 or len(tasks) < 2:
-        return run_serial(tasks, on_outcome=on_outcome)
-    from repro.engine.supervise import run_supervised
-
-    outcomes, _ = run_supervised(tasks, jobs, policy=policy, faults=faults,
-                                 on_outcome=on_outcome)
-    return outcomes

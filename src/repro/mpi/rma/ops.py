@@ -9,7 +9,8 @@ target have been acked by the remote NIC.
 
 from __future__ import annotations
 
-import numpy as np
+import operator
+from array import array
 
 from repro.mpi.rma.window import WindowOp
 from repro.simthread.scheduler import Delay
@@ -19,6 +20,9 @@ SUM_OP = "sum"
 REPLACE_OP = "replace"
 MAX_OP = "max"
 MIN_OP = "min"
+
+#: elementwise combiners; REPLACE is a plain slice assignment
+_COMBINE = {SUM_OP: operator.add, MAX_OP: max, MIN_OP: min}
 
 
 def _post(env, win, op: WindowOp, post_cost_ns: int):
@@ -52,7 +56,8 @@ def put(env, win, target: int, nbytes: int, target_offset: int = 0, data=None):
     win.require_epoch(env.rank, target)
     win.check_range(target, target_offset, nbytes)
     if data is not None:
-        data = np.frombuffer(bytes(data), dtype=np.uint8)
+        # the check also keeps the bytearray slice assignment from resizing
+        data = bytes(data)
         if len(data) != nbytes:
             raise ValueError(f"data is {len(data)} bytes but nbytes={nbytes}")
     target_buf = win.buffer(target)
@@ -87,15 +92,20 @@ def get(env, win, target: int, nbytes: int, target_offset: int = 0):
 def accumulate(env, win, target: int, values, target_offset: int = 0, op=SUM_OP):
     """Generator: remote atomic update on a typed view of the window.
 
-    ``values`` must be a NumPy array; the target bytes at the offset are
-    reinterpreted with the same dtype and combined elementwise.  The
-    whole update applies atomically (MPI guarantees per-element only;
-    we give the stronger guarantee the hardware event model makes free).
+    ``values`` must be an :class:`array.array`; the target bytes at the
+    offset are cast to a typed view with the array's typecode and
+    combined elementwise.  The whole update applies atomically (MPI
+    guarantees per-element only; we give the stronger guarantee the
+    hardware event model makes free).  Integer results do not wrap: a
+    sum outside the typecode's range raises ValueError when the update
+    applies at the target.
     """
     win.comm.check_member(target, "target")
     win.require_epoch(env.rank, target)
-    values = np.asarray(values)
-    nbytes = values.nbytes
+    if not isinstance(values, array):
+        raise TypeError(f"accumulate values must be an array.array, "
+                        f"not {type(values).__name__}")
+    nbytes = len(values) * values.itemsize
     win.check_range(target, target_offset, nbytes)
     if op not in (SUM_OP, REPLACE_OP, MAX_OP, MIN_OP):
         raise ValueError(f"unknown accumulate op {op!r}")
@@ -103,16 +113,14 @@ def accumulate(env, win, target: int, values, target_offset: int = 0, op=SUM_OP)
 
     def remote_accumulate(handle):
         handle.remote_applied_at = env.sched.now
-        view = target_buf[target_offset:target_offset + nbytes].view(values.dtype)
-        flat = values.reshape(-1)
-        if op == SUM_OP:
-            view += flat
-        elif op == REPLACE_OP:
-            view[:] = flat
-        elif op == MAX_OP:
-            np.maximum(view, flat, out=view)
-        else:
-            np.minimum(view, flat, out=view)
+        view = memoryview(target_buf)[target_offset:target_offset + nbytes]
+        view = view.cast(values.typecode)
+        if op == REPLACE_OP:
+            view[:] = values
+            return
+        combine = _COMBINE[op]
+        for i, value in enumerate(values):
+            view[i] = combine(view[i], value)
 
     handle = WindowOp("accumulate", nbytes, win, env.rank, target,
                       target_offset, remote_accumulate)

@@ -1,7 +1,7 @@
 """RMA windows: exposed memory plus epoch and completion bookkeeping.
 
-Each member of the communicator exposes ``size_bytes`` of memory (a NumPy
-byte buffer, so accumulates can reinterpret typed views in place).  The
+Each member of the communicator exposes ``size_bytes`` of memory (a
+``bytearray``; accumulates cast a typed ``memoryview`` of it in place).  The
 window tracks, per *initiator* process, the set of outstanding operations
 -- that is what ``MPI_Win_flush`` completes -- and per initiator the open
 access epochs (passive lock / lock_all, or an active fence epoch).
@@ -13,8 +13,6 @@ they use flush-only synchronization.  See DESIGN.md substitutions.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.mpi.errors import EpochError, RankError
 from repro.netsim.rdma import RmaOp
@@ -51,8 +49,8 @@ class Window:
         self.size_bytes = size_bytes
         self.id = Window._next_id
         Window._next_id += 1
-        self.buffers: dict[int, np.ndarray] = {
-            rank: np.zeros(size_bytes, dtype=np.uint8) for rank in comm.ranks
+        self.buffers: dict[int, bytearray] = {
+            rank: bytearray(size_bytes) for rank in comm.ranks
         }
         self._pending: dict[int, set] = {rank: set() for rank in comm.ranks}
         # per-initiator epoch state: set of target ranks (or "all"/"fence")
@@ -61,7 +59,7 @@ class Window:
         self._errors: dict[int, list] = {rank: [] for rank in comm.ranks}
 
     # ------------------------------------------------------------------
-    def buffer(self, rank: int) -> np.ndarray:
+    def buffer(self, rank: int) -> bytearray:
         """The window memory exposed by ``rank``."""
         try:
             return self.buffers[rank]

@@ -85,6 +85,27 @@ def write_bench(results_dir, name: str, deterministic: dict,
     return path
 
 
+def record_trajectory(results_dir, name: str, entry: dict) -> dict:
+    """Append ``entry`` to ``host.trajectory`` and rewrite the file.
+
+    The trajectory is a bench's wall-clock history, oldest first, one
+    entry per labelled measurement; informational only, like the rest
+    of ``host``.  Entries with the same ``label`` replace the previous
+    measurement so reruns refresh rather than duplicate; distinct labels
+    accumulate.  The ``deterministic`` section is left untouched.
+    """
+    if "label" not in entry:
+        raise ValueError("trajectory entries need a 'label'")
+    path = bench_path(results_dir, name)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    doc = load_bench(path)
+    trajectory = [e for e in doc["host"].get("trajectory", [])
+                  if e.get("label") != entry["label"]]
+    doc["host"]["trajectory"] = trajectory + [entry]
+    path.write_text(dump_bench(doc))
+    return doc
+
+
 def list_benches(results_dir) -> list[pathlib.Path]:
     """All committed baseline files, sorted by name."""
     return sorted(pathlib.Path(results_dir).glob("BENCH_*.json"))

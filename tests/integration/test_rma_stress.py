@@ -1,6 +1,7 @@
-"""RMA stress: random one-sided programs vs a NumPy reference model."""
+"""RMA stress: random one-sided programs vs a sequential reference model."""
 
-import numpy as np
+from array import array
+
 from hypothesis import given, settings, strategies as st
 
 from repro.core import ThreadingConfig
@@ -24,7 +25,7 @@ op_strategy = st.lists(
 @settings(max_examples=30, deadline=None)
 def test_single_origin_rma_matches_reference(ops, seed, instances):
     """One origin thread issues puts/accumulates with interleaved flushes;
-    after the final flush the window must equal a sequential NumPy model.
+    after the final flush the window must equal a sequential model.
 
     A single origin with flush-ordered epochs is the strongest case MPI
     lets us check exactly: within one epoch, ops to the same location are
@@ -35,19 +36,18 @@ def test_single_origin_rma_matches_reference(ops, seed, instances):
                      config=ThreadingConfig(num_instances=instances))
     env = world.env(0)
     win = env.win_allocate(world.comm_world, WIN_BYTES)
-    reference = np.zeros(WIN_BYTES // 8, dtype=np.int64)
+    reference = array("q", [0] * (WIN_BYTES // 8))
 
     def origin(env):
         yield from env.win_lock_all(win)
         for kind, slot, value in ops:
             if kind == "put":
-                data = np.int64(value).tobytes()
+                data = array("q", [value]).tobytes()
                 yield from env.put(win, target=1, nbytes=8,
                                    target_offset=slot * 8, data=data)
                 reference[slot] = value
             else:
-                yield from env.accumulate(win, 1,
-                                          np.array([value], dtype=np.int64),
+                yield from env.accumulate(win, 1, array("q", [value]),
                                           target_offset=slot * 8)
                 reference[slot] += value
             yield from env.flush(win)
@@ -55,8 +55,7 @@ def test_single_origin_rma_matches_reference(ops, seed, instances):
 
     sched.spawn(origin(env))
     sched.run()
-    final = win.buffer(1).view(np.int64)
-    assert np.array_equal(final, reference)
+    assert win.buffer(1) == reference.tobytes()
 
 
 @given(seed=st.integers(0, 2 ** 16), threads=st.integers(1, 8))
@@ -74,10 +73,10 @@ def test_concurrent_accumulates_commute(seed, threads):
 
     def worker(env):
         for _ in range(ROUNDS):
-            yield from env.accumulate(win, 1, np.array([1], dtype=np.int64))
+            yield from env.accumulate(win, 1, array("q", [1]))
         yield from env.flush(win)
 
     for t in range(threads):
         sched.spawn(worker(world.env(0)))
     sched.run()
-    assert win.buffer(1).view(np.int64)[0] == threads * ROUNDS
+    assert memoryview(win.buffer(1)).cast("q")[0] == threads * ROUNDS

@@ -1,6 +1,7 @@
 """One-sided communication: puts/gets/accumulates, epochs, flush, fence."""
 
-import numpy as np
+from array import array
+
 import pytest
 
 from repro.mpi import EpochError, RankError
@@ -39,7 +40,7 @@ def test_put_without_epoch_rejected(sched, world):
 
 def test_get_reads_target_memory(sched, world):
     win = world.env(0).win_allocate(world.comm_world, 32)
-    win.buffer(1)[:4] = np.frombuffer(b"DATA", dtype=np.uint8)
+    win.buffer(1)[:4] = b"DATA"
 
     def body(env):
         yield from env.win_lock_all(win)
@@ -56,30 +57,65 @@ def test_accumulate_sum_and_replace(sched, world):
     win = world.env(0).win_allocate(world.comm_world, 64)
 
     def body(env):
+        from repro.mpi.rma import ops
         yield from env.win_lock_all(win)
-        yield from env.accumulate(win, 1, np.array([10, 20], dtype=np.int64))
-        yield from env.accumulate(win, 1, np.array([1, 2], dtype=np.int64))
+        yield from env.accumulate(win, 1, array("q", [10, 20]))
+        yield from env.accumulate(win, 1, array("q", [1, 2]))
+        yield from env.accumulate(win, 1, array("q", [-5]), target_offset=16,
+                                  op=ops.REPLACE_OP)
+        yield from env.accumulate(win, 1, array("d", [0.25]), target_offset=24)
+        yield from env.accumulate(win, 1, array("d", [1.5]), target_offset=24)
         yield from env.flush(win)
         yield from env.win_unlock_all(win)
 
     run_one(sched, world, body)
-    assert list(win.buffer(1)[:16].view(np.int64)) == [11, 22]
+    buf = memoryview(win.buffer(1))
+    assert buf[:24].cast("q").tolist() == [11, 22, -5]
+    assert buf[24:32].cast("d").tolist() == [1.75]
 
 
 def test_accumulate_max_min(sched, world):
     win = world.env(0).win_allocate(world.comm_world, 64)
-    win.buffer(1)[:8].view(np.int64)[0] = 50
+    memoryview(win.buffer(1))[:8].cast("q")[0] = 50
 
     def body(env):
         from repro.mpi.rma import ops
         yield from env.win_lock_all(win)
-        yield from env.accumulate(win, 1, np.array([10], dtype=np.int64), op=ops.MAX_OP)
+        yield from env.accumulate(win, 1, array("q", [10]), op=ops.MAX_OP)
         yield from env.flush(win)
-        yield from env.accumulate(win, 1, np.array([7], dtype=np.int64), op=ops.MIN_OP)
+        yield from env.accumulate(win, 1, array("q", [7]), op=ops.MIN_OP)
         yield from env.win_unlock_all(win)
 
     run_one(sched, world, body)
-    assert win.buffer(1)[:8].view(np.int64)[0] == 7
+    assert memoryview(win.buffer(1))[:8].cast("q")[0] == 7
+
+
+@pytest.mark.parametrize("values", [[1, 2], (1,), b"\x01" * 8])
+def test_accumulate_requires_array(sched, world, values):
+    win = world.env(0).win_allocate(world.comm_world, 16)
+
+    def body(env):
+        yield from env.win_lock_all(win)
+        yield from env.accumulate(win, 1, values)
+
+    sched.spawn(body(world.env(0)))
+    with pytest.raises(TypeError, match="array.array"):
+        sched.run()
+
+
+def test_accumulate_integer_overflow_raises(sched, world):
+    """Integer sums do not wrap: past INT64_MAX the apply step raises."""
+    win = world.env(0).win_allocate(world.comm_world, 8)
+    memoryview(win.buffer(1)).cast("q")[0] = 2 ** 63 - 1
+
+    def body(env):
+        yield from env.win_lock_all(win)
+        yield from env.accumulate(win, 1, array("q", [1]))
+        yield from env.flush(win)
+
+    sched.spawn(body(world.env(0)))
+    with pytest.raises(ValueError, match="invalid value for format 'q'"):
+        sched.run()
 
 
 def test_flush_waits_for_all_outstanding(sched, world):
@@ -170,6 +206,7 @@ def test_put_data_length_must_match(sched, world):
     sched.spawn(body(world.env(0)))
     with pytest.raises(ValueError, match="bytes"):
         sched.run()
+    assert len(win.buffer(1)) == 8
 
 
 def test_fence_synchronizes_both_sides(sched, world):

@@ -90,7 +90,7 @@ def test_stray_baseline_files_fail_the_full_gate(tmp_path, fake_probe):
 
 
 def test_update_preserves_host_trajectory(tmp_path, fake_probe):
-    from repro.engine.bench import record_trajectory
+    from repro.perf.baseline import record_trajectory
 
     record_trajectory(tmp_path, "fake", {"label": "run1", "wall_s": 1.5})
     update_benches(tmp_path, names=["fake"])
@@ -139,7 +139,7 @@ def test_report_json_on_clean_gate(tmp_path, fake_probe):
 
 
 def test_trajectory_replaces_same_label(tmp_path):
-    from repro.engine.bench import record_trajectory
+    from repro.perf.baseline import record_trajectory
 
     record_trajectory(tmp_path, "eng", {"label": "a", "v": 1})
     record_trajectory(tmp_path, "eng", {"label": "b", "v": 2})
