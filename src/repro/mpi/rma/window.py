@@ -2,9 +2,14 @@
 
 Each member of the communicator exposes ``size_bytes`` of memory (a
 ``bytearray``; accumulates cast a typed ``memoryview`` of it in place).  The
-window tracks, per *initiator* process, the set of outstanding operations
--- that is what ``MPI_Win_flush`` completes -- and per initiator the open
-access epochs (passive lock / lock_all, or an active fence epoch).
+window tracks, per *initiator* process and per target, the set of
+outstanding operations -- that is what ``MPI_Win_flush`` completes -- and
+per initiator the open access epochs (passive lock / lock_all, or an active
+fence epoch).
+
+Keying the outstanding sets by target keeps every count a ``len``, never
+a scan: flush polls the count on each progress round (see
+:meth:`Window.outstanding`).
 
 Passive-target exclusive locks are bookkept (epoch required before any
 op, mismatched unlocks are errors) but origin-vs-origin exclusion is not
@@ -33,7 +38,9 @@ class WindowOp(RmaOp):
         self.on_completed = self._retire
 
     def _retire(self) -> None:
-        self.window._pending[self.origin].discard(self)
+        # discard, not remove: a transport failure and a completion may both
+        # retire the same op
+        self.window._pending[self.origin][self.target].discard(self)
 
 
 class Window:
@@ -52,7 +59,11 @@ class Window:
         self.buffers: dict[int, bytearray] = {
             rank: bytearray(size_bytes) for rank in comm.ranks
         }
-        self._pending: dict[int, set] = {rank: set() for rank in comm.ranks}
+        # per-initiator, per-target in-flight ops
+        self._pending: dict[int, dict[int, set]] = {
+            origin: {target: set() for target in comm.ranks}
+            for origin in comm.ranks
+        }
         # per-initiator epoch state: set of target ranks (or "all"/"fence")
         self._epochs: dict[int, set] = {rank: set() for rank in comm.ranks}
         # per-initiator transport errors awaiting the next flush
@@ -108,14 +119,17 @@ class Window:
     # ------------------------------------------------------------------
     def track(self, op: WindowOp) -> None:
         """Register an in-flight RMA op for completion accounting."""
-        self._pending[op.origin].add(op)
+        self._pending[op.origin][op.target].add(op)
 
     def outstanding(self, origin: int, target: int | None = None) -> int:
-        """Count ``origin``'s in-flight ops (optionally to one ``target``)."""
-        ops = self._pending[origin]
+        """Count ``origin``'s in-flight ops (optionally to one ``target``).
+
+        O(1) for one target, O(members) for all: ``ops.flush`` polls this
+        every progress round, so it must not scan the pending ops."""
+        pending = self._pending[origin]
         if target is None:
-            return len(ops)
-        return sum(1 for op in ops if op.target == target)
+            return sum(map(len, pending.values()))
+        return len(pending.get(target, ()))
 
     def note_error(self, origin: int, error: Exception) -> None:
         """Record a transport failure for ``origin``'s next flush

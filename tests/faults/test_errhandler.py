@@ -75,6 +75,7 @@ def test_errors_return_surfaces_rma_failure_from_flush():
         except TransportError as exc:
             caught.append(exc)
         # the failed op was retired: nothing stays outstanding
+        assert win.outstanding(0, 1) == 0
         assert win.outstanding(0) == 0
 
     sched.spawn(origin(world.env(0)))

@@ -5,6 +5,8 @@ from array import array
 import pytest
 
 from repro.mpi import EpochError, RankError
+from repro.mpi.rma import ops as rma_ops
+from repro.mpi.rma.window import WindowOp
 from tests.conftest import make_world
 
 
@@ -135,18 +137,103 @@ def test_flush_waits_for_all_outstanding(sched, world):
 
 def test_flush_specific_target(sched):
     world = make_world(sched, nprocs=3)
-    win = world.env(0).win_allocate(world.comm_world, 8)
+    win = world.env(0).win_allocate(world.comm_world, 4096)
 
     def body(env):
         yield from env.win_lock_all(win)
         yield from env.put(win, target=1, nbytes=4)
-        yield from env.put(win, target=2, nbytes=4)
+        to2 = []
+        for _ in range(4):
+            op = yield from env.put(win, target=2, nbytes=4096)
+            to2.append(op)
         yield from env.flush(win, target=1)
         assert win.outstanding(0, target=1) == 0
+        # flushing target 1 neither completes nor forgets target 2's ops
+        pending2 = sum(not op.completed for op in to2)
+        assert win.outstanding(0, target=2) == pending2
+        assert win.outstanding(0) == pending2
         yield from env.flush_all(win)
+        assert win.outstanding(0, target=2) == win.outstanding(0) == 0
         yield from env.win_unlock_all(win)
 
     run_one(sched, world, body)
+
+
+def test_outstanding_matches_reference_model(sched):
+    """Per-target and total counts track a plain list of issued ops while
+    threads interleave put/get/accumulate to two targets."""
+    world = make_world(sched, nprocs=3)
+    win = world.env(0).win_allocate(world.comm_world, 1024)
+    win.open_epoch(0, "all")
+    issued = []
+    track = win.track
+
+    def recording_track(op):
+        # record at registration: another thread may be mid-post
+        issued.append(op)
+        track(op)
+
+    win.track = recording_track
+    checks = []
+
+    def check():
+        expected = {t: sum(op.target == t and not op.completed for op in issued)
+                    for t in (1, 2)}
+        for t, n in expected.items():
+            assert win.outstanding(0, t) == n
+        assert win.outstanding(0) == sum(expected.values())
+        checks.append(expected)
+
+    def worker(env, first):
+        for i in range(12):
+            target = 1 + (first + i) % 2
+            kind = (first + i) % 3
+            if kind == 0:
+                yield from env.put(win, target=target, nbytes=1024)
+            elif kind == 1:
+                yield from env.get(win, target=target, nbytes=512)
+            else:
+                yield from env.accumulate(win, target, array("q", [i]),
+                                          target_offset=8 * first,
+                                          op=rma_ops.SUM_OP)
+            check()
+            if i % 4 == 3:
+                yield from env.flush(win, target=target)
+                check()
+                assert win.outstanding(0, target) == 0
+        yield from env.flush(win)
+        check()
+
+    for first in range(3):
+        sched.spawn(worker(world.env(0, f"t{first}"), first))
+    sched.run()
+    assert len(issued) == 36
+    assert win.outstanding(0) == 0
+    # the interleaving really left ops pending to both targets at once
+    assert any(c[1] and c[2] for c in checks)
+
+
+def test_retire_is_idempotent(sched):
+    """A transport failure and a completion may both retire one op: the
+    second retirement must change no count."""
+    world = make_world(sched, nprocs=3)
+    win = world.env(0).win_allocate(world.comm_world, 8)
+    ops = [WindowOp("put", 4, win, 0, target, 0) for target in (1, 1, 2)]
+    for op in ops:
+        win.track(op)
+
+    def counts():
+        return win.outstanding(0, 1), win.outstanding(0, 2), win.outstanding(0)
+
+    assert counts() == (2, 1, 3)
+    ops[0].on_completed()
+    assert counts() == (1, 1, 2)
+    ops[0].on_completed()
+    assert counts() == (1, 1, 2)
+    for op in ops:
+        op.on_completed()
+        op.on_completed()
+    assert counts() == (0, 0, 0)
 
 
 def test_epoch_errors(sched, world):
