@@ -1,7 +1,7 @@
 """Benchmark-suite fixtures.
 
 Every bench regenerates the data behind one paper exhibit and saves it
-under ``results/`` (ASCII table + long-form CSV) while pytest-benchmark
+under ``results/`` (ASCII table, long-form CSV, SVG) while pytest-benchmark
 times a representative simulation run.  Pass ``--full`` for the paper-
 density parameter sets (slower); the default quick sets finish the whole
 suite in minutes.
@@ -21,8 +21,6 @@ import time
 
 import pytest
 
-from repro.util.svg import render_svg
-
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
 
 
@@ -40,19 +38,19 @@ def quick(request) -> bool:
 
 @pytest.fixture(scope="session")
 def save_figure():
-    """Persist a FigureResult (or list of them) under results/."""
-    RESULTS_DIR.mkdir(exist_ok=True)
+    """Persist a runner's result (one figure or a list) under results/.
 
-    def _save(figures):
-        if not isinstance(figures, (list, tuple)):
-            figures = [figures]
-        for fig in figures:
-            (RESULTS_DIR / f"{fig.fig_id}.txt").write_text(fig.to_ascii() + "\n")
-            (RESULTS_DIR / f"{fig.fig_id}.csv").write_text(fig.to_csv())
-            (RESULTS_DIR / f"{fig.fig_id}.svg").write_text(render_svg(fig))
+    Writes through :func:`repro.experiments.artifacts.save_result`, the
+    writer behind ``repro run --out``, so a bench and the CLI produce
+    the same bytes for the same exhibit.
+    """
+    from repro.experiments.artifacts import figures_of, save_result
+
+    def _save(result):
+        save_result(result, RESULTS_DIR)
+        for fig in figures_of(result):
             print()
             print(fig.to_ascii())
-        return figures
 
     return _save
 

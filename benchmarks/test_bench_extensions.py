@@ -11,7 +11,7 @@ from repro.experiments import (
 def test_ext_msgsize(benchmark, save_figure, quick):
     """Message-size sweep: rate falls to bandwidth-bound at 256 KiB."""
     fig = benchmark.pedantic(
-        lambda: run_message_size_sweep(quick=quick, trials=1),
+        lambda: run_message_size_sweep(quick=quick),
         rounds=1, iterations=1)
     save_figure(fig)
     rate = fig.get("rate")
@@ -21,7 +21,7 @@ def test_ext_msgsize(benchmark, save_figure, quick):
 def test_ext_instances(benchmark, save_figure, quick):
     """CRI-count sweep: serial vs concurrent progress series."""
     fig = benchmark.pedantic(
-        lambda: run_instance_sweep(quick=quick, trials=1),
+        lambda: run_instance_sweep(quick=quick),
         rounds=1, iterations=1)
     save_figure(fig)
     assert len(fig.series) == 2
@@ -30,7 +30,7 @@ def test_ext_instances(benchmark, save_figure, quick):
 def test_ext_latency(benchmark, save_figure, quick):
     """Latency-tail exhibit: p50/p99/max series per configuration."""
     fig = benchmark.pedantic(
-        lambda: run_latency_tails(quick=quick, trials=1),
+        lambda: run_latency_tails(quick=quick),
         rounds=1, iterations=1)
     save_figure(fig)
     assert len(fig.series) == 3
@@ -39,7 +39,7 @@ def test_ext_latency(benchmark, save_figure, quick):
 def test_ext_modes(benchmark, save_figure, quick):
     """Entity-mode exhibit: threads vs processes vs hybrid."""
     fig = benchmark.pedantic(
-        lambda: run_entity_modes(quick=quick, trials=1),
+        lambda: run_entity_modes(quick=quick),
         rounds=1, iterations=1)
     save_figure(fig)
     assert set(fig.labels) == {"threads", "processes", "hybrid"}

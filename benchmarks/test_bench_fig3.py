@@ -28,7 +28,7 @@ def test_fig3_panel(benchmark, save_figure, quick, panel):
     result = benchmark.pedantic(one_point, rounds=3, iterations=1)
     assert result.messages == 8 * 64 * 2
 
-    fig = run_figure3(panel, quick=quick, trials=1 if quick else 3)
+    fig = run_figure3(panel, quick=quick)
     save_figure(fig)
     assert len(fig.series) == 6
 

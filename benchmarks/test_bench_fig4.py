@@ -24,7 +24,7 @@ def test_fig4_panel(benchmark, save_figure, quick, panel):
     result = benchmark.pedantic(one_point, rounds=3, iterations=1)
     assert result.spc.out_of_sequence == 0  # overtaking: no seq validation
 
-    fig = run_figure4(panel, quick=quick, trials=1 if quick else 3)
+    fig = run_figure4(panel, quick=quick)
     save_figure(fig)
 
 

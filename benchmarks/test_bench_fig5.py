@@ -18,7 +18,7 @@ def test_fig5(benchmark, save_figure, quick):
 
     benchmark.pedantic(one_point, rounds=3, iterations=1)
 
-    fig = run_figure5(quick=quick, trials=1 if quick else 3)
+    fig = run_figure5(quick=quick)
     save_figure(fig)
     # Sanity: the paper's headline orderings at the largest pair count.
     x = fig.get("OMPI Process").points[-1].x

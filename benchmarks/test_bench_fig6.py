@@ -17,7 +17,7 @@ def test_fig6(benchmark, save_figure, quick):
 
     benchmark.pedantic(one_point, rounds=3, iterations=1)
 
-    figs = run_figure6(quick=quick, trials=1 if quick else 3)
+    figs = run_figure6(quick=quick)
     save_figure(figs)
     assert len(figs) == 5  # one per message size
 

@@ -17,7 +17,7 @@ def test_fig7(benchmark, save_figure, quick):
 
     benchmark.pedantic(one_point, rounds=3, iterations=1)
 
-    figs = run_figure7(quick=quick, trials=1 if quick else 3)
+    figs = run_figure7(quick=quick)
     save_figure(figs)
     assert figs[0].get("dedicated/serial").points[-1].x == 64
 

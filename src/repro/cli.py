@@ -631,9 +631,9 @@ def _build_engine(args, experiments, telemetry=None):
     :class:`~repro.obs.live.session.LiveTelemetry` or None) is injected
     into the engine so every resolution decision emits a run event.
     """
-    from repro.engine import Engine, RetryPolicy, SweepJournal, TrialCache
+    from repro.engine import Engine, SweepJournal, TrialCache, supervision
 
-    cache = journal = faults = None
+    cache = journal = None
     if not args.no_cache:
         root = os.environ.get("REPRO_TRIAL_CACHE")
         if root:
@@ -646,17 +646,8 @@ def _build_engine(args, experiments, telemetry=None):
             journal = SweepJournal.open(
                 cache_root / "journal", experiments, params=_run_params(args),
                 resume=args.resume or args.shard is not None)
-    timeout = args.trial_timeout
-    if args.flaky_workers is not None:
-        from repro.faults.workers import WorkerFaultPlan
-
-        if timeout is None:
-            timeout = 30.0  # injected hangs must surface as timeouts
-        faults = WorkerFaultPlan(seed=args.flaky_seed,
-                                 kill_rate=args.flaky_workers / 2,
-                                 hang_rate=args.flaky_workers / 2,
-                                 hang_s=timeout * 3)
-    policy = RetryPolicy(max_retries=args.retries, timeout_s=timeout)
+    policy, faults = supervision(args.retries, args.trial_timeout,
+                                 args.flaky_workers, args.flaky_seed)
     return Engine(jobs=args.jobs, cache=cache, journal=journal,
                   policy=policy, faults=faults, shard=args.shard,
                   telemetry=telemetry)

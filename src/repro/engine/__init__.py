@@ -67,12 +67,8 @@ from repro.engine.manifest import (
     write_manifest,
 )
 from repro.engine.registry import resolve_trial, trial
-from repro.engine.supervise import (
-    PoolStats,
-    RetryPolicy,
-    TrialRetryError,
-    run_supervised,
-)
+from repro.engine.supervise import (RetryPolicy, TrialRetryError,
+                                    run_supervised, supervision)
 from repro.engine.task import TrialSpec, TrialTask, canonical
 
 __all__ = [
@@ -82,7 +78,6 @@ __all__ = [
     "JOB_STATES",
     "JobHandle",
     "LockTimeout",
-    "PoolStats",
     "RetryPolicy",
     "ShardValue",
     "SweepJournal",
@@ -99,6 +94,7 @@ __all__ = [
     "resolve_trial",
     "run_supervised",
     "set_engine",
+    "supervision",
     "trial",
     "use_engine",
     "write_manifest",

@@ -50,18 +50,30 @@ from __future__ import annotations
 import contextlib
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.engine.cache import TrialCache
 from repro.engine.pool import run_serial
-from repro.engine.supervise import (RetryPolicy, TrialRetryError,
-                                    run_supervised)
+from repro.engine.supervise import RetryPolicy, run_supervised
 from repro.engine.task import TrialTask
+
+
+#: field tag for counters that vary with the host (clock, pids); every
+#: untagged field is deterministic -- a pure function of the seeded sweep
+HOST = {"host": True}
 
 
 @dataclass
 class EngineCounters:
-    """SPC-style tallies of what the engine did (host-level, not virtual)."""
+    """SPC-style tallies of what the engine did.
+
+    This class is the one declaration of the engine's counters: every
+    surface (``engine.metrics.csv``, ``manifest.json``, ``status.json``,
+    ``metrics.prom``, the ``sweep.finish`` event) derives its keys from
+    these fields.  Untagged fields are deterministic -- equal between a
+    serial, a ``--jobs N`` and a seeded-chaos run of the same sweep --
+    and fields tagged :data:`HOST` are not.
+    """
 
     trials: int = 0            #: tasks submitted (after dedup)
     duplicates: int = 0        #: submitted tasks merged into an identical one
@@ -76,9 +88,10 @@ class EngineCounters:
     respawns: int = 0          #: replacement workers started
     corrupt: int = 0           #: corrupt cache entries quarantined to *.bad
     batches: int = 0           #: run_tasks invocations
-    wall_ns: int = 0           #: host time spent inside run_tasks
-    busy_ns: int = 0           #: summed per-trial compute time
-    workers: dict = field(default_factory=dict)  #: pid -> busy_ns
+    wall_ns: int = field(default=0, metadata=HOST)  #: host time in run_tasks
+    busy_ns: int = field(default=0, metadata=HOST)  #: summed trial compute
+    #: worker pid -> its summed trial compute (busy_ns)
+    workers: dict = field(default_factory=dict, metadata=HOST)
 
     def utilization(self, jobs: int) -> float:
         """Fraction of ``jobs x wall`` capacity spent computing trials."""
@@ -86,26 +99,28 @@ class EngineCounters:
             return 0.0
         return min(1.0, self.busy_ns / (self.wall_ns * jobs))
 
+    def deterministic(self) -> dict:
+        """The untagged counters (what ``sweep.finish`` carries)."""
+        return {name: getattr(self, name) for name in _DETERMINISTIC}
+
+    def host(self) -> dict:
+        """The :data:`HOST` counters, pid-free: ``workers`` becomes the
+        sorted list of per-worker busy nanoseconds."""
+        out = {name: getattr(self, name) for name in _HOST}
+        out["workers_busy_ns"] = sorted(out.pop("workers").values())
+        return out
+
     def as_row(self) -> dict:
-        """Flat dict of the counters (for CSV/JSON surfaces)."""
-        return {
-            "trials": self.trials,
-            "duplicates": self.duplicates,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "uncacheable": self.uncacheable,
-            "resumed": self.resumed,
-            "shard_skipped": self.shard_skipped,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "worker_deaths": self.worker_deaths,
-            "respawns": self.respawns,
-            "corrupt": self.corrupt,
-            "batches": self.batches,
-            "wall_ns": self.wall_ns,
-            "busy_ns": self.busy_ns,
-            "workers_used": len(self.workers),
-        }
+        """Every counter as a flat dict, ``workers`` as its size."""
+        row = {name: getattr(self, name) for name in _NAMES}
+        row["workers_used"] = len(row.pop("workers"))
+        return row
+
+
+_NAMES = tuple(f.name for f in fields(EngineCounters))
+_HOST = tuple(f.name for f in fields(EngineCounters)
+              if f.metadata.get("host"))
+_DETERMINISTIC = tuple(name for name in _NAMES if name not in _HOST)
 
 
 class ShardValue(float):
@@ -162,13 +177,6 @@ class Engine:
             telemetry.attach(self)
 
     # ------------------------------------------------------------------
-    def _merge_pool_stats(self, stats) -> None:
-        """Fold one pool run's :class:`PoolStats` into the counters."""
-        self.counters.retries += stats.retries
-        self.counters.timeouts += stats.timeouts
-        self.counters.worker_deaths += stats.worker_deaths
-        self.counters.respawns += stats.respawns
-
     def _owns(self, plan_index: int) -> bool:
         """Whether this shard owns the trial at ``plan_index``."""
         if self.shard is None:
@@ -263,19 +271,9 @@ class Engine:
                     monitor.complete(pos, outcome.attempts, outcome.busy_ns)
 
             if self.jobs > 1 and len(miss_tasks) > 1:
-                try:
-                    _, stats = run_supervised(
-                        miss_tasks, self.jobs, policy=self.policy,
-                        faults=self.faults, on_outcome=on_outcome,
-                        monitor=monitor)
-                except TrialRetryError as exc:
-                    # the sweep is lost, but the supervision work that
-                    # did happen must still land in the counters (the
-                    # failure-path sweep.finish reports them)
-                    if exc.stats is not None:
-                        self._merge_pool_stats(exc.stats)
-                    raise
-                self._merge_pool_stats(stats)
+                run_supervised(miss_tasks, self.jobs, self.counters,
+                               policy=self.policy, faults=self.faults,
+                               on_outcome=on_outcome, monitor=monitor)
             else:
                 run_serial(miss_tasks, on_outcome=on_outcome,
                            on_start=None if monitor is None

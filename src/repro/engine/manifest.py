@@ -60,35 +60,20 @@ MANIFEST_NAME = "manifest.json"
 def engine_provenance(engine) -> dict:
     """The engine-counter block of a manifest (worker-aggregated).
 
-    Everything except the ``host`` sub-block is deterministic: the
-    counters describe *what* was computed, not how fast.  Worker pids
-    are discarded -- only the sorted per-worker busy times (host) and
-    the worker count survive aggregation.
+    The deterministic counters (see
+    :class:`~repro.engine.engine.EngineCounters`) sit at top level with
+    the run's ``jobs``, ``shard`` and ``workers_used``; the host-tagged
+    counters go under ``host``.  Worker pids are discarded -- only the
+    sorted per-worker busy times (host) and the worker count survive
+    aggregation.
     """
     c = engine.counters
-    return {
-        "jobs": engine.jobs,
-        "batches": c.batches,
-        "trials": c.trials,
-        "duplicates": c.duplicates,
-        "cache_hits": c.cache_hits,
-        "cache_misses": c.cache_misses,
-        "uncacheable": c.uncacheable,
-        "resumed": c.resumed,
-        "shard": list(engine.shard) if engine.shard is not None else None,
-        "shard_skipped": c.shard_skipped,
-        "retries": c.retries,
-        "timeouts": c.timeouts,
-        "worker_deaths": c.worker_deaths,
-        "respawns": c.respawns,
-        "corrupt": c.corrupt,
-        "workers_used": len(c.workers),
-        "host": {
-            "wall_ns": c.wall_ns,
-            "busy_ns": c.busy_ns,
-            "workers_busy_ns": sorted(c.workers.values()),
-        },
-    }
+    block = c.deterministic()
+    block["jobs"] = engine.jobs
+    block["shard"] = list(engine.shard) if engine.shard is not None else None
+    block["workers_used"] = len(c.workers)
+    block["host"] = c.host()
+    return block
 
 
 def build_manifest(*, command, experiments, params=None, engine=None,

@@ -78,25 +78,29 @@ class RetryPolicy:
                    self.backoff_s * self.backoff_factor ** (attempt - 1))
 
 
-@dataclass
-class PoolStats:
-    """What supervision had to do during one pool run."""
+def supervision(retries: int, timeout_s: float | None,
+                flaky: float | None = None, flaky_seed: int = 1):
+    """The ``(RetryPolicy, WorkerFaultPlan | None)`` of one run's knobs.
 
-    retries: int = 0        #: tasks re-queued after any failure kind
-    timeouts: int = 0       #: workers killed for exceeding timeout_s
-    worker_deaths: int = 0  #: workers found dead (kill/OOM/exit)
-    respawns: int = 0       #: replacement workers started
-    errors: int = 0         #: trial exceptions reported by live workers
+    ``flaky`` is the ``--flaky-workers`` rate: that share of first
+    attempts loses its worker, half to an abrupt exit and half to a
+    hang.  An injected hang must surface as a timeout, so ``flaky``
+    defaults an unset ``timeout_s`` to 30 s and hangs for three
+    timeouts.
+    """
+    faults = None
+    if flaky is not None:
+        from repro.faults.workers import WorkerFaultPlan
+
+        if timeout_s is None:
+            timeout_s = 30.0
+        faults = WorkerFaultPlan(seed=flaky_seed, kill_rate=flaky / 2,
+                                 hang_rate=flaky / 2, hang_s=timeout_s * 3)
+    return RetryPolicy(max_retries=retries, timeout_s=timeout_s), faults
 
 
 class TrialRetryError(RuntimeError):
-    """A trial failed on every attempt its retry budget allowed.
-
-    Carries the pool's :class:`PoolStats` as ``stats`` (when raised by
-    the supervisor), so the engine can fold the supervision work that
-    *did* happen into its counters even though the run failed --
-    keeping the failure-path ``sweep.finish`` event honest.
-    """
+    """A trial failed on every attempt its retry budget allowed."""
 
     def __init__(self, index: int, attempts: int, reason: str):
         super().__init__(
@@ -104,7 +108,6 @@ class TrialRetryError(RuntimeError):
         self.index = index
         self.attempts = attempts
         self.reason = reason
-        self.stats: PoolStats | None = None
 
 
 @dataclass
@@ -120,14 +123,22 @@ class _Worker:
     sent: int = field(default=0)  #: tasks handed to this process
 
 
-def _worker_main(conn, path_entries, faults) -> None:
+def _worker_main(conn, path_entries, faults, inherited=()) -> None:
     """Worker loop: run assigned tasks until the None sentinel.
 
     Messages back to the parent: ``("done", pid, index, attempt, value,
     busy_ns)`` or ``("error", pid, index, attempt, reason)``.  Fault
     injection happens *before* the trial runs and sends are synchronous,
     so a killed worker never leaves a half-reported outcome.
+
+    ``inherited`` are the parent-side pipe ends a forked worker got
+    with its address space (its own and its earlier siblings').  They
+    are closed first: while any process holds the parent end of this
+    worker's pipe, ``recv`` never sees EOF, so a worker whose parent
+    was SIGKILLed would wait forever as an orphan.
     """
+    for end in inherited:
+        end.close()
     for entry in reversed(path_entries):
         if entry not in sys.path:
             sys.path.insert(0, entry)
@@ -149,27 +160,31 @@ def _worker_main(conn, path_entries, faults) -> None:
         try:
             value = task.run()
         except BaseException as exc:
-            conn.send(("error", pid, index, attempt,
-                       f"{type(exc).__name__}: {exc}"))
-            continue
-        conn.send(("done", pid, index, attempt, value,
-                   time.perf_counter_ns() - start))
+            reply = ("error", pid, index, attempt,
+                     f"{type(exc).__name__}: {exc}")
+        else:
+            reply = ("done", pid, index, attempt, value,
+                     time.perf_counter_ns() - start)
+        try:
+            conn.send(reply)
+        except OSError:
+            return              # parent is gone mid-trial
 
 
 class _Supervisor:
     """One supervised execution of a task list (see :func:`run_supervised`)."""
 
-    def __init__(self, tasks, jobs, policy, faults, on_outcome,
+    def __init__(self, tasks, jobs, counters, policy, faults, on_outcome,
                  monitor=None):
         from repro.engine.pool import TaskOutcome
 
         self._outcome_cls = TaskOutcome
         self.tasks = tasks
+        self.counters = counters
         self.policy = policy
         self.faults = faults
         self.on_outcome = on_outcome
         self.monitor = monitor
-        self.stats = PoolStats()
         self.outcomes: list = [None] * len(tasks)
         self.done = 0
         #: min-heap of (ready_at, attempt, index) awaiting a worker
@@ -179,16 +194,21 @@ class _Supervisor:
         import multiprocessing
 
         methods = multiprocessing.get_all_start_methods()
+        self.forks = "fork" in methods
         self.ctx = multiprocessing.get_context(
-            "fork" if "fork" in methods else "spawn")
-        self.workers = [self._spawn() for _ in range(min(jobs, len(tasks)))]
+            "fork" if self.forks else "spawn")
+        self.workers: list[_Worker] = []
+        for _ in range(min(jobs, len(tasks))):
+            self.workers.append(self._spawn())
 
     # ------------------------------------------------------------------
     def _spawn(self) -> _Worker:
         parent_conn, child_conn = self.ctx.Pipe()
+        inherited = ([parent_conn] + [w.conn for w in self.workers]
+                     if self.forks else [])
         proc = self.ctx.Process(
             target=_worker_main,
-            args=(child_conn, list(sys.path), self.faults),
+            args=(child_conn, list(sys.path), self.faults, inherited),
             daemon=True)
         proc.start()
         child_conn.close()      # only the worker holds its end now
@@ -218,10 +238,8 @@ class _Supervisor:
     def _retry(self, index: int, attempt: int, reason: str) -> None:
         """Requeue a failed task with backoff, or give up loudly."""
         if attempt > self.policy.max_retries:
-            error = TrialRetryError(index, attempt, reason)
-            error.stats = self.stats
-            raise error
-        self.stats.retries += 1
+            raise TrialRetryError(index, attempt, reason)
+        self.counters.retries += 1
         if self.monitor is not None:
             self.monitor.retry(index, attempt, reason)
         ready = time.monotonic() + self.policy.backoff_for(attempt)
@@ -254,7 +272,6 @@ class _Supervisor:
                 self._complete(index, attempt, value, busy_ns, pid)
             else:
                 _, _, index, attempt, reason = message
-                self.stats.errors += 1
                 if self.outcomes[index] is None:
                     self._retry(index, attempt, reason)
 
@@ -268,19 +285,19 @@ class _Supervisor:
                 continue
             pid = worker.proc.pid
             if overdue and not dead:
-                self.stats.timeouts += 1
+                self.counters.timeouts += 1
                 if self.monitor is not None:
                     self.monitor.timeout(worker.index, pid)
                 worker.proc.kill()
                 worker.proc.join(timeout=5)
             else:
-                self.stats.worker_deaths += 1
+                self.counters.worker_deaths += 1
                 if self.monitor is not None:
                     self.monitor.worker_death(worker.index, pid)
             index, attempt = worker.index, worker.attempt
             self._close(worker)
             self.workers[slot] = self._spawn()
-            self.stats.respawns += 1
+            self.counters.respawns += 1
             if self.monitor is not None:
                 self.monitor.worker_respawn(self.workers[slot].proc.pid)
             if index is not None and self.outcomes[index] is None:
@@ -315,18 +332,21 @@ class _Supervisor:
         return self.outcomes
 
 
-def run_supervised(tasks: list[TrialTask], jobs: int,
+def run_supervised(tasks: list[TrialTask], jobs: int, counters,
                    policy: RetryPolicy | None = None, faults=None,
-                   on_outcome=None, monitor=None) -> tuple[list, PoolStats]:
+                   on_outcome=None, monitor=None) -> list:
     """Execute ``tasks`` on a supervised ``jobs``-wide pool.
 
-    Returns ``(outcomes, stats)`` with outcomes in submission order.
-    ``on_outcome(index, outcome)`` fires in the parent as each trial
-    completes (out of order); ``faults`` is an optional
-    :class:`~repro.faults.workers.WorkerFaultPlan` applied inside the
-    workers.  ``monitor`` is an optional telemetry adapter (duck-typed
-    like :class:`repro.obs.live.session.PoolMonitor`): it receives
-    ``dispatch`` / ``retry`` / ``timeout`` / ``worker_death`` /
+    Returns the outcomes in submission order.  Supervision work is
+    tallied in place on ``counters`` (an
+    :class:`~repro.engine.engine.EngineCounters`: ``retries``,
+    ``timeouts``, ``worker_deaths``, ``respawns``), so it is counted
+    even when the run fails.  ``on_outcome(index, outcome)`` fires in
+    the parent as each trial completes (out of order); ``faults`` is an
+    optional :class:`~repro.faults.workers.WorkerFaultPlan` applied
+    inside the workers.  ``monitor`` is an optional telemetry adapter
+    (duck-typed like :class:`repro.obs.live.session.PoolMonitor`): it
+    receives ``dispatch`` / ``retry`` / ``timeout`` / ``worker_death`` /
     ``worker_respawn`` callbacks as supervision acts, plus a ``tick``
     per loop iteration with the live worker handles -- all in the
     parent process, entirely off the workers' execution path.  Raises
@@ -334,6 +354,5 @@ def run_supervised(tasks: list[TrialTask], jobs: int,
     retry budget.
     """
     policy = policy if policy is not None else RetryPolicy()
-    supervisor = _Supervisor(tasks, jobs, policy, faults, on_outcome,
-                             monitor=monitor)
-    return supervisor.run(), supervisor.stats
+    return _Supervisor(tasks, jobs, counters, policy, faults, on_outcome,
+                       monitor=monitor).run()

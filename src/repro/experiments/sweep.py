@@ -1,19 +1,12 @@
 """Trial-sweep helpers shared by the experiment runners.
 
-Two generations of API live here:
-
-* :func:`rate_over_trials` / :func:`series_from_sweep` -- the original
-  closure-based helpers, kept for callers that sweep an ad-hoc callable
-  inline (always serial, never cached);
-* :class:`SweepPlan` -- the engine-backed path every registered exhibit
-  now uses.  A plan collects *all* series of an exhibit as
-  :class:`~repro.engine.task.TrialTask` batches and submits them to the
-  ambient :class:`~repro.engine.engine.Engine` in one call, so a
-  parallel engine can overlap trials across series and points, not just
-  within one series.
-
-Both paths derive per-trial seeds identically (``base_seed + 97 * t``),
-so an exhibit moved from one to the other reproduces the same bytes.
+Every registered exhibit sweeps through a :class:`SweepPlan`: it
+collects *all* series of an exhibit as
+:class:`~repro.engine.task.TrialTask` batches and submits them to the
+ambient :class:`~repro.engine.engine.Engine` in one call, so a parallel
+engine can overlap trials across series and points, not just within
+one series.  Per-trial seeds are ``base_seed + 97 * t``
+(:func:`trial_seeds`).
 """
 
 from __future__ import annotations
@@ -28,34 +21,10 @@ SEED_STRIDE = 97
 
 
 def trial_seeds(trials: int, base_seed: int = 11) -> tuple[int, ...]:
-    """The seed for each of ``trials`` repetitions (shared by both APIs)."""
+    """The seed for each of ``trials`` repetitions."""
     if trials < 1:
         raise ValueError("need at least one trial")
     return tuple(base_seed + SEED_STRIDE * t for t in range(trials))
-
-
-def rate_over_trials(run_once, trials: int, base_seed: int = 11) -> tuple[float, float]:
-    """Run ``run_once(seed)`` (returning a rate) over seeded trials.
-
-    Returns ``(mean, population std)``, matching the paper's reporting of
-    mean and standard deviation over repeated runs.
-    """
-    rates = [run_once(seed) for seed in trial_seeds(trials, base_seed)]
-    return summarize(rates)
-
-
-def series_from_sweep(label: str, xs, run_point, trials: int,
-                      base_seed: int = 11) -> Series:
-    """Build a Series by sweeping ``run_point(x, seed)`` over ``xs``."""
-    points = []
-    for x in xs:
-        # bind the loop variable explicitly: the lambda outlives the
-        # iteration in principle, and a late-bound ``x`` is a footgun
-        # even though rate_over_trials happens to consume it eagerly.
-        mean, std = rate_over_trials(
-            lambda seed, x=x: run_point(x, seed), trials, base_seed)
-        points.append(SeriesPoint(x, mean, std))
-    return Series(label, tuple(points))
 
 
 class SweepPlan:
@@ -71,8 +40,8 @@ class SweepPlan:
     ``run`` submits every ``(series, x, trial)`` task in one
     ``engine.run_tasks`` call and folds the returned values back into
     one :class:`~repro.util.records.Series` per ``add``, with the mean
-    and population std over trials -- numerically identical to the old
-    serial sweep regardless of the engine's job count.
+    and population std over trials -- numerically identical regardless
+    of the engine's job count.
     """
 
     def __init__(self, trials: int, base_seed: int = 11):

@@ -19,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from repro.mpi.spc import SPC
+from repro.mpi.spc import DERIVED, OBS_GAUGES, SPC
 
 
 @dataclass(frozen=True)
@@ -32,30 +32,11 @@ class VarInfo:
     readonly: bool = True
 
 
-_PVAR_DERIVED = {
-    "out_of_sequence_fraction":
-        "fraction of received messages that arrived out of sequence",
-    "match_time_ms": "total matching time in milliseconds",
-}
-
-#: Observability pvars backed by live lock/progress structures (the
-#: counters repro.obs traces); read through
-#: :meth:`~repro.mpi.process.MpiProcess.obs_counters`.
-_PVAR_OBS = {
-    "match_lock_wait_ns": "cumulative contended wait on matching locks",
-    "match_lock_hold_ns": "cumulative hold time of matching locks",
-    "cri_lock_wait_ns": "cumulative contended wait on CRI locks",
-    "cri_lock_hold_ns": "cumulative hold time of CRI locks",
-    "cri_lock_tryfails": "failed try-lock attempts on CRI locks",
-    "progress_calls": "progress-engine invocations",
-    "progress_denied": "progress calls denied by a held try-lock",
-    "progress_lock_wait_ns": "cumulative wait on the serial progress lock",
-}
-
-
-def _pvar_names() -> list[str]:
-    names = [f.name for f in dataclasses.fields(SPC)]
-    return names + sorted(_PVAR_DERIVED) + sorted(_PVAR_OBS)
+#: every pvar: the SPC fields in declaration order, then the derived
+#: counters and the lock/progress gauges (read through
+#: :meth:`~repro.mpi.process.MpiProcess.obs_counters`), each sorted
+_PVAR_NAMES = (tuple(f.name for f in dataclasses.fields(SPC))
+               + tuple(sorted(DERIVED)) + tuple(sorted(OBS_GAUGES)))
 
 
 # ----------------------------------------------------------------------
@@ -100,10 +81,9 @@ class PvarSession:
         for f in dataclasses.fields(SPC):
             doc = (f.metadata.get("doc") if f.metadata else None) or f.name.replace("_", " ")
             out.append(VarInfo(f.name, doc, "pvar"))
-        for name, doc in sorted(_PVAR_DERIVED.items()):
-            out.append(VarInfo(name, doc, "pvar"))
-        for name, doc in sorted(_PVAR_OBS.items()):
-            out.append(VarInfo(name, doc, "pvar"))
+        for docs in (DERIVED, OBS_GAUGES):
+            for name, doc in sorted(docs.items()):
+                out.append(VarInfo(name, doc, "pvar"))
         return out
 
     def _spc(self, rank: int | None) -> SPC:
@@ -118,9 +98,9 @@ class PvarSession:
 
     def read(self, name: str, rank: int | None = None):
         """Read one pvar; ``rank=None`` aggregates over all processes."""
-        if name in _PVAR_OBS:
+        if name in OBS_GAUGES:
             return self._obs(rank)[name]
-        if name not in _pvar_names():
+        if name not in _PVAR_NAMES:
             raise KeyError(f"unknown pvar {name!r}")
         return getattr(self._spc(rank), name)
 
@@ -128,7 +108,7 @@ class PvarSession:
         """All pvars at once (a consistent read in virtual time)."""
         spc = self._spc(rank)
         out = {name: getattr(spc, name)
-               for name in _pvar_names() if name not in _PVAR_OBS}
+               for name in _PVAR_NAMES if name not in OBS_GAUGES}
         out.update(self._obs(rank))
         return out
 

@@ -19,7 +19,7 @@ from repro.mpi.matching import CommState
 from repro.mpi.rendezvous import RendezvousManager
 from repro.mpi.errors import ERRORS_RETURN, TransportError
 from repro.mpi.request import Status
-from repro.mpi.spc import SPC
+from repro.mpi.spc import OBS_GAUGES, SPC
 from repro.netsim.cq import (
     RecvArrival,
     RmaCompletion,
@@ -96,7 +96,8 @@ class MpiProcess:
         The observability layer (``repro.obs``) and the MPI_T pvar
         surface both read contention through this one accessor: match-
         lock and CRI-lock cumulative wait/hold time, try-lock failures,
-        and progress-engine call/denial counts.
+        and progress-engine call/denial counts, keyed by
+        :data:`~repro.mpi.spc.OBS_GAUGES`.
         """
         match_wait = match_hold = 0
         for state in self._comm_states.values():
@@ -110,17 +111,11 @@ class MpiProcess:
             cri_tryfails += cri.lock.tryfails
         engine = self.progress_engine
         progress_lock = getattr(engine, "global_lock", None)
-        return {
-            "match_lock_wait_ns": match_wait,
-            "match_lock_hold_ns": match_hold,
-            "cri_lock_wait_ns": cri_wait,
-            "cri_lock_hold_ns": cri_hold,
-            "cri_lock_tryfails": cri_tryfails,
-            "progress_calls": engine.calls,
-            "progress_denied": engine.denied,
-            "progress_lock_wait_ns":
-                progress_lock.wait_time_ns if progress_lock else 0,
-        }
+        progress_wait = progress_lock.wait_time_ns if progress_lock else 0
+        return dict(zip(OBS_GAUGES,
+                        (match_wait, match_hold, cri_wait, cri_hold,
+                         cri_tryfails, engine.calls, engine.denied,
+                         progress_wait), strict=True))
 
     def obs_locks(self) -> list:
         """Every lock this process owns (match + CRI + progress global)."""

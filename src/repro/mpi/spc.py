@@ -12,23 +12,55 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
+#: field tag: a depth high-watermark, merged across processes by max
+#: (every other counter is summed)
+HIGH_WATERMARK = {"merge": "max"}
+
+#: derived counters (read-only properties of :class:`SPC`) and their docs
+DERIVED = {
+    "out_of_sequence_fraction":
+        "fraction of received messages that arrived out of sequence",
+    "match_time_ms": "total matching time in milliseconds",
+}
+
+#: lock/progress gauges read from live structures by
+#: :meth:`~repro.mpi.process.MpiProcess.obs_counters`, in report order
+OBS_GAUGES = {
+    "match_lock_wait_ns": "cumulative contended wait on matching locks",
+    "match_lock_hold_ns": "cumulative hold time of matching locks",
+    "cri_lock_wait_ns": "cumulative contended wait on CRI locks",
+    "cri_lock_hold_ns": "cumulative hold time of CRI locks",
+    "cri_lock_tryfails": "failed try-lock attempts on CRI locks",
+    "progress_calls": "progress-engine invocations",
+    "progress_denied": "progress calls denied by a held try-lock",
+    "progress_lock_wait_ns": "cumulative wait on the serial progress lock",
+}
+
 
 @dataclass
 class SPC:
-    """Per-process software performance counters."""
+    """Per-process software performance counters.
+
+    The fields are the one declaration of the SPC family: MPI_T pvars,
+    :meth:`as_dict`, :meth:`SPCAggregate.total` and the metrics
+    time-series all iterate them.
+    """
 
     messages_sent: int = 0
     messages_received: int = 0
     unexpected_messages: int = 0
     out_of_sequence: int = 0
     #: total virtual time spent in the matching engine (validation, queue
-    #: search, delivery, out-of-sequence buffering, structure migration).
-    match_time_ns: int = 0
+    #: search, delivery, out-of-sequence buffering, structure migration);
+    #: :meth:`as_dict` reports it only as the derived ``match_time_ms``.
+    match_time_ns: int = field(default=0, metadata={"as_dict": False})
     #: total posted-queue elements a linear scan would have traversed.
     match_queue_scanned: int = 0
     recv_posted: int = 0
-    oos_buffered_high_watermark: int = 0
-    unexpected_high_watermark: int = 0
+    oos_buffered_high_watermark: int = field(default=0,
+                                             metadata=HIGH_WATERMARK)
+    unexpected_high_watermark: int = field(default=0,
+                                           metadata=HIGH_WATERMARK)
     rma_ops: int = 0
     rma_flushes: int = 0
     match_migrations: int = 0
@@ -76,26 +108,10 @@ class SPC:
 
     def as_dict(self) -> dict:
         """All counters (plus derived ratios) as a plain dict."""
-        return {
-            "messages_sent": self.messages_sent,
-            "messages_received": self.messages_received,
-            "unexpected_messages": self.unexpected_messages,
-            "out_of_sequence": self.out_of_sequence,
-            "out_of_sequence_fraction": self.out_of_sequence_fraction,
-            "match_time_ms": self.match_time_ms,
-            "match_queue_scanned": self.match_queue_scanned,
-            "recv_posted": self.recv_posted,
-            "oos_buffered_high_watermark": self.oos_buffered_high_watermark,
-            "unexpected_high_watermark": self.unexpected_high_watermark,
-            "rma_ops": self.rma_ops,
-            "rma_flushes": self.rma_flushes,
-            "match_migrations": self.match_migrations,
-            "rendezvous_sends": self.rendezvous_sends,
-            "retransmits": self.retransmits,
-            "transport_exhausted": self.transport_exhausted,
-            "duplicates_dropped": self.duplicates_dropped,
-            "cri_migrations": self.cri_migrations,
-        }
+        out = {name: getattr(self, name) for name in _AS_DICT}
+        for name in DERIVED:
+            out[name] = getattr(self, name)
+        return out
 
 
 @dataclass
@@ -113,26 +129,17 @@ class SPCAggregate:
         self.counters.clear()
 
     def total(self) -> SPC:
-        """Element-wise sum of every registered SPC."""
+        """Element-wise fold of every registered SPC (sum, or max for
+        high-watermarks)."""
         out = SPC()
-        for c in self.counters:
-            out.messages_sent += c.messages_sent
-            out.messages_received += c.messages_received
-            out.unexpected_messages += c.unexpected_messages
-            out.out_of_sequence += c.out_of_sequence
-            out.match_time_ns += c.match_time_ns
-            out.match_queue_scanned += c.match_queue_scanned
-            out.recv_posted += c.recv_posted
-            out.rma_ops += c.rma_ops
-            out.rma_flushes += c.rma_flushes
-            out.match_migrations += c.match_migrations
-            out.rendezvous_sends += c.rendezvous_sends
-            out.retransmits += c.retransmits
-            out.transport_exhausted += c.transport_exhausted
-            out.duplicates_dropped += c.duplicates_dropped
-            out.cri_migrations += c.cri_migrations
-            out.oos_buffered_high_watermark = max(
-                out.oos_buffered_high_watermark, c.oos_buffered_high_watermark)
-            out.unexpected_high_watermark = max(
-                out.unexpected_high_watermark, c.unexpected_high_watermark)
+        for name, high_watermark in _MERGE:
+            values = [getattr(c, name) for c in self.counters]
+            setattr(out, name,
+                    max(values, default=0) if high_watermark else sum(values))
         return out
+
+
+_AS_DICT = tuple(f.name for f in dataclasses.fields(SPC)
+                 if f.metadata.get("as_dict", True))
+_MERGE = tuple((f.name, f.metadata.get("merge") == "max")
+               for f in dataclasses.fields(SPC))

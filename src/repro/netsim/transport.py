@@ -28,7 +28,7 @@ most one backed-off timeout.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 from repro.netsim.cq import SendCompletion, TransportFailure
 
@@ -54,23 +54,16 @@ class TransportStats:
     duplicates_dropped: int = 0
     exhausted: int = 0
     context_kills: int = 0
-    in_flight: int = 0
+    #: frames awaiting an ack right now: a gauge, not a tally
+    in_flight: int = field(default=0, metadata={"gauge": True})
 
     def as_dict(self) -> dict:
-        """Fault-injection counters as a plain dict (in_flight excluded)."""
-        return {
-            "frames": self.frames,
-            "acks": self.acks,
-            "drops": self.drops,
-            "dups": self.dups,
-            "corrupts": self.corrupts,
-            "spikes": self.spikes,
-            "ack_drops": self.ack_drops,
-            "retransmits": self.retransmits,
-            "duplicates_dropped": self.duplicates_dropped,
-            "exhausted": self.exhausted,
-            "context_kills": self.context_kills,
-        }
+        """The fault-injection tallies as a plain dict (gauges excluded)."""
+        return {name: getattr(self, name) for name in _TALLIES}
+
+
+_TALLIES = tuple(f.name for f in fields(TransportStats)
+                 if not f.metadata.get("gauge"))
 
 
 class FaultInjector:

@@ -5,25 +5,22 @@ misses, journal resumes, shard skips, supervision retries/timeouts/
 respawns, quarantined cache entries, per-worker busy time).  This module renders them the same way
 :class:`~repro.obs.metrics.MetricsRegistry` renders the simulator's
 counters -- a stable-column CSV plus a compact human summary -- so the
-two surfaces read alike.  Unlike the simulator's counters these are
-*host-level*: wall-clock and utilization vary run to run, which is why
-they are written next to the artifacts (``engine.metrics.csv``) rather
-than into them.
+two surfaces read alike.  Unlike the simulator's counters some of these
+are *host-level*: wall-clock, busy time and utilization vary run to
+run, which is why they are written next to the artifacts
+(``engine.metrics.csv``) rather than into them.
 """
 
 from __future__ import annotations
 
-#: stable column order for the engine counters CSV
-ENGINE_COLUMNS = (
-    "trials", "duplicates", "cache_hits", "cache_misses", "uncacheable",
-    "resumed", "shard_skipped", "retries", "timeouts", "worker_deaths",
-    "respawns", "corrupt", "batches", "wall_ns", "busy_ns", "workers_used",
-    "jobs", "utilization",
-)
-
 
 def engine_row(engine) -> dict:
-    """One flat dict of the engine's counters plus derived gauges."""
+    """One flat dict of the engine's counters plus derived gauges.
+
+    The keys are
+    :meth:`~repro.engine.engine.EngineCounters.as_row`'s, in declaration
+    order, followed by ``jobs`` and ``utilization``.
+    """
     row = engine.counters.as_row()
     row["jobs"] = engine.jobs
     row["utilization"] = round(engine.utilization(), 6)
@@ -31,10 +28,10 @@ def engine_row(engine) -> dict:
 
 
 def engine_csv(engine) -> str:
-    """The counters as a one-row CSV in :data:`ENGINE_COLUMNS` order."""
+    """The counters as a one-row CSV in :func:`engine_row` key order."""
     row = engine_row(engine)
-    header = ",".join(ENGINE_COLUMNS)
-    cells = ",".join(_cell(row[c]) for c in ENGINE_COLUMNS)
+    header = ",".join(row)
+    cells = ",".join(_cell(value) for value in row.values())
     return f"{header}\n{cells}\n"
 
 

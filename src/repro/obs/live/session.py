@@ -34,26 +34,8 @@ from repro.obs.live.recorder import FlightRecorder
 from repro.obs.live.status import STATUS_NAME, StatusWriter, eta_seconds
 from repro.util.atomicio import atomic_write_text
 
-#: engine counters whose values are pure functions of the seeded sweep
-DETERMINISTIC_COUNTERS = (
-    "trials", "duplicates", "cache_hits", "cache_misses", "uncacheable",
-    "resumed", "shard_skipped", "retries", "timeouts", "worker_deaths",
-    "respawns", "corrupt",
-)
-
 #: ring records replayed into the heartbeat's ``recent`` list
 RECENT_EVENTS = 8
-
-
-def deterministic_counters(counters) -> dict:
-    """The host-free subset of :class:`~repro.engine.engine.EngineCounters`.
-
-    This is what the ``sweep.finish`` event carries: every field here
-    must be identical between a serial run, a ``--jobs N`` run and a
-    seeded chaos run of the same sweep.
-    """
-    row = counters.as_row()
-    return {name: row[name] for name in DETERMINISTIC_COUNTERS}
 
 
 class PoolMonitor:
@@ -159,7 +141,8 @@ class LiveTelemetry:
         """The sweep ended; writes the final heartbeat and event."""
         fields = {"ok": ok}
         if self.engine is not None:
-            fields["counters"] = deterministic_counters(self.engine.counters)
+            # host-free: equal between serial, --jobs N and seeded chaos
+            fields["counters"] = self.engine.counters.deterministic()
         self.log.emit("sweep.finish", **fields)
         if self.state == "running":
             self.state = "finished" if ok else "failed"

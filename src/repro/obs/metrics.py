@@ -26,25 +26,22 @@ import dataclasses
 
 from repro.util.stats import Histogram
 
-#: SPC fields carried into every row (cumulative counters); resolved on
-#: first use -- importing repro.mpi here would be circular, since the
-#: scheduler imports repro.obs for its null tracer.
-_SPC_FIELDS: tuple = ()
+#: (SPC fields, lock/progress gauges) carried into every row, from their
+#: declarations in :mod:`repro.mpi.spc`; resolved on first use --
+#: importing repro.mpi here would be circular, since the scheduler
+#: imports repro.obs for its null tracer.
+_COUNTERS: tuple = ()
 
 
-def _spc_fields() -> tuple:
-    global _SPC_FIELDS
-    if not _SPC_FIELDS:
-        from repro.mpi.spc import SPC
+def _counter_fields() -> tuple:
+    global _COUNTERS
+    if not _COUNTERS:
+        from repro.mpi.spc import OBS_GAUGES, SPC
 
-        _SPC_FIELDS = tuple(f.name for f in dataclasses.fields(SPC))
-    return _SPC_FIELDS
+        _COUNTERS = (tuple(f.name for f in dataclasses.fields(SPC)),
+                     tuple(OBS_GAUGES))
+    return _COUNTERS
 
-_OBS_FIELDS = (
-    "match_lock_wait_ns", "match_lock_hold_ns",
-    "cri_lock_wait_ns", "cri_lock_hold_ns", "cri_lock_tryfails",
-    "progress_calls", "progress_denied", "progress_lock_wait_ns",
-)
 
 _DEPTH_FIELDS = ("posted_depth", "unexpected_depth", "oos_depth")
 
@@ -72,11 +69,12 @@ class MetricsRegistry:
     def sample(self, now: int) -> None:
         """Record one row at virtual time ``now`` (event-loop callback)."""
         row = {"t_ns": now}
+        spc_fields, obs_fields = _counter_fields()
         spc = self.world.spc_total()
-        for name in _spc_fields():
+        for name in spc_fields:
             row[name] = getattr(spc, name)
         obs = self.world.obs_total()
-        for name in _OBS_FIELDS:
+        for name in obs_fields:
             row[name] = obs[name]
         posted = unexpected = oos = 0
         for engine in self.world.matching_engines():
@@ -111,8 +109,9 @@ class MetricsRegistry:
     @property
     def columns(self) -> tuple:
         """CSV column names, in emit order."""
-        return ("t_ns",) + _spc_fields() + _OBS_FIELDS + _DEPTH_FIELDS + (
-            "cri_utilization",)
+        spc_fields, obs_fields = _counter_fields()
+        return (("t_ns",) + spc_fields + obs_fields + _DEPTH_FIELDS
+                + ("cri_utilization",))
 
     def to_csv(self) -> str:
         """The time-series as CSV (one row per sample, stable columns)."""

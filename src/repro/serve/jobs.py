@@ -41,7 +41,7 @@ import time
 from repro.engine.cache import TrialCache
 from repro.engine.engine import Engine
 from repro.engine.handle import JobHandle
-from repro.engine.supervise import RetryPolicy
+from repro.engine.supervise import supervision
 from repro.serve.dedup import RequestKey, request_key
 
 #: where one job's artifacts + telemetry live under the service root
@@ -181,17 +181,8 @@ class JobIndex:
     def _create(self, key: RequestKey) -> ServeJob:
         """Build the job record + handle (caller holds the index lock)."""
         job_dir = self.root / JOBS_DIR / key.digest
-        faults = None
-        timeout = self.trial_timeout
-        if self.flaky_workers is not None:
-            from repro.faults.workers import WorkerFaultPlan
-
-            if timeout is None:
-                timeout = 30.0  # injected hangs must surface as timeouts
-            faults = WorkerFaultPlan(seed=self.flaky_seed,
-                                     kill_rate=self.flaky_workers / 2,
-                                     hang_rate=self.flaky_workers / 2,
-                                     hang_s=timeout * 3)
+        policy, faults = supervision(self.retries, self.trial_timeout,
+                                     self.flaky_workers, self.flaky_seed)
         from repro.obs.live import LiveTelemetry
 
         telemetry = LiveTelemetry(
@@ -201,8 +192,7 @@ class JobIndex:
         engine = Engine(
             jobs=self.engine_jobs,
             cache=TrialCache(self.root / ".cache"),
-            policy=RetryPolicy(max_retries=self.retries, timeout_s=timeout),
-            faults=faults, telemetry=telemetry)
+            policy=policy, faults=faults, telemetry=telemetry)
         handle = JobHandle(key.digest, self._thunk(key, job_dir),
                            engine=engine, telemetry=telemetry,
                            on_finish=self._on_finish)

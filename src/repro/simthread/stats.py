@@ -34,18 +34,8 @@ class SchedStats:
         self.spawns = 0            #: threads spawned
 
     def as_dict(self) -> dict:
-        """Flat ``{counter: value}`` in a fixed, documented order."""
-        return {
-            "events_delay": self.events_delay,
-            "events_yield": self.events_yield,
-            "events_suspend": self.events_suspend,
-            "events_callback": self.events_callback,
-            "heap_pushes": self.heap_pushes,
-            "heap_pops": self.heap_pops,
-            "gen_steps": self.gen_steps,
-            "wakes": self.wakes,
-            "spawns": self.spawns,
-        }
+        """Flat ``{counter: value}`` in ``__slots__`` order."""
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 def lock_rows(sched) -> list[dict]:

@@ -58,13 +58,10 @@ def test_parallel_counters_merge_to_serial_totals():
 
     def deterministic(engine):
         block = engine_provenance(engine)
-        block.pop("host")
-        block.pop("jobs")
-        block.pop("workers_used")   # pool width is a parameter, not behaviour
-        block.pop("batches")        # batching granularity differs by width
-        return block
+        return {name: block[name] for name in engine.counters.deterministic()}
 
     assert deterministic(parallel) == deterministic(serial)
+    assert deterministic(serial) == serial.counters.deterministic()
 
 
 def test_manifest_schema_records_telemetry_block():

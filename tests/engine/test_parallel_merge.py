@@ -78,5 +78,5 @@ def test_quick_artifacts_byte_identical_under_parallelism():
     import pathlib
     committed = pathlib.Path(__file__).resolve().parents[2] / "results" / "fig3a.csv"
     with use_engine(Engine(jobs=4)):
-        fig = run_figure3("a", quick=True, trials=1)
+        fig = run_figure3("a", quick=True)
     assert fig.to_csv() == committed.read_text()

@@ -8,6 +8,7 @@ import sys
 import time
 
 from repro.engine import Engine, SweepJournal, TrialCache, TrialSpec, TrialTask, trial
+from repro.obs.live import EVENTS_NAME, read_events
 
 
 @trial("resumetest.echo")
@@ -90,13 +91,34 @@ def _clean_reference(tmp_path, env):
     return (out / "ext-modes.csv").read_bytes()
 
 
+def _worker_pids(out):
+    """Pool worker pids named by a run's ``trial.dispatch`` events."""
+    events = read_events(out / "telemetry" / EVENTS_NAME)
+    return {e["pid"] for e in events
+            if e["kind"] == "trial.dispatch" and "pid" in e}
+
+
+def _exited(pid):
+    """No process ``pid`` left, or only its zombie (an orphan's exit
+    status waits for init, which need not reap it promptly)."""
+    try:
+        stat = pathlib.Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"
+
+
 def _interrupt_mid_sweep(tmp_path, env, sig):
     out = tmp_path / "victim"
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "run", "ext-modes",
          "--jobs", "2", "--out", str(out)],
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    time.sleep(0.8)                          # let some trials journal
+    deadline = time.monotonic() + 60
+    while not _worker_pids(out) and proc.poll() is None \
+            and time.monotonic() < deadline:
+        time.sleep(0.05)                     # wait for the pool to start
+    time.sleep(0.3)                          # let some trials journal
     if proc.poll() is None:
         proc.send_signal(sig)
     proc.wait(timeout=60)
@@ -115,6 +137,14 @@ def test_sigkill_mid_sweep_then_resume_byte_identical(tmp_path):
     env = _cli_env(tmp_path)
     reference = _clean_reference(tmp_path, env)
     out = _interrupt_mid_sweep(tmp_path, env, signal.SIGKILL)
+    # the killed parent's pool workers must not outlive it
+    workers = _worker_pids(out)
+    assert workers
+    deadline = time.monotonic() + 10
+    while not all(_exited(pid) for pid in workers) \
+            and time.monotonic() < deadline:
+        time.sleep(0.1)
+    assert [pid for pid in workers if not _exited(pid)] == []
     _assert_resume_completes(tmp_path, env, out, reference)
 
 

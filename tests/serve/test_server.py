@@ -9,6 +9,7 @@ import json
 import threading
 
 from repro.cli import main
+from repro.engine import EngineCounters
 
 
 def submit_concurrently(client, n, exhibit, params):
@@ -83,10 +84,8 @@ def test_served_manifest_engine_counters_match_the_cli_run(
     cli = json.loads((out / "manifest.json").read_text())
 
     def deterministic(block):
-        block = dict(block)
-        for host_key in ("host", "jobs", "workers_used", "batches"):
-            block.pop(host_key)
-        return block
+        return {name: block[name]
+                for name in EngineCounters().deterministic()}
 
     # the parity satellite: what was computed must be identical however
     # the request arrived

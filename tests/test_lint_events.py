@@ -3,7 +3,9 @@
 Drives :mod:`tools.lint_events` against telemetry directories produced
 by a genuine :class:`~repro.obs.live.LiveTelemetry` session, then
 corrupts them one defect at a time -- broken seq, unknown kind,
-counter/event disagreement, malformed prometheus sample -- and asserts
+counter/event disagreement, counter keys that drift from the
+:class:`~repro.engine.engine.EngineCounters` declaration, malformed
+prometheus sample -- and asserts
 each corruption is the *only* thing the linter flags.
 """
 
@@ -11,6 +13,7 @@ import json
 import pathlib
 import sys
 
+from repro.engine import Engine, EngineCounters
 from repro.obs.live import LiveTelemetry
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
@@ -86,8 +89,8 @@ def test_catches_counter_event_disagreement(tmp_path):
         # no engine was attached, so graft the counters block a real
         # run's sweep.finish carries -- with a deliberately wrong count
         assert records[-1]["kind"] == "sweep.finish"
-        records[-1]["counters"] = {"retries": 1, "timeouts": 0,
-                                   "worker_deaths": 7, "respawns": 1}
+        counters = EngineCounters(retries=1, worker_deaths=7, respawns=1)
+        records[-1]["counters"] = counters.deterministic()
 
     path = _rewrite_events(telemetry, mutate)
     problems: list[str] = []
@@ -95,6 +98,47 @@ def test_catches_counter_event_disagreement(tmp_path):
     _check_counter_agreement(path, records, problems)
     assert problems == [f"{path}: sweep.finish counter worker_deaths=7 "
                         "but 1 worker.death event(s)"]
+
+
+def _engine_run(tmp_path):
+    """A finished session with an (idle) engine attached."""
+    tele = LiveTelemetry(tmp_path / "telemetry", "runE", jobs=1,
+                         heartbeat_s=0.0)
+    Engine(telemetry=tele)
+    tele.sweep_start()
+    tele.sweep_finish(True)
+    tele.close()
+    return tele.dir
+
+
+def test_catches_sweep_finish_counter_key_drift(tmp_path):
+    telemetry = _engine_run(tmp_path)
+    problems: list[str] = []
+    lint_dir(telemetry, problems)
+    assert problems == []
+
+    def mutate(records):
+        del records[-1]["counters"]["batches"]
+        records[-1]["counters"]["wall_ns"] = 5
+
+    path = _rewrite_events(telemetry, mutate)
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    _check_counter_agreement(path, records, problems)
+    assert problems == [f"{path}: sweep.finish: counter keys differ from "
+                        "the declaration (missing ['batches'], extra "
+                        "['wall_ns'])"]
+
+
+def test_catches_status_counter_key_drift(tmp_path):
+    telemetry = _engine_run(tmp_path)
+    path = telemetry / "status.json"
+    doc = json.loads(path.read_text())
+    del doc["counters"]["utilization"]
+    path.write_text(json.dumps(doc))
+    problems: list[str] = []
+    lint_status_file(path, [], problems)
+    assert problems == [f"{path}: counters: counter keys differ from the "
+                        "declaration (missing ['utilization'], extra [])"]
 
 
 def test_tolerates_torn_final_line_only(tmp_path):

@@ -10,13 +10,16 @@ schemas in :mod:`repro.obs.live`:
   (one torn final line is tolerated: that is the legal signature of a
   ``kill -9`` mid-append, and exactly what this linter must accept);
 * trial-scoped events carry their fingerprint ``k``;
-* when a ``sweep.finish`` event is present, its deterministic counters
-  agree exactly with the event tallies (retries == ``trial.retry``
-  events, and so on) -- the cross-check that keeps the event stream
-  honest against :class:`~repro.engine.engine.EngineCounters`;
+* when a ``sweep.finish`` event is present, its counters are exactly
+  the deterministic fields of
+  :class:`~repro.engine.engine.EngineCounters` and agree with the
+  event tallies (retries == ``trial.retry`` events, and so on) -- the
+  cross-check that keeps the event stream honest against the counters;
 * ``status.json`` parses atomically-complete, carries the current
-  schema, a legal state, and internally consistent progress; on a
-  cleanly finished run its event total matches the log;
+  schema, a legal state, internally consistent progress and (once an
+  engine is attached) exactly the declared counter row plus ``jobs``
+  and ``utilization``; on a cleanly finished run its event total
+  matches the log;
 * every ``metrics.prom`` sample line is Prometheus-parseable and typed;
 * every postmortem bundle has a valid manifest naming only files that
   exist.
@@ -93,13 +96,27 @@ def lint_events_file(path: pathlib.Path, problems: list[str]) -> list[dict]:
     return records
 
 
+def _check_keys(where: str, got, declared, problems) -> None:
+    """A counter surface must carry exactly its declared keys."""
+    missing = sorted(set(declared) - set(got))
+    extra = sorted(set(got) - set(declared))
+    if missing or extra:
+        problems.append(f"{where}: counter keys differ from the "
+                        f"declaration (missing {missing}, extra {extra})")
+
+
 def _check_counter_agreement(path, records, problems) -> None:
-    """sweep.finish counters must equal the event tallies exactly."""
+    """sweep.finish counters must be the declared deterministic fields
+    and equal the event tallies exactly."""
+    from repro.engine import EngineCounters
+
     finishes = [r for r in records if r.get("kind") == "sweep.finish"
                 and isinstance(r.get("counters"), dict)]
     if not finishes:
         return
     counters = finishes[-1]["counters"]
+    _check_keys(f"{path}: sweep.finish", counters,
+                EngineCounters().deterministic(), problems)
     tallies = {}
     for record in records:
         tallies[record.get("kind")] = tallies.get(record.get("kind"), 0) + 1
@@ -133,6 +150,13 @@ def lint_status_file(path: pathlib.Path, records: list[dict],
     for field in ("ts", "pid"):
         if not isinstance(doc.get(field), (int, float)):
             problems.append(f"{path}: missing/non-numeric {field}")
+    counters = doc.get("counters")
+    if counters:                # empty until an engine is attached
+        from repro.engine import EngineCounters
+
+        _check_keys(f"{path}: counters", counters,
+                    [*EngineCounters().as_row(), "jobs", "utilization"],
+                    problems)
     progress = doc.get("progress", {})
     if progress.get("done", 0) > progress.get("planned", 0):
         problems.append(f"{path}: done {progress.get('done')} exceeds "
