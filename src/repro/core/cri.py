@@ -7,7 +7,8 @@ communication operations."
 
 Here a CRI wraps one :class:`~repro.netsim.context.NetworkContext` (which
 carries its completion queue and endpoint cache) and one
-:class:`~repro.simthread.sync.SimLock`.  Moving protection from the single
+:class:`~repro.simthread.sync.SimLock`, named ``p<rank>/cri-<index>``
+after the process that owns it.  Moving protection from the single
 shared endpoint/context down to per-instance locks is what enables
 concurrent sends.
 """
@@ -22,10 +23,12 @@ class CRI:
 
     __slots__ = ("index", "context", "lock", "sends", "progress_calls", "dead")
 
-    def __init__(self, sched, index: int, context, lock_costs, fairness: str = "unfair"):
+    def __init__(self, sched, index: int, context, lock_costs, fairness: str,
+                 rank: int):
         self.index = index
         self.context = context
-        self.lock = SimLock(sched, lock_costs, name=f"cri-{index}", fairness=fairness)
+        self.lock = SimLock(sched, lock_costs, name=f"p{rank}/cri-{index}",
+                            fairness=fairness)
         self.sends = 0
         self.progress_calls = 0
         #: permanently failed (its context died); excluded from assignment

@@ -30,14 +30,17 @@ class CRIPool:
     """Allocates CRIs on one process's NIC and assigns them to threads."""
 
     def __init__(self, sched, nic, config: ThreadingConfig, costs: CostModel,
-                 lock_fairness: str = "unfair"):
+                 lock_fairness: str = "unfair", rank: int = 0):
         self.sched = sched
         self.config = config
         self.costs = costs
+        #: the owning process's rank; it scopes the names of its locks
+        self.rank = rank
         self.instances: list[CRI] = []
         for i in range(config.num_instances):
             ctx = nic.create_context()
-            self.instances.append(CRI(sched, i, ctx, costs.cri_lock_costs(), lock_fairness))
+            self.instances.append(CRI(sched, i, ctx, costs.cri_lock_costs(),
+                                      lock_fairness, rank))
         self._rr = AtomicCounter(sched, cost_ns=costs.atomic_rmw_ns)
         self._tls = ThreadLocal(sched)
         self._last_used = ThreadLocal(sched)
@@ -76,7 +79,7 @@ class CRIPool:
             return None  # unknown or already failed: nothing to do
         if len(self.instances) == 1:
             raise RuntimeError(
-                f"cannot fail cri-{index}: it is the pool's last surviving instance")
+                f"cannot fail {victim.lock.name}: it is the pool's last surviving instance")
         victim.dead = True
         victim.context.failed = True
         self.instances.remove(victim)

@@ -95,7 +95,8 @@ class SerialProgress(_ProgressBase):
 
     def __init__(self, sched, pool, costs, dispatch, post_round=None):
         super().__init__(sched, pool, costs, dispatch, post_round)
-        self.global_lock = SimLock(sched, costs.lock_costs(), name="opal-progress")
+        self.global_lock = SimLock(sched, costs.lock_costs(),
+                                   name=f"p{pool.rank}/opal-progress")
 
     def progress(self):
         """Generator: one progress-engine call; returns completion count."""

@@ -46,7 +46,7 @@ class MatchingEngine:
         self.costs = process.costs
         self.spc = process.spc
         self.lock = SimLock(sched, self.costs.lock_costs(),
-                            name=f"match-p{process.rank}-c{comm.id}")
+                            name=f"p{process.rank}/match-c{comm.id}")
         self.posted = MatchQueue(entry_wildcards=True)
         self.unexpected = MatchQueue(entry_wildcards=False)
         self.expected_seq: dict[int, int] = {}

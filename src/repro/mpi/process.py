@@ -53,7 +53,7 @@ class MpiProcess:
         self._wait_backoff_delay = Delay(costs.wait_backoff_ns)
         self._wait_poll_delay = Delay(costs.wait_poll_ns)
         self.spc = SPC()
-        self.pool = CRIPool(world.sched, nic, config, costs, lock_fairness)
+        self.pool = CRIPool(world.sched, nic, config, costs, lock_fairness, rank)
         # The transport and the pool count retransmits/migrations into
         # this process's SPC.
         self.pool.spc = self.spc

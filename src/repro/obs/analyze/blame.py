@@ -8,15 +8,6 @@ paper's "matching time exploded because the match lock was held by
 progress threads" argument, made quantitative per (lock, waiter,
 holder) triple.
 
-Same-named locks exist in several processes (every process has a
-``cri-0``), and the exporter disambiguates their tracks with a ``#N``
-suffix the *wait* spans do not carry.  Waits are routed to the right
-track through the grant moment: a contended hold span for the waiting
-thread begins on the owning lock's track at the exact time the wait
-span ends.  Waits that cannot be routed that way (uncontended tracks,
-auto-closed spans) fall back to the first track whose base label
-matches.
-
 Convoys -- the futex pathology behind the paper's single-CRI collapse
 -- are detected per lock as maximal intervals with two or more
 simultaneous waiters.
@@ -28,14 +19,6 @@ import bisect
 from dataclasses import dataclass, field
 
 from repro.obs.analyze.model import Span, TraceModel
-
-
-def base_label(label: str) -> str:
-    """A track label without the exporter's ``#N`` dedup suffix."""
-    head, sep, tail = label.rpartition("#")
-    if sep and tail.isdigit():
-        return head
-    return label
 
 
 @dataclass
@@ -55,41 +38,16 @@ class LockStats:
     blame: dict = field(default_factory=dict)
 
 
-def _route_waits(model: TraceModel) -> dict[int, list[tuple[Span, str]]]:
-    """Map lock-track tid -> [(wait span, waiter label)], routed.
+def _waits_by_lock(model: TraceModel) -> dict[str, list[tuple[Span, str]]]:
+    """Lock label -> [(wait span, waiter label)].
 
-    Routing prefers the grant-moment join (a contended hold span for the
-    waiter starting exactly when the wait ends); ties and misses fall
-    back to the lowest-tid track with the matching base label.
+    A wait span's ``lock`` arg is its lock's (unique) track label.
     """
-    tracks_by_base: dict[str, list] = {}
-    for t in model.lock_tracks():
-        tracks_by_base.setdefault(base_label(t.label), []).append(t)
-    spans_by_tid = model.spans_by_tid()
-    # (tid, holder label, grant time) set for the grant-moment join
-    grants: set[tuple[int, str, int]] = set()
-    for t in model.lock_tracks():
-        for s in spans_by_tid.get(t.tid, []):
-            if s.cat == "hold" and s.arg("contended"):
-                grants.add((t.tid, s.name, s.start_ns))
-
-    routed: dict[int, list[tuple[Span, str]]] = {}
+    out: dict[str, list[tuple[Span, str]]] = {}
     for wait in model.spans_in_cat("lock-wait"):
-        lock_name = wait.arg("lock")
-        candidates = tracks_by_base.get(lock_name, [])
-        if not candidates:
-            continue
-        waiter = model.label(wait.tid)
-        chosen = None
-        if len(candidates) > 1:
-            for t in candidates:
-                if (t.tid, waiter, wait.end_ns) in grants:
-                    chosen = t
-                    break
-        if chosen is None:
-            chosen = candidates[0]
-        routed.setdefault(chosen.tid, []).append((wait, waiter))
-    return routed
+        out.setdefault(wait.arg("lock"), []).append(
+            (wait, model.label(wait.tid)))
+    return out
 
 
 def _convoys(waits: list[Span]) -> tuple[int, int, int]:
@@ -123,7 +81,7 @@ def lock_blame(model: TraceModel) -> list[LockStats]:
     contention leads the report deterministically.
     """
     spans_by_tid = model.spans_by_tid()
-    routed = _route_waits(model)
+    waits_by_lock = _waits_by_lock(model)
     out: list[LockStats] = []
     for track in model.lock_tracks():
         stats = LockStats(label=track.label)
@@ -137,7 +95,7 @@ def lock_blame(model: TraceModel) -> list[LockStats]:
         # overlapping a wait form a contiguous run: bisect to its start
         # instead of scanning every hold per wait.
         hold_ends = [h.end_ns for h in holds]
-        waits = routed.get(track.tid, [])
+        waits = waits_by_lock.get(track.label, [])
         for wait, waiter in waits:
             stats.wait_ns += wait.dur_ns
             stats.waits += 1

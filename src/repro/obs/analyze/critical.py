@@ -15,7 +15,7 @@ did:
 
 until virtual time zero.  Lock-wait segments carry the holder that was
 blocking (taken from the blame attribution), which is how a critical
-path through ``wait match-p1-c1`` reads "blocked by progress-3".
+path through ``wait p1/match-c1`` reads "blocked by progress-3".
 
 Every choice ties off deterministically (latest end first, then
 recording index), so the emitted CSV is byte-stable per seed.
@@ -26,7 +26,6 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 
-from repro.obs.analyze.blame import base_label
 from repro.obs.analyze.messages import MessageRecord
 from repro.obs.analyze.model import Span, TraceModel
 
@@ -103,17 +102,15 @@ class _Walker:
     def _holder_during(self, lock_name: str, start: int, end: int) -> str:
         """The holder blamed for a wait interval (longest overlap wins)."""
         best, best_overlap = "", 0
-        for label, holds in sorted(self._holds.items()):
-            if base_label(label) != lock_name:
-                continue
-            ends = [h.end_ns for h in holds]
-            i = bisect.bisect_right(ends, start)
-            while i < len(holds) and holds[i].start_ns < end:
-                h = holds[i]
-                i += 1
-                overlap = min(end, h.end_ns) - max(start, h.start_ns)
-                if overlap > best_overlap:
-                    best, best_overlap = h.name, overlap
+        holds = self._holds.get(lock_name, [])
+        ends = [h.end_ns for h in holds]
+        i = bisect.bisect_right(ends, start)
+        while i < len(holds) and holds[i].start_ns < end:
+            h = holds[i]
+            i += 1
+            overlap = min(end, h.end_ns) - max(start, h.start_ns)
+            if overlap > best_overlap:
+                best, best_overlap = h.name, overlap
         return best
 
     def _emit(self, seg: Segment) -> None:

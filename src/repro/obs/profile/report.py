@@ -82,9 +82,9 @@ def profile_report(result, top: int = 12) -> str:
     lines += _fmt_table(result.phases,
                         ["start_ns", "end_ns", "events", "gen_steps",
                          "host_ns"])
-    lines += ["", f"[locks top {top} by wait_ns]"]
-    locks = sorted(result.locks,
-                   key=lambda r: (-r["wait_ns"], r["name"]))[:top]
+    lines += ["", f"[locks top {top} by wait_ns, then hold_ns]"]
+    locks = sorted(result.locks, key=lambda r: (-r["wait_ns"], -r["hold_ns"],
+                                                r["name"]))[:top]
     lines += _fmt_table(locks,
                         ["name", "acquisitions", "contended", "tryfails",
                          "migrations", "wait_ns", "hold_ns"])

@@ -12,6 +12,10 @@ values).  Tracks come in two flavours:
   gets a track showing who holds it and for how long, each matching
   engine a track carrying its queue-depth counters.
 
+Every label is unique, and a duplicate raises: resources are named by
+their owning rank where they are created (``p0/cri-1``), and a lock's
+wait spans carry its track label in their ``lock`` arg.
+
 All timestamps are virtual nanoseconds read from the scheduler, so a
 trace is a pure function of the seed: two runs with the same seed
 produce byte-identical exports (the repo's core invariant).
@@ -86,7 +90,7 @@ DEFAULT_PID = 9
 
 
 class _Track:
-    """One row in the trace: stable tid, kind, deduplicated label."""
+    """One row in the trace: stable tid, kind, unique label."""
 
     __slots__ = ("tid", "kind", "label")
 
@@ -114,7 +118,7 @@ class Tracer:
         self.sched = sched
         sched.tracer = self
         self._tracks: dict = {}          # key -> _Track, first-use order
-        self._labels: dict[str, int] = {}  # label -> #uses, for dedup
+        self._labels: set[str] = set()   # every label in use
         self._open: dict[int, list] = {}   # tid -> stack of open spans
         #: completed spans as (tid, name, cat, start_ns, dur_ns, args)
         self.spans: list = []
@@ -132,10 +136,9 @@ class Tracer:
     # tracks
     # ------------------------------------------------------------------
     def _new_track(self, key, kind: str, label: str) -> _Track:
-        seen = self._labels.get(label, 0)
-        self._labels[label] = seen + 1
-        if seen:  # e.g. "cri-0" exists in every process: suffix a copy id
-            label = f"{label}#{seen + 1}"
+        if label in self._labels:
+            raise ValueError(f"duplicate trace track label {label!r}")
+        self._labels.add(label)
         track = _Track(len(self._tracks) + 1, kind, label)
         self._tracks[key] = track
         return track
@@ -151,8 +154,9 @@ class Tracer:
     def resource_track(self, kind: str, name: str, key=None) -> int:
         """The track id for a shared resource (lock, CRI, queue).
 
-        ``key`` defaults to ``(kind, name)``; pass ``id(obj)`` when
-        several same-named resources must keep distinct tracks.
+        ``key`` defaults to ``(kind, name)``; pass ``id(obj)`` to intern
+        the track by object identity.  Labels are unique: a second
+        resource with the same name raises ``ValueError``.
         """
         key = key if key is not None else (kind, name)
         track = self._tracks.get(key)
@@ -195,7 +199,7 @@ class Tracer:
     # ------------------------------------------------------------------
     def lock_kind(self, lock) -> str:
         """Track kind for a lock ("cri" for CRI locks, else "lock")."""
-        return "cri" if lock.name.startswith("cri-") else "lock"
+        return "cri" if "/cri-" in lock.name else "lock"
 
     def lock_track(self, lock) -> int:
         """Resource track id for a lock (interned by identity)."""

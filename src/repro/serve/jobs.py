@@ -74,8 +74,16 @@ class ServeJob:
 
     @property
     def state(self) -> str:
-        """The handle's lifecycle state (queued/running/done/failed)."""
-        return self.handle.state
+        """The job's lifecycle state (queued/running/done/failed).
+
+        The handle turns terminal before its completion callback writes
+        the manifest; the job reads ``running`` until that callback has
+        returned, so a reader that sees ``done`` finds every artifact.
+        """
+        state = self.handle.state
+        if state in ("done", "failed") and not self.handle.finished:
+            return "running"
+        return state
 
     @property
     def telemetry_dir(self) -> pathlib.Path:
@@ -96,13 +104,14 @@ class ServeJob:
 
     def snapshot(self) -> dict:
         """The JSON status document ``GET /experiments/<id>`` returns."""
+        state = self.state  # first: the handle snapshot can only be newer
         doc = self.handle.snapshot()
         doc.update({
+            "state": state,
             "exhibit": self.key.exhibit,
             "params": self.key.params_dict(),
             "requests": self.requests,
-            "artifacts": self.artifact_names()
-            if self.state == "done" else [],
+            "artifacts": self.artifact_names() if state == "done" else [],
         })
         return doc
 

@@ -88,7 +88,18 @@ def test_scheduler_counters_are_consistent(micro_profile):
 
 def test_lock_rows_cover_the_matching_lock(micro_profile):
     names = [r["name"] for r in micro_profile.locks]
-    assert any(n.startswith("match") for n in names)
+    assert "p1/match-c1" in names
+
+
+def test_profile_lock_table_leads_with_the_busy_locks():
+    # fig6 micro: no lock waits, so the hold_ns tie-break must lift the
+    # four active CRIs above the idle ones that sort first by name
+    report = profile_report(profile_run("fig6", micro=True))
+    table = report.split("[locks top 12 by wait_ns, then hold_ns]\n")[1]
+    rows = table.split("\n\n")[0].splitlines()[1:]
+    assert len(rows) == 12
+    assert sorted(row.split()[0] for row in rows[:4]) \
+        == ["p0/cri-0", "p0/cri-1", "p0/cri-2", "p0/cri-3"]
 
 
 def test_counters_text_is_deterministic_across_runs(micro_profile):

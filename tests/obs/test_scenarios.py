@@ -10,7 +10,7 @@ from repro.obs.scenarios import traceable_ids, traced_run
 
 def match_lock_wait(tracer) -> int:
     return sum(total for name, total in lock_wait_totals(tracer).items()
-               if name.startswith("match"))
+               if "/match-c" in name)
 
 
 def test_traceable_ids_cover_both_workloads():

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.obs.export import (lock_wait_totals, span_totals, to_chrome_json,
                               trace_events, top_report)
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
@@ -61,14 +63,13 @@ class TestPrimitives:
         assert (outer[3], outer[4]) == (0, 20)
         assert outer[5] == {"a": 1, "b": 2}
 
-    def test_track_label_dedup_is_deterministic(self):
+    def test_duplicate_track_label_raises(self):
         trc = Tracer(Scheduler())
-        a = trc.resource_track("cri", "cri-0", key="p0")
-        b = trc.resource_track("cri", "cri-0", key="p1")
-        assert a != b
-        assert trc.resource_track("cri", "cri-0", key="p0") == a  # cached
-        labels = [t.label for t in trc.tracks()]
-        assert labels == ["cri-0", "cri-0#2"]
+        a = trc.resource_track("cri", "p0/cri-0", key="a")
+        assert trc.resource_track("cri", "p0/cri-0", key="a") == a  # cached
+        with pytest.raises(ValueError, match="p0/cri-0"):
+            trc.resource_track("cri", "p0/cri-0", key="b")
+        assert [t.label for t in trc.tracks()] == ["p0/cri-0"]
 
     def test_open_spans_reported(self):
         sched = Scheduler()

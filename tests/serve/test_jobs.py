@@ -1,6 +1,7 @@
 """The job index: dedup, bounded admission, lifecycle, served manifest."""
 
 import json
+import threading
 
 import pytest
 
@@ -78,6 +79,32 @@ def test_snapshot_hides_artifacts_until_done(index, gated_exhibit):
     assert snap["state"] == "done" and snap["artifacts"]
     assert snap["exhibit"] == "gated-snap"
     assert snap["params"] == {"quick": True}
+
+
+def test_job_reads_running_until_its_manifest_is_written(index, monkeypatch):
+    # the handle turns done before its completion callback writes
+    # manifest.json; a poller must not see done in between
+    entered, release = threading.Event(), threading.Event()
+    write_manifest = index._on_finish
+
+    def held_on_finish(handle):
+        entered.set()
+        assert release.wait(timeout=60)
+        write_manifest(handle)
+
+    monkeypatch.setattr(index, "_on_finish", held_on_finish)
+    job, _ = index.submit("table1")
+    try:
+        assert entered.wait(timeout=60)
+        assert job.handle.state == "done"
+        assert job.state == "running"
+        assert job.snapshot()["state"] == "running"
+        assert job.snapshot()["artifacts"] == []
+    finally:
+        release.set()
+    wait_done(job)
+    assert job.state == "done" and job.snapshot()["state"] == "done"
+    assert "manifest.json" in job.snapshot()["artifacts"]
 
 
 def test_full_queue_refuses_with_queue_full(tmp_path, gated_exhibit):

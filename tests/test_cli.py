@@ -304,6 +304,19 @@ def test_analyze_trace_file_without_rerun(tmp_path, capsys):
     assert "analysis: t" in capsys.readouterr().out
 
 
+def test_committed_analysis_exhibits_reproduce(tmp_path, capsys):
+    # the RUNBOOK commands rewrite results/analysis/ byte for byte
+    import pathlib
+    committed = pathlib.Path(__file__).resolve().parents[1] / "results" / "analysis"
+    assert main(["analyze", "fig3a", "--out", str(tmp_path)]) == 0
+    assert main(["analyze", "chaos", "--out", str(tmp_path), "--top", "20"]) == 0
+    names = sorted(p.name for p in committed.iterdir())
+    assert len(names) == 10
+    assert names == sorted(p.name for p in tmp_path.iterdir())
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (committed / name).read_bytes(), name
+
+
 def test_analyze_unknown_experiment(capsys):
     assert main(["analyze", "fig99"]) == 2
     assert "no traced scenario" in capsys.readouterr().err
