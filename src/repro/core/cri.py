@@ -21,27 +21,20 @@ from repro.simthread.sync import SimLock
 class CRI:
     """One Communication Resource Instance."""
 
-    __slots__ = ("index", "context", "lock", "sends", "progress_calls", "dead")
+    __slots__ = ("index", "context", "cq", "lock", "sends", "progress_calls", "dead")
 
     def __init__(self, sched, index: int, context, lock_costs, fairness: str,
                  rank: int):
         self.index = index
         self.context = context
+        #: the context's CQ (a context never replaces it)
+        self.cq = context.cq
         self.lock = SimLock(sched, lock_costs, name=f"p{rank}/cri-{index}",
                             fairness=fairness)
         self.sends = 0
         self.progress_calls = 0
         #: permanently failed (its context died); excluded from assignment
         self.dead = False
-
-    @property
-    def cq(self):
-        """The completion queue of this CRI's network context."""
-        return self.context.cq
-
-    def endpoint_to(self, dst_context):
-        """The wire endpoint from this CRI's context to ``dst_context``."""
-        return self.context.endpoint_to(dst_context)
 
     def __repr__(self):  # pragma: no cover - debug aid
         return f"<CRI #{self.index} ctx={self.context.index} cq={len(self.cq)}>"

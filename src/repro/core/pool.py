@@ -97,8 +97,8 @@ class CRIPool:
     # ------------------------------------------------------------------
     def get_instance_round_robin(self):
         """Generator: next instance via the shared atomic counter."""
-        ticket = yield from self._rr.fetch_add()
-        return self.instances[ticket % len(self.instances)]
+        k = yield from self.round_robin_index()
+        return self.instances[k]
 
     def get_instance_dedicated(self):
         """Generator: this thread's permanent instance (TLS-cached).
@@ -142,10 +142,18 @@ class CRIPool:
         """Generator: *position* of this thread's dedicated instance in
         ``instances`` (Algorithm 2 indexes the live list with it; after a
         failure, creation index and list position diverge)."""
-        cri = yield from self.get_instance_dedicated()
+        cri = self._tls.get()
+        if cri is None or cri.dead:  # first touch or migration
+            cri = yield from self.get_instance_dedicated()
         return self.instances.index(cri)
 
     def round_robin_index(self):
-        """Generator: next round-robin index (Algorithm 2's fallback scan)."""
-        ticket = yield from self._rr.fetch_add()
+        """Generator: next round-robin index (Algorithm 1's ticket; also
+        each step of Algorithm 2's fallback scan, hence ``fetch_add``
+        inlined).  The modulo is taken after the yield, on the live size."""
+        rr = self._rr
+        ticket = rr._value
+        rr._value = ticket + 1
+        rr.operations += 1
+        yield rr._cost_delay
         return ticket % len(self.instances)

@@ -55,19 +55,17 @@ class _ProgressBase:
         self._empty_delay = Delay(costs.progress_empty_ns)
 
     def _progress_instance(self, cri):
-        """Generator: try to progress one CRI.
+        """Generator: try to progress one CRI whose CQ is not empty.
 
         Returns the number of completions, or ``None`` if the instance's
         try-lock was held (another thread is progressing it).
 
-        An instance whose CQ is empty is skipped without taking its lock:
-        emptiness is a single cached load of the CQ's producer index, the
-        standard cheap "anything pending?" hint, so sweeping many idle
-        instances costs (almost) nothing.  The sweep-level cost of an
-        entirely idle pass is charged once by the engines.
+        The engines skip an empty CQ without calling this (no lock, no
+        generator): emptiness is a single cached load of the CQ's producer
+        index, the standard cheap "anything pending?" hint, so sweeping
+        many idle instances costs (almost) nothing.  The sweep-level cost
+        of an entirely idle pass is charged once by the engines.
         """
-        if cri.cq.empty:
-            return 0
         ok = yield from cri.lock.try_acquire()
         if not ok:
             return None
@@ -116,7 +114,7 @@ class SerialProgress(_ProgressBase):
             trc.begin(tid, "progress.sweep", "progress")
         total = 0
         for cri in self.pool.instances:
-            r = yield from self._progress_instance(cri)
+            r = 0 if cri.cq.empty else (yield from self._progress_instance(cri))
             if r:
                 total += r
         if total == 0:
@@ -140,21 +138,23 @@ class ConcurrentProgress(_ProgressBase):
         if traced:
             tid = trc.thread_track(self.sched.current)
             trc.begin(tid, "progress.sweep", "progress")
+        # the live list: a CRI failover during a yield shrinks it in place
         instances = self.pool.instances
         k = yield from self.pool.dedicated_index()
-        count = yield from self._progress_instance(instances[k])
+        cri = instances[k]
+        count = 0 if cri.cq.empty else (yield from self._progress_instance(cri))
         if count is None:
             self.denied += 1
             count = 0
         if count == 0:
             for _ in range(len(instances)):
                 k = yield from self.pool.round_robin_index()
-                r = yield from self._progress_instance(instances[k])
+                cri = instances[k]
+                r = 0 if cri.cq.empty else (yield from self._progress_instance(cri))
                 if r is None:
                     self.denied += 1
                 elif r:
-                    count += r
-                if count > 0:
+                    count = r
                     break
         if count == 0:
             yield self._empty_delay

@@ -3,7 +3,8 @@
 An :class:`MpiThreadEnv` is what a simulated application thread calls MPI
 through -- the equivalent of "a thread inside an MPI_THREAD_MULTIPLE
 process".  All potentially-blocking calls are generators and must be
-driven with ``yield from``::
+driven with ``yield from`` (a method that only delegates returns the
+inner generator, adding no frame to the chain every event resumes)::
 
     def worker(env, peer, comm):
         req = yield from env.irecv(comm, src=peer, tag=7)
@@ -75,8 +76,7 @@ class MpiThreadEnv:
     def isend(self, comm, dst: int, tag: int = 0, nbytes: int = 0, payload=None):
         """Generator: nonblocking eager send; returns a SendRequest."""
         self._check_user_tag(tag, recv=False)
-        req = yield from self._isend(comm, dst, tag, nbytes, payload)
-        return req
+        return self._isend(comm, dst, tag, nbytes, payload)
 
     def _isend(self, comm, dst: int, tag: int, nbytes: int, payload):
         """Internal send path (collectives use tags above TAG_UB)."""
@@ -137,8 +137,7 @@ class MpiThreadEnv:
         do).
         """
         self._check_user_tag(tag, recv=True)
-        req = yield from self._irecv(comm, src, tag, nbytes)
-        return req
+        return self._irecv(comm, src, tag, nbytes)
 
     def _irecv(self, comm, src: int, tag: int, nbytes: int):
         """Internal receive path (no user-tag-range validation)."""
@@ -203,12 +202,12 @@ class MpiThreadEnv:
 
     def probe(self, comm, src: int = ANY_SOURCE, tag: int = ANY_TAG):
         """Generator: blocking probe; returns the matching Status."""
-        costs = self.process.costs
+        backoff = self.process._wait_backoff_delay
         while True:
             status = yield from self.iprobe(comm, src, tag)
             if status is not None:
                 return status
-            yield Delay(costs.wait_backoff_ns)
+            yield backoff
 
     def improbe(self, comm, src: int = ANY_SOURCE, tag: int = ANY_TAG):
         """Generator: matched probe (MPI_Improbe).
@@ -311,16 +310,17 @@ class MpiThreadEnv:
         requests = list(requests)
         if not requests:
             raise ValueError("waitany needs at least one request")
-        costs = self.process.costs
+        progress = self.process.progress_engine.progress
+        backoff = self.process._wait_backoff_delay
         while True:
             for i, req in enumerate(requests):
                 if req.completed:
                     if req.error is not None:
                         raise req.error
                     return i
-            n = yield from self.progress()
+            n = yield from progress()
             if n == 0:
-                yield Delay(costs.wait_backoff_ns)
+                yield backoff
 
     def waitsome(self, requests):
         """Generator: block until >= 1 completes; returns all completed
@@ -371,56 +371,45 @@ class MpiThreadEnv:
     def progress(self):
         """Generator: one call into the progress engine; returns the
         number of completions it handled."""
-        n = yield from self.process.progress_engine.progress()
-        return n
+        return self.process.progress_engine.progress()
 
     # ------------------------------------------------------------------
     # collectives
     # ------------------------------------------------------------------
     def barrier(self, comm, algorithm: str = _coll.LINEAR):
         """Generator: block until every member of ``comm`` arrives."""
-        yield from _coll.barrier(self, comm, algorithm)
+        return _coll.barrier(self, comm, algorithm)
 
     def bcast(self, comm, root: int, payload=None, nbytes: int = 0,
               algorithm: str = _coll.LINEAR):
         """Generator: broadcast ``payload`` from ``root``; returns it."""
-        value = yield from _coll.bcast(self, comm, root, payload, nbytes,
-                                       algorithm)
-        return value
+        return _coll.bcast(self, comm, root, payload, nbytes, algorithm)
 
     def reduce(self, comm, root: int, value, op=_coll.SUM, nbytes: int = 0,
                algorithm: str = _coll.LINEAR):
         """Generator: reduce to ``root``; returns the result there, None elsewhere."""
-        result = yield from _coll.reduce(self, comm, root, value, op, nbytes,
-                                         algorithm)
-        return result
+        return _coll.reduce(self, comm, root, value, op, nbytes, algorithm)
 
     def allreduce(self, comm, value, op=_coll.SUM, nbytes: int = 0,
                   algorithm: str = _coll.LINEAR):
         """Generator: reduce across ``comm``; every member gets the result."""
-        result = yield from _coll.allreduce(self, comm, value, op, nbytes,
-                                            algorithm)
-        return result
+        return _coll.allreduce(self, comm, value, op, nbytes, algorithm)
 
     def gather(self, comm, root: int, value, nbytes: int = 0):
         """Generator: gather one value per rank to ``root`` (list there)."""
-        result = yield from _coll.gather(self, comm, root, value, nbytes)
-        return result
+        return _coll.gather(self, comm, root, value, nbytes)
 
     def scatter(self, comm, root: int, values=None, nbytes: int = 0):
         """Generator: ``root`` scatters one value to each rank; returns ours."""
-        result = yield from _coll.scatter(self, comm, root, values, nbytes)
-        return result
+        return _coll.scatter(self, comm, root, values, nbytes)
 
     def allgather(self, comm, value, nbytes: int = 0):
         """Generator: gather one value per rank; every member gets the list."""
-        result = yield from _coll.allgather(self, comm, value, nbytes)
-        return result
+        return _coll.allgather(self, comm, value, nbytes)
 
     def alltoall(self, comm, values, nbytes: int = 0):
         """Generator: personalized exchange; returns the values sent to us."""
-        result = yield from _coll.alltoall(self, comm, values, nbytes)
-        return result
+        return _coll.alltoall(self, comm, values, nbytes)
 
     # ------------------------------------------------------------------
     # one-sided
@@ -432,49 +421,46 @@ class MpiThreadEnv:
 
     def win_lock(self, win, target: int, exclusive: bool = False):
         """Generator: open a passive-target epoch on ``target``'s window."""
-        yield from _rma_ops.win_lock(self, win, target, exclusive)
+        return _rma_ops.win_lock(self, win, target, exclusive)
 
     def win_lock_all(self, win):
         """Generator: open shared passive-target epochs on every member."""
-        yield from _rma_ops.win_lock_all(self, win)
+        return _rma_ops.win_lock_all(self, win)
 
     def win_unlock(self, win, target: int):
         """Generator: flush outstanding ops and close the epoch on ``target``."""
-        yield from _rma_ops.win_unlock(self, win, target)
+        return _rma_ops.win_unlock(self, win, target)
 
     def win_unlock_all(self, win):
         """Generator: flush and close the epochs opened by win_lock_all."""
-        yield from _rma_ops.win_unlock_all(self, win)
+        return _rma_ops.win_unlock_all(self, win)
 
     def put(self, win, target: int, nbytes: int, target_offset: int = 0, data=None):
         """Generator: one-sided write into ``target``'s window; returns the op."""
-        op = yield from _rma_ops.put(self, win, target, nbytes, target_offset, data)
-        return op
+        return _rma_ops.put(self, win, target, nbytes, target_offset, data)
 
     def get(self, win, target: int, nbytes: int, target_offset: int = 0):
         """Generator: one-sided read from ``target``'s window; returns the op."""
-        op = yield from _rma_ops.get(self, win, target, nbytes, target_offset)
-        return op
+        return _rma_ops.get(self, win, target, nbytes, target_offset)
 
     def accumulate(self, win, target: int, values, target_offset: int = 0,
                    op=_rma_ops.SUM_OP):
         """Generator: element-wise atomic update of ``target``'s window."""
-        handle = yield from _rma_ops.accumulate(self, win, target, values,
-                                                target_offset, op)
-        return handle
+        return _rma_ops.accumulate(self, win, target, values, target_offset,
+                                   op)
 
     def flush(self, win, target: int | None = None):
         """Generator: wait for outstanding RMA ops to ``target`` (or all)."""
-        yield from _rma_ops.flush(self, win, target)
+        return _rma_ops.flush(self, win, target)
 
     def flush_all(self, win):
         """Generator: wait for outstanding RMA ops to every target."""
-        yield from _rma_ops.flush(self, win, None)
+        return _rma_ops.flush(self, win, None)
 
     def fence(self, win):
         """Generator: active-target synchronization across the window group."""
-        yield from _rma_ops.fence(self, win)
+        return _rma_ops.fence(self, win)
 
     def win_sync(self, win):
         """Generator: synchronize the local window copy (memory barrier)."""
-        yield from _rma_ops.win_sync(self, win)
+        return _rma_ops.win_sync(self, win)

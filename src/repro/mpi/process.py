@@ -52,6 +52,7 @@ class MpiProcess:
         self._rndv_handshake_delay = Delay(costs.rndv_handshake_ns)
         self._wait_backoff_delay = Delay(costs.wait_backoff_ns)
         self._wait_poll_delay = Delay(costs.wait_poll_ns)
+        self._rma_flush_backoff_delay = Delay(costs.rma_flush_backoff_ns)
         self.spc = SPC()
         self.pool = CRIPool(world.sched, nic, config, costs, lock_fairness, rank)
         # The transport and the pool count retransmits/migrations into
@@ -150,7 +151,7 @@ class MpiProcess:
         dst_proc = self.world.processes[dst_rank]
         dst_pool = dst_proc.pool
         dst_ctx = dst_pool.instances[cri.index % len(dst_pool)].context
-        return cri.endpoint_to(dst_ctx)
+        return cri.context.endpoint_to(dst_ctx)
 
     # ------------------------------------------------------------------
     def _dispatch(self, event):

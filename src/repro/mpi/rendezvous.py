@@ -90,8 +90,3 @@ class RendezvousManager:
                 self.data_sent += 1
             if traced:
                 trc.end(tid)
-
-    @property
-    def pending(self) -> int:
-        """Number of parked sends still awaiting a CTS."""
-        return len(self._pending)

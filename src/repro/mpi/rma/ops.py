@@ -138,22 +138,28 @@ def flush(env, win, target: int | None = None):
     Completion of one-sided operations is a hardware counter, so the loop
     just polls it (with a progress call folded in so concurrently pending
     two-sided traffic still advances, as a real MPI_Win_flush would)."""
-    costs = env.costs
-    env.process.spc.rma_flushes += 1
+    if target is not None:
+        win.comm.check_member(target, "target")
+    process = env.process
+    rank = process.rank
+    process.spc.rma_flushes += 1
     trc = env.sched.tracer
     traced = trc.enabled
     if traced:
         tid = trc.thread_track(env.sched.current)
         trc.begin(tid, "rma.flush", "rma",
-                  {"outstanding": win.outstanding(env.rank, target)})
-    yield Delay(costs.rma_flush_ns)
-    while win.outstanding(env.rank, target):
-        n = yield from env.progress()
-        if win.outstanding(env.rank, target):
-            yield Delay(costs.rma_flush_backoff_ns if n == 0 else costs.wait_poll_ns)
+                  {"outstanding": win.outstanding(rank, target)})
+    yield Delay(process.costs.rma_flush_ns)
+    progress = process.progress_engine.progress
+    backoff = process._rma_flush_backoff_delay
+    poll = process._wait_poll_delay
+    while win.outstanding(rank, target):
+        n = yield from progress()
+        if win.outstanding(rank, target):
+            yield backoff if n == 0 else poll
     if traced:
         trc.end(tid)
-    errors = win.take_errors(env.rank)
+    errors = win.take_errors(rank)
     if errors:
         raise errors[0]
 

@@ -125,11 +125,12 @@ class Window:
         """Count ``origin``'s in-flight ops (optionally to one ``target``).
 
         O(1) for one target, O(members) for all: ``ops.flush`` polls this
-        every progress round, so it must not scan the pending ops."""
+        every progress round, so it must not scan the pending ops (flush
+        checks ``target`` is a member once, before it polls)."""
         pending = self._pending[origin]
         if target is None:
             return sum(map(len, pending.values()))
-        return len(pending.get(target, ()))
+        return len(pending[target])
 
     def note_error(self, origin: int, error: Exception) -> None:
         """Record a transport failure for ``origin``'s next flush

@@ -306,7 +306,7 @@ class SimCondition:
 
     def notify_all(self):
         """Generator: wake every waiter."""
-        yield from self.notify(len(self._waiters))
+        return self.notify(len(self._waiters))
 
 
 class SimBarrier:

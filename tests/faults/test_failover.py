@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import ThreadingConfig
+from repro.experiments.testbeds import ALEMBERT
 from repro.faults import ContextFailure, FaultPlan, drop_plan, install_faults
 from repro.mpi.world import MpiWorld
 from repro.simthread import Delay, Scheduler
@@ -111,6 +112,31 @@ def test_context_kill_under_packet_loss_still_recovers():
                            watchdog_ns=50_000_000)
     assert sum(result.per_pair_received) == cfg.total_messages
     assert result.faults["context_kills"] == 2
+
+
+@pytest.mark.parametrize("seed, assignment, pinned", [
+    (1, "dedicated", (1365453, 30851)),
+    (2, "dedicated", (1375022, 30531)),
+    (3, "round_robin", (1421427, 32979)),
+])
+def test_fallback_scan_survives_failover(seed, assignment, pinned):
+    """Two CRIs die while Algorithm 2's fallback scans are in flight.
+
+    Each scan step must index the live, shrunken instance list with a
+    ticket reduced modulo its size *after* the yield that drew it; a scan
+    that hoists ``len(instances)`` raises IndexError on all three runs.
+    ``(elapsed_ns, events_processed)`` is pinned, so a poll-path change
+    must also leave virtual time where it was."""
+    plan = FaultPlan(context_failures=(
+        ContextFailure(120_000, rank=0, instance=1),
+        ContextFailure(127_000, rank=1, instance=2)))
+    cfg = MultirateConfig(pairs=8, window=32, windows=2, seed=seed)
+    threading = ThreadingConfig(num_instances=4, assignment=assignment,
+                                progress="concurrent")
+    result = run_multirate(cfg, threading=threading, costs=ALEMBERT.costs,
+                           fabric=ALEMBERT.fabric, fault_plan=plan)
+    assert result.faults["context_kills"] == 2
+    assert (result.elapsed_ns, result.events_processed) == pinned
 
 
 def test_install_faults_rejects_out_of_range_rank(sched):

@@ -283,6 +283,29 @@ def test_put_target_must_be_member(sched, world):
         sched.run()
 
 
+def test_flush_and_unlock_target_must_be_member(sched, world):
+    """flush and win_unlock to a rank outside the group raise RankError,
+    as put does, and count no flush; flush_all still completes."""
+    win = world.env(0).win_allocate(world.comm_world, 8)
+    raised = []
+
+    def body(env):
+        yield from env.win_lock_all(win)
+        yield from env.put(win, target=1, nbytes=4)
+        for call in (env.flush, env.win_unlock):
+            try:
+                yield from call(win, 99)
+            except RankError:
+                raised.append(call.__name__)
+        yield from env.flush_all(win)
+        assert win.outstanding(0) == 0
+        yield from env.win_unlock_all(win)
+
+    run_one(sched, world, body)
+    assert raised == ["flush", "win_unlock"]
+    assert world.processes[0].spc.rma_flushes == 2  # flush_all + unlock_all
+
+
 def test_put_data_length_must_match(sched, world):
     win = world.env(0).win_allocate(world.comm_world, 8)
 
