@@ -73,7 +73,7 @@ def test_bench_engine_trajectory(tmp_path):
 def test_bench_engine_supervised_chaos_trajectory():
     """Flaky-worker run: byte-identical despite deaths, overhead recorded."""
     from repro.engine import RetryPolicy
-    from repro.faults import WorkerFaultPlan
+    from repro.faults.workers import WorkerFaultPlan
 
     serial_csv, serial_s = _timed(Engine(jobs=1))
 

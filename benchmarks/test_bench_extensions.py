@@ -1,6 +1,6 @@
 """Extension exhibits: message-size sweep, CRI-count sweep, binding modes."""
 
-from repro.experiments import (
+from repro.experiments.extensions import (
     run_entity_modes,
     run_instance_sweep,
     run_latency_tails,

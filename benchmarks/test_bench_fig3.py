@@ -8,7 +8,7 @@ timed kernel is one mid-size Multirate run of the panel's configuration
 import pytest
 
 from repro.core import ThreadingConfig
-from repro.experiments import run_figure3
+from repro.experiments.figure3 import run_figure3
 from repro.experiments.figure3 import PANELS
 from repro.workloads import MultirateConfig, run_multirate
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import ThreadingConfig
-from repro.experiments import run_figure4
+from repro.experiments.figure4 import run_figure4
 from repro.experiments.figure3 import PANELS
 from repro.workloads import MultirateConfig, run_multirate
 

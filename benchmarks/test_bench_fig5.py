@@ -1,7 +1,7 @@
 """Figure 5: process vs thread across implementation profiles."""
 
 from repro.baselines import profile_by_name
-from repro.experiments import run_figure5
+from repro.experiments.figure5 import run_figure5
 from repro.workloads import MultirateConfig, run_multirate
 
 

@@ -1,7 +1,8 @@
 """Figure 6: RMA-MT put+flush on the Haswell/Aries preset."""
 
 from repro.core import ThreadingConfig
-from repro.experiments import TRINITITE_HASWELL, run_figure6
+from repro.experiments.figure6 import run_figure6
+from repro.experiments.testbeds import TRINITITE_HASWELL
 from repro.workloads import RmaMtConfig, run_rmamt
 
 

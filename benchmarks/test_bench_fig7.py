@@ -1,7 +1,8 @@
 """Figure 7: RMA-MT put+flush on the KNL/Aries preset (1-64 threads)."""
 
 from repro.core import ThreadingConfig
-from repro.experiments import TRINITITE_KNL, run_figure7
+from repro.experiments.figure7 import run_figure7
+from repro.experiments.testbeds import TRINITITE_KNL
 from repro.workloads import RmaMtConfig, run_rmamt
 
 

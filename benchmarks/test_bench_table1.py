@@ -1,7 +1,7 @@
 """Table I: testbed configuration table (regeneration is trivial; the
 benchmark times preset construction + rendering)."""
 
-from repro.experiments import run_table1
+from repro.experiments.table1 import run_table1
 
 
 def test_table1(benchmark, save_figure):

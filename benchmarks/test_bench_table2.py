@@ -1,7 +1,7 @@
 """Table II: SPC counters (out-of-sequence, match time) at 20 pairs."""
 
 from repro.core import ThreadingConfig
-from repro.experiments import run_table2
+from repro.experiments.table2 import run_table2
 from repro.workloads import MultirateConfig, run_multirate
 
 

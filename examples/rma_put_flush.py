@@ -18,7 +18,7 @@ from repro import (
     ThreadingConfig,
     run_rmamt,
 )
-from repro.experiments import TRINITITE_HASWELL
+from repro.experiments.testbeds import TRINITITE_HASWELL
 
 
 def correctness_tour():

@@ -19,60 +19,38 @@ Quickstart::
     print(f"{result.message_rate/1e6:.2f}M msg/s, "
           f"{result.spc.out_of_sequence_fraction:.0%} out of sequence")
 
+The names in ``__all__`` are imported on first access (PEP 562), so
+``python -m repro`` and ``import repro.cli`` do not load the simulator.
+
 See README.md for the architecture overview, DESIGN.md for the system
 inventory, and EXPERIMENTS.md for paper-vs-measured results.
 """
 
-from repro.core import CRI, CRIPool, CostModel, ThreadingConfig
-from repro.faults import ContextFailure, FaultPlan, RetransmitPolicy, drop_plan
-from repro.mpi import (
-    ANY_SOURCE,
-    ANY_TAG,
-    Communicator,
-    Info,
-    MpiThreadEnv,
-    MpiWorld,
-    SPC,
-)
-from repro.netsim import ARIES, Fabric, FabricParams, IB_EDR
-from repro.simthread import Scheduler
-from repro.workloads import (
-    MultirateConfig,
-    MultirateResult,
-    RmaMtConfig,
-    RmaMtResult,
-    run_multirate,
-    run_rmamt,
-)
-
 __version__ = "1.0.0"
 
-__all__ = [
-    "ANY_SOURCE",
-    "ANY_TAG",
-    "ARIES",
-    "CRI",
-    "CRIPool",
-    "Communicator",
-    "ContextFailure",
-    "CostModel",
-    "Fabric",
-    "FabricParams",
-    "FaultPlan",
-    "IB_EDR",
-    "Info",
-    "MpiThreadEnv",
-    "MpiWorld",
-    "MultirateConfig",
-    "MultirateResult",
-    "RetransmitPolicy",
-    "RmaMtConfig",
-    "RmaMtResult",
-    "SPC",
-    "Scheduler",
-    "ThreadingConfig",
-    "__version__",
-    "drop_plan",
-    "run_multirate",
-    "run_rmamt",
-]
+#: module -> the public names it provides
+_API = {
+    "repro.core": ("CRI", "CRIPool", "CostModel", "ThreadingConfig"),
+    "repro.faults.plan": ("ContextFailure", "FaultPlan", "RetransmitPolicy",
+                          "drop_plan"),
+    "repro.mpi": ("ANY_SOURCE", "ANY_TAG", "Communicator", "Info",
+                  "MpiThreadEnv", "MpiWorld", "SPC"),
+    "repro.netsim": ("ARIES", "Fabric", "FabricParams", "IB_EDR"),
+    "repro.simthread": ("Scheduler",),
+    "repro.workloads": ("MultirateConfig", "MultirateResult", "RmaMtConfig",
+                        "RmaMtResult", "run_multirate", "run_rmamt"),
+}
+_HOME = {name: module for module, names in _API.items() for name in names}
+
+__all__ = sorted([*_HOME, "__version__"])
+
+
+def __getattr__(name):
+    """Import a public name's module on first access (PEP 562)."""
+    if name not in _HOME:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    import importlib
+
+    value = getattr(importlib.import_module(_HOME[name]), name)
+    globals()[name] = value
+    return value

@@ -701,7 +701,7 @@ def _cmd_run(args) -> int:
     import time
 
     from repro.engine import TrialRetryError, use_engine
-    from repro.experiments import EXPERIMENTS, run_experiment
+    from repro.experiments.registry import EXPERIMENTS, run_experiment
 
     if args.resume and (args.no_cache or args.no_journal):
         print("--resume replays the sweep journal: drop --no-cache / "
@@ -794,17 +794,19 @@ def _cmd_run(args) -> int:
 
 def main(argv=None) -> int:
     """CLI entry point; returns the process exit code."""
-    from repro.experiments import EXPERIMENTS, TESTBEDS
-
     args = _build_parser().parse_args(argv)
 
     if args.command == "list":
+        from repro.experiments.registry import EXPERIMENTS
+
         width = max(len(k) for k in EXPERIMENTS)
         for exp_id, exp in EXPERIMENTS.items():
             print(f"{exp_id:<{width}}  {exp.description}")
         return 0
 
     if args.command == "testbeds":
+        from repro.experiments.testbeds import TESTBEDS
+
         for name, tb in TESTBEDS.items():
             print(f"== {name} ==")
             for key, value in tb.as_row().items():

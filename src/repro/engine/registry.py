@@ -3,8 +3,9 @@
 Worker processes receive a :class:`~repro.engine.task.TrialTask` whose
 ``spec.fn`` is a dotted short name like ``"fig3.rate"``; they resolve it
 here.  Registration happens at import time via the :func:`trial`
-decorator, and :func:`resolve_trial` imports :mod:`repro.experiments`
-on first use so a freshly spawned worker sees every experiment's trial
+decorator; :func:`ensure_loaded` imports every module in
+:data:`TRIAL_MODULES` by name, and :func:`resolve_trial` calls it on a
+miss, so a freshly spawned worker sees every experiment's trial
 functions without the caller having to arrange imports.
 
 A trial function has the signature ``fn(x, seed, **params)`` and must be
@@ -18,6 +19,11 @@ from __future__ import annotations
 from typing import Callable
 
 _TRIALS: dict[str, Callable] = {}
+
+#: the experiment modules that define trials (each applies ``@trial``)
+TRIAL_MODULES = ("repro.experiments.chaos", "repro.experiments.extensions",
+                 "repro.experiments.figure3", "repro.experiments.figure5",
+                 "repro.experiments.figure6", "repro.experiments.table2")
 
 
 def trial(name: str):
@@ -33,7 +39,10 @@ def trial(name: str):
 
 def ensure_loaded() -> None:
     """Import the experiment modules so their trials are registered."""
-    import repro.experiments  # noqa: F401  (registers on import)
+    import importlib
+
+    for module in TRIAL_MODULES:
+        importlib.import_module(module)
 
 
 def resolve_trial(name: str) -> Callable:
@@ -44,8 +53,3 @@ def resolve_trial(name: str) -> Callable:
         return _TRIALS[name]
     except KeyError:
         raise KeyError(f"unknown trial {name!r}; known: {sorted(_TRIALS)}") from None
-
-
-def registered_trials() -> tuple[str, ...]:
-    """The currently registered trial names (sorted)."""
-    return tuple(sorted(_TRIALS))

@@ -7,53 +7,11 @@ the paper plots) and CSV.  ``quick=True`` (the default) uses reduced
 message counts and a sparser x-axis so the whole suite finishes in
 minutes; ``quick=False`` runs the denser, slower version.
 
+Import each runner from its module (``repro.experiments.figure3``, ...)
+and the testbed presets from :mod:`repro.experiments.testbeds`; the
+package re-exports nothing, so loading a preset does not load the
+engine.  :mod:`repro.experiments.registry` maps exhibit ids to runners.
+
 See DESIGN.md section 4 for the experiment index and EXPERIMENTS.md for
 paper-vs-measured results.
 """
-
-from repro.experiments.artifacts import figures_of, save_figure, save_result
-from repro.experiments.testbeds import (
-    ALEMBERT,
-    TESTBEDS,
-    TRINITITE_HASWELL,
-    TRINITITE_KNL,
-    Testbed,
-)
-from repro.experiments.extensions import (
-    run_entity_modes,
-    run_instance_sweep,
-    run_latency_tails,
-    run_message_size_sweep,
-)
-from repro.experiments.table1 import run_table1
-from repro.experiments.figure3 import run_figure3
-from repro.experiments.figure4 import run_figure4
-from repro.experiments.figure5 import run_figure5
-from repro.experiments.figure6 import run_figure6
-from repro.experiments.figure7 import run_figure7
-from repro.experiments.table2 import run_table2
-from repro.experiments.registry import EXPERIMENTS, run_experiment
-
-__all__ = [
-    "ALEMBERT",
-    "EXPERIMENTS",
-    "TESTBEDS",
-    "TRINITITE_HASWELL",
-    "TRINITITE_KNL",
-    "Testbed",
-    "figures_of",
-    "run_experiment",
-    "run_figure3",
-    "run_figure4",
-    "run_figure5",
-    "run_figure6",
-    "run_figure7",
-    "run_entity_modes",
-    "run_instance_sweep",
-    "run_latency_tails",
-    "run_message_size_sweep",
-    "run_table1",
-    "run_table2",
-    "save_figure",
-    "save_result",
-]

@@ -2,7 +2,7 @@
 
 The paper measures the designs on a healthy fabric; this exhibit asks
 how each one behaves when the fabric misbehaves.  A seeded
-:class:`repro.faults.FaultPlan` drops a fraction of packets at the
+:class:`repro.faults.plan.FaultPlan` drops a fraction of packets at the
 delivery point; the reliable transport recovers every loss by
 retransmission, so the workload still completes with zero lost
 messages -- the cost shows up as elapsed virtual time.
@@ -22,7 +22,7 @@ from __future__ import annotations
 from repro.core.config import ThreadingConfig
 from repro.engine import TrialSpec, TrialTask, current_engine, trial
 from repro.experiments.testbeds import ALEMBERT, Testbed
-from repro.faults import drop_plan
+from repro.faults.plan import drop_plan
 from repro.util.records import FigureResult, Series, SeriesPoint
 from repro.workloads.multirate import MultirateConfig, run_multirate
 

@@ -2,31 +2,28 @@
 
 ``run_experiment("fig3a")`` regenerates one exhibit; ``EXPERIMENTS``
 lists everything with a description (the per-experiment index lives in
-DESIGN.md section 4).
+DESIGN.md section 4).  Each runner imports its exhibit module when it
+is called, so listing or validating ids loads no exhibit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.experiments.extensions import (
-    run_entity_modes,
-    run_instance_sweep,
-    run_latency_tails,
-    run_message_size_sweep,
-)
-from repro.experiments.chaos import run_chaos
-from repro.experiments.figure3 import run_figure3
-from repro.experiments.figure4 import run_figure4
-from repro.experiments.figure5 import run_figure5
-from repro.experiments.figure6 import run_figure6
-from repro.experiments.figure7 import run_figure7
-from repro.experiments.table1 import run_table1
-from repro.experiments.table2 import run_table2
+import importlib
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Experiment:
+def _load(path: str):
+    """``repro.experiments.<module>.<name>`` for ``path="<module>.<name>"``."""
+    module, _, name = path.rpartition(".")
+    return getattr(importlib.import_module(f"repro.experiments.{module}"), name)
+
+
+def _runner(path: str, *args):
+    """A runner that imports its exhibit module only when it is called."""
+    return lambda quick=True: _load(path)(*args, quick=quick)
+
+
+class Experiment(NamedTuple):
     """One runnable exhibit: id, description, and its runner callable."""
 
     exp_id: str
@@ -36,43 +33,43 @@ class Experiment:
 
 EXPERIMENTS = {
     "table1": Experiment("table1", "Testbed configurations",
-                         lambda quick=True: run_table1()),
+                         lambda quick=True: _load("table1.run_table1")()),
     "fig3a": Experiment("fig3a", "0-byte rate, serial progress",
-                        lambda quick=True: run_figure3("a", quick=quick)),
+                        _runner("figure3.run_figure3", "a")),
     "fig3b": Experiment("fig3b", "0-byte rate, concurrent progress",
-                        lambda quick=True: run_figure3("b", quick=quick)),
+                        _runner("figure3.run_figure3", "b")),
     "fig3c": Experiment("fig3c", "0-byte rate, concurrent progress + matching",
-                        lambda quick=True: run_figure3("c", quick=quick)),
+                        _runner("figure3.run_figure3", "c")),
     "table2": Experiment("table2", "SPC counters at 20 pairs",
-                         lambda quick=True: run_table2(quick=quick)),
+                         _runner("table2.run_table2")),
     "fig4a": Experiment("fig4a", "overtaking, serial progress",
-                        lambda quick=True: run_figure4("a", quick=quick)),
+                        _runner("figure4.run_figure4", "a")),
     "fig4b": Experiment("fig4b", "overtaking, concurrent progress",
-                        lambda quick=True: run_figure4("b", quick=quick)),
+                        _runner("figure4.run_figure4", "b")),
     "fig4c": Experiment("fig4c", "overtaking, concurrent progress + matching",
-                        lambda quick=True: run_figure4("c", quick=quick)),
+                        _runner("figure4.run_figure4", "c")),
     "fig5": Experiment("fig5", "state-of-the-art process vs thread comparison",
-                       lambda quick=True: run_figure5(quick=quick)),
+                       _runner("figure5.run_figure5")),
     "fig6": Experiment("fig6", "RMA-MT put/flush on Haswell",
-                       lambda quick=True: run_figure6(quick=quick)),
+                       _runner("figure6.run_figure6")),
     "fig7": Experiment("fig7", "RMA-MT put/flush on KNL",
-                       lambda quick=True: run_figure7(quick=quick)),
+                       _runner("figure7.run_figure7")),
     # extension exhibits (beyond the paper's figures)
     "ext-msgsize": Experiment("ext-msgsize",
                               "two-sided rate vs message size (rendezvous crossover)",
-                              lambda quick=True: run_message_size_sweep(quick=quick)),
+                              _runner("extensions.run_message_size_sweep")),
     "ext-instances": Experiment("ext-instances",
                                 "rate vs CRI count at 20 thread pairs",
-                                lambda quick=True: run_instance_sweep(quick=quick)),
+                                _runner("extensions.run_instance_sweep")),
     "ext-modes": Experiment("ext-modes",
                             "Figure 2 binding modes head-to-head",
-                            lambda quick=True: run_entity_modes(quick=quick)),
+                            _runner("extensions.run_entity_modes")),
     "ext-latency": Experiment("ext-latency",
                               "p99 delivery latency tails across designs",
-                              lambda quick=True: run_latency_tails(quick=quick)),
+                              _runner("extensions.run_latency_tails")),
     "chaos": Experiment("chaos",
                         "message-rate degradation under injected packet loss",
-                        lambda quick=True: run_chaos(quick=quick)),
+                        _runner("chaos.run_chaos")),
 }
 
 

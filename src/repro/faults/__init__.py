@@ -1,33 +1,12 @@
 """Fault injection and recovery for the simulated fabric (DESIGN.md S31).
 
 The package splits into the *description* (:mod:`repro.faults.plan`: a
-seeded, immutable :class:`FaultPlan` DSL) and the *wiring*
-(:mod:`repro.faults.install`); the mechanics live next to the hardware
-they model, in :mod:`repro.netsim.transport`.
+seeded, immutable :class:`~repro.faults.plan.FaultPlan` DSL) and the
+*wiring* (:mod:`repro.faults.install`); the mechanics live next to the
+hardware they model, in :mod:`repro.netsim.transport`.
 
 :mod:`repro.faults.workers` applies the same seeded-plan discipline one
-level up: :class:`WorkerFaultPlan` kills or hangs the *engine's own
-pool workers*, chaos-testing the supervised executor in
-:mod:`repro.engine.supervise`.
+level up: :class:`~repro.faults.workers.WorkerFaultPlan` kills or hangs
+the *engine's own pool workers*, chaos-testing the supervised executor
+in :mod:`repro.engine.supervise`.
 """
-
-from repro.faults.install import install_faults, pending_work
-from repro.faults.plan import (
-    ContextFailure,
-    DegradeWindow,
-    FaultPlan,
-    RetransmitPolicy,
-    drop_plan,
-)
-from repro.faults.workers import WorkerFaultPlan
-
-__all__ = [
-    "ContextFailure",
-    "DegradeWindow",
-    "FaultPlan",
-    "RetransmitPolicy",
-    "WorkerFaultPlan",
-    "drop_plan",
-    "install_faults",
-    "pending_work",
-]

@@ -12,7 +12,7 @@ a run that the plan's rates never touch, and two runs with the same
 
 A run with *no* plan attached executes the exact pre-fault code path:
 no frames, no acks, no timers.  The reliability machinery only exists
-once a plan is installed (see :func:`repro.faults.install_faults`).
+once a plan is installed (see :func:`repro.faults.install.install_faults`).
 """
 
 from __future__ import annotations

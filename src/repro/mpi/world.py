@@ -66,7 +66,7 @@ class MpiWorld:
         self._comms: dict[int, Communicator] = {}
         self._next_comm_id = 0
         self.comm_world = self.create_comm(tuple(range(nprocs)), name="MPI_COMM_WORLD")
-        #: no-progress watchdog installed by :func:`repro.faults.install_faults`
+        #: no-progress watchdog installed by :func:`repro.faults.install.install_faults`
         self.watchdog = None
 
     # ------------------------------------------------------------------

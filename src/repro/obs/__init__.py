@@ -29,28 +29,6 @@ cannot provide: *when* and *on which lock/CRI* contention happens.
   report``.
 
 Traces are deterministic: byte-identical across runs with the same seed.
+The package re-exports nothing: every simulation imports the scheduler,
+and the scheduler needs :mod:`~repro.obs.tracer` alone.
 """
-
-from repro.obs.dashboard import build_dashboard, save_dashboard
-from repro.obs.enginestats import engine_csv, engine_row, engine_summary
-from repro.obs.export import save_trace, to_chrome_json, top_report
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.profile import ProfileResult, profile_run
-from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
-
-__all__ = [
-    "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
-    "MetricsRegistry",
-    "ProfileResult",
-    "build_dashboard",
-    "engine_csv",
-    "engine_row",
-    "engine_summary",
-    "profile_run",
-    "save_dashboard",
-    "save_trace",
-    "to_chrome_json",
-    "top_report",
-]

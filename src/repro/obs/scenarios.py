@@ -122,7 +122,7 @@ def representative_run(exp_id: str, seed: int = 1, instrument=None,
 
         fault_plan = None
         if exp_id in _CHAOS:
-            from repro.faults import drop_plan
+            from repro.faults.plan import drop_plan
 
             progress, comm_per_pair, overtaking, any_tag = (
                 "concurrent", True, False, False)

@@ -119,14 +119,14 @@ def _rmamt_metrics(testbed, threads: int, ops: int) -> dict:
 
 def probe_fig6() -> dict:
     """Figure 6: RMA-MT put+flush on the Haswell/Aries preset."""
-    from repro.experiments import TRINITITE_HASWELL
+    from repro.experiments.testbeds import TRINITITE_HASWELL
 
     return _rmamt_metrics(TRINITITE_HASWELL, threads=16, ops=150)
 
 
 def probe_fig7() -> dict:
     """Figure 7: RMA-MT put+flush on the KNL/Aries preset."""
-    from repro.experiments import TRINITITE_KNL
+    from repro.experiments.testbeds import TRINITITE_KNL
 
     return _rmamt_metrics(TRINITITE_KNL, threads=32, ops=100)
 
@@ -138,7 +138,7 @@ def probe_table1() -> dict:
     figure's ``extra`` map, not its series), so the fingerprint covers
     the sorted rows themselves.
     """
-    from repro.experiments import run_table1
+    from repro.experiments.table1 import run_table1
 
     fig = run_table1()
     rows = "\n".join(f"{k}={v}" for k, v in sorted(fig.extra.items()))

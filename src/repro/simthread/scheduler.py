@@ -121,7 +121,7 @@ class Scheduler:
         self.events_processed: int = 0
         self.current: SimThread | None = None
         #: observability hook; a no-op NullTracer unless a
-        #: :class:`repro.obs.Tracer` is attached.
+        #: :class:`repro.obs.tracer.Tracer` is attached.
         self.tracer = NULL_TRACER
         self._heap: list = []
         self._tick = itertools.count()
@@ -149,7 +149,7 @@ class Scheduler:
         The sampler must expose ``due`` (next virtual time it wants to
         run, ns) and ``sample(now)``; the event loop invokes it whenever
         virtual time reaches ``due``.  Used by
-        :class:`repro.obs.MetricsRegistry` for interval time-series
+        :class:`repro.obs.metrics.MetricsRegistry` for interval time-series
         without keeping the event heap artificially alive.  Install
         before :meth:`run`; the loop body is selected per run() call.
         """

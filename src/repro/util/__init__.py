@@ -1,17 +1,1 @@
 """Shared utilities: statistics, result records, data structures."""
-
-from repro.util.fenwick import FenwickTree
-from repro.util.latency import LatencyHistogram
-from repro.util.stats import mean, pstdev, summarize
-from repro.util.records import FigureResult, Series, SeriesPoint
-
-__all__ = [
-    "FenwickTree",
-    "LatencyHistogram",
-    "FigureResult",
-    "Series",
-    "SeriesPoint",
-    "mean",
-    "pstdev",
-    "summarize",
-]

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.core.config import CostModel, ThreadingConfig
-from repro.faults import install_faults
+from repro.faults.install import install_faults
 from repro.mpi.constants import ANY_TAG
 from repro.mpi.info import ALLOW_OVERTAKING, Info
 from repro.mpi.spc import SPC
@@ -116,11 +116,12 @@ def run_multirate(cfg: MultirateConfig,
 
     ``instrument`` is an optional ``fn(sched, world)`` called after world
     construction and before any thread is spawned; the observability
-    layer uses it to attach a :class:`repro.obs.Tracer` and/or a
-    :class:`repro.obs.MetricsRegistry` without changing the run itself.
-    ``fault_plan`` (a :class:`repro.faults.FaultPlan`) arms the reliable
-    transport; ``watchdog_ns`` installs a no-progress watchdog.  With
-    both ``None`` the run is byte-identical to the pre-fault code path.
+    layer uses it to attach a :class:`repro.obs.tracer.Tracer` and/or a
+    :class:`repro.obs.metrics.MetricsRegistry` without changing the run
+    itself.  ``fault_plan`` (a :class:`repro.faults.plan.FaultPlan`) arms
+    the reliable transport; ``watchdog_ns`` installs a no-progress
+    watchdog.  With both ``None`` the run is byte-identical to the
+    pre-fault code path.
     """
     sched = Scheduler(seed=cfg.seed)
     nprocs, placement = world_shape(cfg.entity_mode, cfg.pairs)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.core.config import CostModel, ThreadingConfig
-from repro.faults import install_faults
+from repro.faults.install import install_faults
 from repro.mpi.world import MpiWorld
 from repro.netsim.fabric import FabricParams
 from repro.simthread.scheduler import Scheduler

@@ -141,7 +141,7 @@ def test_supervision_counters_zero_on_clean_parallel_run():
 
 def test_fault_injection_surfaces_in_counters_and_summary():
     from repro.engine import RetryPolicy
-    from repro.faults import WorkerFaultPlan
+    from repro.faults.workers import WorkerFaultPlan
 
     engine = Engine(jobs=2,
                     policy=RetryPolicy(max_retries=2, backoff_s=0.01),

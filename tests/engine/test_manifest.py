@@ -8,7 +8,7 @@ from repro.obs.live import LiveTelemetry
 
 
 def run_small_exhibit():
-    from repro.experiments import run_table2
+    from repro.experiments.table2 import run_table2
 
     return run_table2(quick=True, pairs=4)
 

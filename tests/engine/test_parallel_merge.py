@@ -9,7 +9,8 @@ extension (ext-instances), chaos -- each regenerated serially and on a
 import pytest
 
 from repro.engine import Engine, use_engine
-from repro.experiments import run_figure3, run_table2
+from repro.experiments.figure3 import run_figure3
+from repro.experiments.table2 import run_table2
 from repro.experiments.chaos import run_chaos
 from repro.experiments.extensions import run_instance_sweep
 

@@ -12,7 +12,7 @@ from repro.engine import (
     supervision,
     trial,
 )
-from repro.faults import WorkerFaultPlan
+from repro.faults.workers import WorkerFaultPlan
 
 
 @trial("supervisetest.echo")

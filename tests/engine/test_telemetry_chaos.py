@@ -11,7 +11,7 @@ pure.
 import collections
 
 from repro.engine import Engine, RetryPolicy, TrialSpec, TrialTask, trial
-from repro.faults import WorkerFaultPlan
+from repro.faults.workers import WorkerFaultPlan
 from repro.obs.live import LiveTelemetry, read_events
 
 

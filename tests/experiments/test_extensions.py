@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments import (
+from repro.experiments.extensions import (
     run_entity_modes,
     run_instance_sweep,
     run_latency_tails,

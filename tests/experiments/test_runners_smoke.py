@@ -7,16 +7,12 @@ slow).
 
 import pytest
 
-from repro.experiments import (
-    EXPERIMENTS,
-    run_experiment,
-    run_figure3,
-    run_figure5,
-    run_figure6,
-    run_table1,
-    run_table2,
-)
-from repro.experiments.figure3 import SERIES_SPECS, series_label
+from repro.experiments.figure3 import SERIES_SPECS, run_figure3, series_label
+from repro.experiments.figure5 import run_figure5
+from repro.experiments.figure6 import run_figure6
+from repro.experiments.registry import EXPERIMENTS, run_experiment
+from repro.experiments.table1 import run_table1
+from repro.experiments.table2 import run_table2
 from repro.util.records import FigureResult
 
 
@@ -52,7 +48,7 @@ class TinyTestbed:
     """Shrunk testbed so smoke runs stay sub-second."""
 
     def __init__(self):
-        from repro.experiments import ALEMBERT
+        from repro.experiments.testbeds import ALEMBERT
         self.name = "tiny"
         self.costs = ALEMBERT.costs
         self.fabric = ALEMBERT.fabric
@@ -77,7 +73,7 @@ def test_figure3_result_structure(monkeypatch):
 def test_figure4_reuses_figure3_machinery(monkeypatch):
     import repro.experiments.figure3 as f3
     monkeypatch.setattr(f3, "QUICK_PAIRS", (2,))
-    from repro.experiments import run_figure4
+    from repro.experiments.figure4 import run_figure4
     fig = run_figure4("c", quick=True, trials=1)
     assert fig.fig_id == "fig4c"
     assert "ordering not enforced" in fig.title
@@ -101,7 +97,7 @@ def test_figure6_one_result_per_size():
 
 
 def test_figure7_uses_knl(monkeypatch):
-    from repro.experiments import run_figure7
+    from repro.experiments.figure7 import run_figure7
     figs = run_figure7(quick=True, testbed=TinyTestbed(), trials=1, sizes=(1,))
     assert figs[0].fig_id == "fig7-1B"
 

@@ -9,14 +9,12 @@ records the measured numbers next to the paper's.
 
 import pytest
 
-from repro.experiments import (
-    run_figure3,
-    run_figure4,
-    run_figure5,
-    run_figure6,
-    run_figure7,
-    run_table2,
-)
+from repro.experiments.figure3 import run_figure3
+from repro.experiments.figure4 import run_figure4
+from repro.experiments.figure5 import run_figure5
+from repro.experiments.figure6 import run_figure6
+from repro.experiments.figure7 import run_figure7
+from repro.experiments.table2 import run_table2
 
 pytestmark = pytest.mark.slow
 

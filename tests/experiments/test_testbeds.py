@@ -1,6 +1,6 @@
 """Testbed presets (Table I analogue)."""
 
-from repro.experiments import ALEMBERT, TESTBEDS, TRINITITE_HASWELL, TRINITITE_KNL
+from repro.experiments.testbeds import ALEMBERT, TESTBEDS, TRINITITE_HASWELL, TRINITITE_KNL
 
 
 def test_three_testbeds_registered():

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core import ThreadingConfig
-from repro.faults import FaultPlan, RetransmitPolicy, install_faults
+from repro.faults.install import install_faults
+from repro.faults.plan import FaultPlan, RetransmitPolicy
 from repro.mpi.errors import (
     ERRORS_ARE_FATAL,
     ERRORS_RETURN,

@@ -4,7 +4,8 @@ import pytest
 
 from repro.core import ThreadingConfig
 from repro.experiments.testbeds import ALEMBERT
-from repro.faults import ContextFailure, FaultPlan, drop_plan, install_faults
+from repro.faults.install import install_faults
+from repro.faults.plan import ContextFailure, FaultPlan, drop_plan
 from repro.mpi.world import MpiWorld
 from repro.simthread import Delay, Scheduler
 from repro.workloads.multirate import MultirateConfig, run_multirate

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.faults import (
+from repro.faults.plan import (
     ContextFailure,
     DegradeWindow,
     FaultPlan,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import ThreadingConfig
-from repro.faults import FaultPlan, drop_plan
+from repro.faults.plan import FaultPlan, drop_plan
 from repro.workloads.multirate import MultirateConfig, run_multirate
 from repro.workloads.rmamt import RmaMtConfig, run_rmamt
 

@@ -7,7 +7,7 @@ is about the wire protocol itself.
 
 import pytest
 
-from repro.faults import FaultPlan, RetransmitPolicy, drop_plan
+from repro.faults.plan import FaultPlan, RetransmitPolicy, drop_plan
 from repro.netsim import Fabric, FabricParams
 from repro.netsim.cq import RecvArrival, SendCompletion, TransportFailure
 from repro.netsim.message import Envelope
@@ -134,7 +134,7 @@ def test_delay_spike_defers_delivery():
 
 
 def test_degrade_window_scales_drop_rate():
-    from repro.faults import DegradeWindow
+    from repro.faults.plan import DegradeWindow
 
     # Base drop 0; inside the window the factor is irrelevant (0 * k = 0),
     # so use a small base rate and a saturating factor instead.

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.faults import WorkerFaultPlan
+from repro.faults.workers import WorkerFaultPlan
 from repro.faults import workers as workers_mod
 
 

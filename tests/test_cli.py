@@ -1,4 +1,13 @@
-"""CLI behaviour (in-process; subprocess start-up is covered by examples)."""
+"""CLI behaviour (in-process; subprocess start-up is covered by examples).
+
+The last test drives ``python -m repro`` itself: only the entry point
+decides how a closed output pipe ends the process.
+"""
+
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -557,3 +566,21 @@ def test_top_once_on_a_finished_run(tmp_path, capsys, monkeypatch):
 def test_top_once_without_heartbeat_exits_1(tmp_path, capsys):
     assert main(["top", str(tmp_path), "--once"]) == 1
     assert "waiting for status.json" in capsys.readouterr().out
+
+
+def test_closed_stdout_pipe_exits_without_traceback():
+    # ``python -m repro testbeds | head -0``: the reader is gone before
+    # the first write, so that write fails with EPIPE.
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "repro", "testbeds"],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "BrokenPipeError" not in proc.stderr

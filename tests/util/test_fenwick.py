@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.util import FenwickTree
+from repro.util.fenwick import FenwickTree
 
 
 def test_basic_prefix_sums():

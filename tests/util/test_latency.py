@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.util import LatencyHistogram
+from repro.util.latency import LatencyHistogram
 
 
 def test_empty_histogram():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.util import FigureResult, Series, SeriesPoint
+from repro.util.records import FigureResult, Series, SeriesPoint
 
 
 def make_fig():

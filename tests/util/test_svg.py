@@ -1,6 +1,6 @@
 """SVG renderers: figure charts, flamegraphs, sparklines."""
 
-from repro.util import FigureResult, Series
+from repro.util.records import FigureResult, Series
 from repro.util.svg import render_flamegraph, render_sparkline, render_svg
 
 
