@@ -42,7 +42,10 @@ class CRIPool:
             self.instances.append(CRI(sched, i, ctx, costs.cri_lock_costs(),
                                       lock_fairness, rank))
         self._rr = AtomicCounter(sched, cost_ns=costs.atomic_rmw_ns)
-        self._tls = ThreadLocal(sched)
+        #: the cost of one ticket (:meth:`take_ticket`), yielded by the caller
+        self.ticket_delay = self._rr._cost_delay
+        #: each thread's dedicated CRI; a live hit needs no generator
+        self.tls = ThreadLocal(sched)
         self._last_used = ThreadLocal(sched)
         self.switches = 0
         #: owning process's SPC (set by the MPI layer; ``None`` standalone)
@@ -95,10 +98,25 @@ class CRIPool:
     # ------------------------------------------------------------------
     # Algorithm 1
     # ------------------------------------------------------------------
+    def take_ticket(self) -> int:
+        """Algorithm 1's fetch-add on the shared counter, as a plain call.
+
+        Returns the ticket.  The caller then yields :attr:`ticket_delay`
+        and indexes ``instances[ticket % len(instances)]`` after that
+        yield, on the live list a failover may have shrunk meanwhile.
+        Each step of Algorithm 2's fallback scan takes one ticket too.
+        """
+        rr = self._rr
+        ticket = rr._value
+        rr._value = ticket + 1
+        rr.operations += 1
+        return ticket
+
     def get_instance_round_robin(self):
         """Generator: next instance via the shared atomic counter."""
-        k = yield from self.round_robin_index()
-        return self.instances[k]
+        ticket = self.take_ticket()
+        yield self.ticket_delay
+        return self.instances[ticket % len(self.instances)]
 
     def get_instance_dedicated(self):
         """Generator: this thread's permanent instance (TLS-cached).
@@ -107,7 +125,7 @@ class CRIPool:
         the assignment is re-run over the survivors (and counted in the
         ``cri_migrations`` SPC).
         """
-        cri = self._tls.get()
+        cri = self.tls.get()
         if cri is not None and cri.dead:
             self.migrations += 1
             if self.spc is not None:
@@ -115,7 +133,7 @@ class CRIPool:
             cri = None
         if cri is None:
             cri = yield from self.get_instance_round_robin()
-            self._tls.set(cri)
+            self.tls.set(cri)
         return cri
 
     def get_instance(self, switch_ns: int | None = None):
@@ -128,7 +146,9 @@ class CRIPool:
         why round-robin trails dedicated so badly in Figures 6 and 7).
         """
         if self.config.assignment == DEDICATED:
-            cri = yield from self.get_instance_dedicated()
+            cri = self.tls.get()
+            if cri is None or cri.dead:  # first touch or migration
+                cri = yield from self.get_instance_dedicated()
         else:
             cri = yield from self.get_instance_round_robin()
         last = self._last_used.get()
@@ -137,23 +157,3 @@ class CRIPool:
             yield Delay(self.costs.instance_switch_ns if switch_ns is None else switch_ns)
         self._last_used.set(cri)
         return cri
-
-    def dedicated_index(self):
-        """Generator: *position* of this thread's dedicated instance in
-        ``instances`` (Algorithm 2 indexes the live list with it; after a
-        failure, creation index and list position diverge)."""
-        cri = self._tls.get()
-        if cri is None or cri.dead:  # first touch or migration
-            cri = yield from self.get_instance_dedicated()
-        return self.instances.index(cri)
-
-    def round_robin_index(self):
-        """Generator: next round-robin index (Algorithm 1's ticket; also
-        each step of Algorithm 2's fallback scan, hence ``fetch_add``
-        inlined).  The modulo is taken after the yield, on the live size."""
-        rr = self._rr
-        ticket = rr._value
-        rr._value = ticket + 1
-        rr.operations += 1
-        yield rr._cost_delay
-        return ticket % len(self.instances)

@@ -33,10 +33,12 @@ from repro.simthread.sync import SimLock
 class _ProgressBase:
     """Shared instance-progress helper.
 
-    ``post_round`` is an optional generator factory run at the end of
-    every progress call (outside any progress/instance lock); the MPI
-    layer uses it to flush queued protocol replies (rendezvous CTS/DATA),
-    which cannot be sent from inside the matching engine.
+    ``post_round`` is an optional hook run at the end of every progress
+    call (outside any progress/instance lock): an object whose
+    ``pending`` is truthy while work is queued and whose ``flush()``
+    generator does that work.  The MPI layer passes its rendezvous
+    manager, whose queued protocol replies (CTS/DATA) cannot be sent from
+    inside the matching engine.  An empty queue builds no generator.
     """
 
     def __init__(self, sched, pool: CRIPool, costs: CostModel, dispatch,
@@ -122,8 +124,8 @@ class SerialProgress(_ProgressBase):
         yield from self.global_lock.release()
         if traced:
             trc.end(tid, {"completions": total, "mode": "serial"})
-        if self.post_round is not None:
-            yield from self.post_round()
+        if self.post_round is not None and self.post_round.pending:
+            yield from self.post_round.flush()
         return total
 
 
@@ -138,18 +140,23 @@ class ConcurrentProgress(_ProgressBase):
         if traced:
             tid = trc.thread_track(self.sched.current)
             trc.begin(tid, "progress.sweep", "progress")
+        pool = self.pool
         # the live list: a CRI failover during a yield shrinks it in place
-        instances = self.pool.instances
-        k = yield from self.pool.dedicated_index()
-        cri = instances[k]
+        instances = pool.instances
+        cri = pool.tls.get()
+        if cri is None or cri.dead:  # first touch or migration
+            cri = yield from pool.get_instance_dedicated()
         count = 0 if cri.cq.empty else (yield from self._progress_instance(cri))
         if count is None:
             self.denied += 1
             count = 0
         if count == 0:
+            take_ticket = pool.take_ticket
+            ticket_delay = pool.ticket_delay
             for _ in range(len(instances)):
-                k = yield from self.pool.round_robin_index()
-                cri = instances[k]
+                ticket = take_ticket()
+                yield ticket_delay
+                cri = instances[ticket % len(instances)]
                 r = 0 if cri.cq.empty else (yield from self._progress_instance(cri))
                 if r is None:
                     self.denied += 1
@@ -160,8 +167,8 @@ class ConcurrentProgress(_ProgressBase):
             yield self._empty_delay
         if traced:
             trc.end(tid, {"completions": count, "mode": "concurrent"})
-        if self.post_round is not None:
-            yield from self.post_round()
+        if self.post_round is not None and self.post_round.pending:
+            yield from self.post_round.flush()
         return count
 
 

@@ -65,7 +65,7 @@ class MpiProcess:
         self.latency = LatencyHistogram()
         self.progress_engine = make_progress_engine(
             world.sched, self.pool, config, costs, self._dispatch,
-            post_round=self.rndv.flush)
+            post_round=self.rndv)
         self._comm_states: dict[int, CommState] = {}
         self._host_free_at = 0
 

@@ -32,7 +32,8 @@ class RendezvousManager:
 
     def __init__(self, process):
         self.process = process
-        self._pending: deque = deque()
+        #: queued control fragments; progress calls :meth:`flush` only if any
+        self.pending: deque = deque()
         self.rts_matched = 0
         self.cts_sent = 0
         self.data_sent = 0
@@ -48,7 +49,7 @@ class RendezvousManager:
         if trc.enabled and sched.current is not None:
             trc.instant(trc.thread_track(sched.current), "rndv.rts-matched",
                         "rndv", {"src": rts_env.src, "nbytes": rts_env.nbytes})
-        self._pending.append(Envelope(
+        self.pending.append(Envelope(
             src=self.process.rank, dst=rts_env.src, comm_id=rts_env.comm_id,
             tag=rts_env.tag, seq=-1, nbytes=0, kind=CTS,
             rndv_token=rts_env.rndv_token, recv_request=recv_req))
@@ -56,7 +57,7 @@ class RendezvousManager:
     def queue_data(self, cts_env: Envelope) -> None:
         """A CTS arrived: release the bulk payload toward the receiver."""
         send_req = cts_env.rndv_token
-        self._pending.append(Envelope(
+        self.pending.append(Envelope(
             src=self.process.rank, dst=cts_env.src, comm_id=cts_env.comm_id,
             tag=cts_env.tag, seq=-1, nbytes=send_req.nbytes,
             payload=send_req.payload, kind=DATA,
@@ -70,8 +71,8 @@ class RendezvousManager:
         per fragment like any other send.
         """
         process = self.process
-        while self._pending:
-            env = self._pending.popleft()
+        while self.pending:
+            env = self.pending.popleft()
             trc = process.sched.tracer
             traced = trc.enabled
             if traced:

@@ -1,9 +1,10 @@
 """Virtual-time discrete-event scheduler driving simulated threads.
 
-The scheduler owns a single event heap keyed by ``(virtual_time, tick)``
-where ``tick`` is a monotonically increasing tie-breaker, so runs are fully
-deterministic for a given seed.  Randomness (cost jitter, unfair lock
-grants) flows exclusively through the scheduler's seeded ``random.Random``.
+The scheduler keeps two event heaps keyed by ``(virtual_time, tick)``
+where ``tick`` is one monotonically increasing tie-breaker they share,
+so runs are fully deterministic for a given seed.  Randomness (cost jitter,
+unfair lock grants) flows exclusively through the scheduler's seeded
+``random.Random``.
 
 Simulated threads communicate with the scheduler by yielding *commands*:
 
@@ -24,10 +25,13 @@ three primitives in sibling modules.
 
 Hot-loop design (see ``docs/PERFORMANCE.md``)
 ---------------------------------------------
-Event records are bare tuples on the heap: ``(when, tick, item)`` where
-``item`` is either a :class:`SimThread` or a plain ``(fn, args)`` tuple
-for a :meth:`call_at` callback -- no per-event wrapper objects are
-allocated.  The loop itself comes in two interchangeable bodies:
+Event records are bare tuples: the *run queue* ``_ready`` holds ``(when,
+tick, thread)`` (:meth:`spawn`, ``Delay``, ``YieldNow``, :meth:`wake`) and
+the *timer queue* ``_calls`` holds ``(when, tick, (fn, args))``
+(:meth:`call_at`).  Each step pops the earlier top; ticks are unique, so
+the order is exactly that of one merged heap, while a spinning thread
+sifts only through its runnable peers.  The loop itself comes in two
+interchangeable bodies:
 
 * :meth:`_run_fast` -- the default.  Chosen when no stats, sampler,
   watchdog or event/time bound is installed; everything (heap ops, the
@@ -123,7 +127,8 @@ class Scheduler:
         #: observability hook; a no-op NullTracer unless a
         #: :class:`repro.obs.tracer.Tracer` is attached.
         self.tracer = NULL_TRACER
-        self._heap: list = []
+        self._ready: list = []
+        self._calls: list = []
         self._tick = itertools.count()
         self._threads: list[SimThread] = []
         self._locks: list = []
@@ -139,7 +144,7 @@ class Scheduler:
 
         Only the event loop advances this; components read it to stamp
         events and compute durations.  Tests and the tracer should use
-        this property rather than reaching into the event heap.
+        this property rather than reaching into the event queues.
         """
         return self._now
 
@@ -150,7 +155,7 @@ class Scheduler:
         run, ns) and ``sample(now)``; the event loop invokes it whenever
         virtual time reaches ``due``.  Used by
         :class:`repro.obs.metrics.MetricsRegistry` for interval time-series
-        without keeping the event heap artificially alive.  Install
+        without keeping the event queues artificially alive.  Install
         before :meth:`run`; the loop body is selected per run() call.
         """
         self._sampler = sampler
@@ -217,7 +222,7 @@ class Scheduler:
         thread._parked = False
         if self._stats is not None:
             self._stats.heap_pushes += 1
-        heapq.heappush(self._heap, (when, next(self._tick), thread))
+        heapq.heappush(self._ready, (when, next(self._tick), thread))
 
     def wake(self, thread: SimThread, value=None, delay: int = 0) -> None:
         """Unpark a suspended thread, resuming it ``delay`` ns from now.
@@ -239,12 +244,14 @@ class Scheduler:
 
         Used by the network model to deliver messages: the callback runs
         with ``self.now == when`` and must not yield.  The callback is
-        stored as a bare ``(fn, args)`` tuple on the heap -- no wrapper
-        object is allocated per event.
+        stored as a bare ``(fn, args)`` tuple on the timer queue, apart
+        from runnable threads; it draws its tick from the same counter, so
+        it runs before a thread due at the same instant exactly when it
+        was scheduled first.  No wrapper object is allocated per event.
         """
         if self._stats is not None:
             self._stats.heap_pushes += 1
-        heapq.heappush(self._heap, (when, next(self._tick), (fn, args)))
+        heapq.heappush(self._calls, (when, next(self._tick), (fn, args)))
 
     def jittered(self, ns: int) -> int:
         """Apply the configured relative jitter to a cost in nanoseconds."""
@@ -258,7 +265,7 @@ class Scheduler:
     # main loop
     # ------------------------------------------------------------------
     def run(self, max_time: int | None = None, max_events: int | None = None) -> int:
-        """Drain the event heap; return the final virtual time in ns.
+        """Drain both event queues; return the final virtual time in ns.
 
         Dispatches to the uninstrumented fast body when possible (no
         stats/sampler/watchdog and no bounds) and to the full body
@@ -267,7 +274,7 @@ class Scheduler:
         Raises
         ------
         DeadlockError
-            If the heap empties while threads remain parked.
+            If the queues empty while threads remain parked.
         Exception
             Any exception escaping a thread body is re-raised here (the
             simulation is aborted at that point).
@@ -290,23 +297,35 @@ class Scheduler:
         hook absent; the tick counter and rng are consumed in the same
         order, keeping the schedule byte-identical.
         """
-        heap = self._heap
+        ready = self._ready
+        calls = self._calls
         heappop = heapq.heappop
         heappush = heapq.heappush
         tick = self._tick.__next__
         rng_random = self.rng.random
         jitter = self.jitter
         now = self._now
-        while heap:
-            when, _, item = heappop(heap)
+        while True:
+            if calls:
+                if ready and ready[0] < calls[0]:
+                    when, _, item = heappop(ready)
+                else:
+                    when, _, (fn, args) = heappop(calls)
+                    if when != now:
+                        now = when
+                        self._now = when
+                    self.events_processed += 1
+                    fn(*args)
+                    continue
+            elif ready:
+                when, _, item = heappop(ready)
+            else:
+                break
             if when != now:  # batch same-instant wakeups: one store per instant
                 now = when
                 self._now = when
             self.events_processed += 1
-            if item.__class__ is tuple:
-                item[0](*item[1])
-                continue
-            if item.done:  # stale heap entry for an aborted thread
+            if item.done:  # stale queue entry for an aborted thread
                 continue
             value = item._resume_value
             if value is not None:
@@ -337,12 +356,12 @@ class Scheduler:
                         if ns < 0:
                             ns = 0
                 item._run_ns += ns
-                heappush(heap, (when + ns, tick(), item))
+                heappush(ready, (when + ns, tick(), item))
             elif cmd is SUSPEND:
                 item._parked = True
                 self._nparked += 1
             elif cls is YieldNow:
-                heappush(heap, (when, tick(), item))
+                heappush(ready, (when, tick(), item))
             else:
                 exc = SimThreadError(
                     f"thread {item.name} yielded unknown command {cmd!r}")
@@ -350,18 +369,21 @@ class Scheduler:
                 raise exc
 
     def _run_full(self, max_time: int | None, max_events: int | None) -> None:
-        """Instrumented loop body: sampler/watchdog/stats hooks + bounds."""
-        heap = self._heap
+        """Instrumented loop body: sampler/watchdog/stats hooks + bounds.
+
+        Under ``max_time`` the loop peeks at the earlier top and stops
+        without popping it, so a paused run resumes in the same order.
+        """
+        ready = self._ready
+        calls = self._calls
         stats = self._stats
-        while heap:
-            when, _, item = heapq.heappop(heap)
+        while ready or calls:
+            queue = calls if calls and (not ready or calls[0] < ready[0]) else ready
+            if max_time is not None and queue[0][0] > max_time:
+                break
+            when, _, item = heapq.heappop(queue)
             if stats is not None:
                 stats.heap_pops += 1
-            if max_time is not None and when > max_time:
-                heapq.heappush(heap, (when, next(self._tick), item))
-                if stats is not None:
-                    stats.heap_pushes += 1
-                break
             self._now = when
             self.events_processed += 1
             sampler = self._sampler
@@ -372,12 +394,12 @@ class Scheduler:
                 watchdog.check(when)
             if max_events is not None and self.events_processed > max_events:
                 raise SimThreadError(f"exceeded max_events={max_events} (runaway simulation?)")
-            if item.__class__ is tuple:
+            if queue is calls:
                 if stats is not None:
                     stats.events_callback += 1
                 item[0](*item[1])
                 continue
-            if item.done:  # stale heap entry for an aborted thread
+            if item.done:  # stale queue entry for an aborted thread
                 continue
             self._step(item)
             if self._failure is not None:

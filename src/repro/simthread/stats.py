@@ -27,8 +27,8 @@ class SchedStats:
         self.events_yield = 0      #: YieldNow commands dispatched
         self.events_suspend = 0    #: SUSPEND commands dispatched (parks)
         self.events_callback = 0   #: call_at callbacks executed
-        self.heap_pushes = 0       #: event-heap insertions
-        self.heap_pops = 0         #: event-heap removals
+        self.heap_pushes = 0       #: insertions into either event queue
+        self.heap_pops = 0         #: removals from either event queue
         self.gen_steps = 0         #: generator send() resumptions
         self.wakes = 0             #: explicit wake() calls
         self.spawns = 0            #: threads spawned

@@ -32,17 +32,21 @@ class ThreadLocal:
         return me
 
     def get(self):
-        """Return this thread's value (or the default if never set)."""
-        return self._values.get(id(self._me()), self._default)
+        """This thread's value, or the default; a hit is one dict lookup."""
+        value = self._values.get(self._sched.current, _UNSET)
+        if value is _UNSET:
+            self._me()
+            return self._default
+        return value
 
     def set(self, value) -> None:
         """Bind ``value`` to the calling thread."""
-        self._values[id(self._me())] = value
+        self._values[self._me()] = value
 
     def is_set(self) -> bool:
         """Whether the calling thread has an explicit value."""
-        return id(self._me()) in self._values
+        return self._me() in self._values
 
     def clear(self) -> None:
         """Remove the calling thread's value (back to the default)."""
-        self._values.pop(id(self._me()), None)
+        self._values.pop(self._me(), None)

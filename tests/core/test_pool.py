@@ -117,19 +117,25 @@ def test_dedicated_never_switches(sched):
     assert pool.switches == 0
 
 
-def test_dedicated_index_and_round_robin_index(sched):
+def test_dedicated_instance_is_stable_and_tickets_count(sched):
     pool = make_pool(sched, instances=3, assignment="dedicated")
     log = {}
 
     def worker(i):
-        k1 = yield from pool.dedicated_index()
-        k2 = yield from pool.dedicated_index()
-        r = yield from pool.round_robin_index()
-        log[i] = (k1, k2, r)
+        first = yield from pool.get_instance()   # first touch takes a ticket
+        again = yield from pool.get_instance()   # TLS hit: no ticket
+        assert pool.tls.get() is first
+        before = pool._rr.operations
+        ticket = pool.take_ticket()
+        log[i] = (first, again, ticket, pool._rr.operations - before)
+        yield pool.ticket_delay
 
     for i in range(2):
         sched.spawn(worker(i))
     sched.run()
-    for k1, k2, _ in log.values():
-        assert k1 == k2  # dedicated index is stable
-    assert log[0][0] != log[1][0]
+    for first, again, _, advanced in log.values():
+        assert first is again  # the dedicated instance is stable
+        assert advanced == 1   # each ticket advances the counter
+    assert log[0][0] is not log[1][0]
+    assert sorted(entry[2] for entry in log.values()) == [2, 3]
+    assert pool._rr.operations == 4

@@ -82,14 +82,15 @@ def test_concurrent_progress_dedicated_instance_first(sched):
 
     def worker(i):
         # Establish this thread's dedicated instance.
-        k = yield from pool.dedicated_index()
-        picked[i] = k
-        inject(pool, k, 2, tag=i)
+        cri = yield from pool.get_instance_dedicated()
+        picked[i] = cri.index
+        inject(pool, cri.index, 2, tag=i)
         n = yield from engine.progress()
         return n
 
     threads = [sched.spawn(worker(i)) for i in range(4)]
     sched.run()
+    assert sorted(picked.values()) == [0, 1, 2, 3]
     assert all(t.result >= 2 for t in threads)
     assert len(handled) == 8
 
@@ -141,7 +142,7 @@ def test_progress_skips_locked_instance(sched):
 
     def progressor():
         yield Delay(100)
-        k = yield from pool.dedicated_index()  # likely 1 (holder took 0)...
+        yield from pool.get_instance_dedicated()
         n = yield from engine.progress()
         return n
 

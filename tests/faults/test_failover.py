@@ -74,24 +74,25 @@ def test_dedicated_assignment_migrates_off_dead_instance(sched):
     assert pool.migrations == 1
 
 
-def test_dedicated_index_is_live_list_position(sched):
-    pool = make_world(sched, instances=3).processes[0].pool
+def test_progress_migrates_off_dead_dedicated_instance(sched):
+    proc = MpiWorld(sched, nprocs=2, config=DEDICATED_10).processes[0]
+    pool = proc.pool
     out = []
 
     def worker():
-        idx = yield from pool.dedicated_index()
-        out.append(idx)
-        pool.fail_instance(0)
-        idx = yield from pool.dedicated_index()
-        out.append(idx)
+        yield from proc.progress_engine.progress()
+        out.append(pool.tls.get())
+        pool.fail_instance(out[0].index)
+        yield from proc.progress_engine.progress()
+        out.append(pool.tls.get())
 
     sched.spawn(worker())
     sched.run()
     first, second = out
-    assert first == 0
-    # after instance 0 dies the thread migrated; the returned position
-    # must index the *live* list so Algorithm 2 can use it directly
-    assert 0 <= second < len(pool.instances)
+    assert first.index == 0 and first.dead
+    # the next progress call re-ran the assignment over the survivors
+    assert second in pool.instances and not second.dead
+    assert pool.migrations == 1
 
 
 def test_context_kill_mid_run_completes_with_migration():

@@ -1,8 +1,10 @@
 """Property-based tests for the scheduling substrate."""
 
+import itertools
+
 from hypothesis import given, settings, strategies as st
 
-from repro.simthread import Delay, Scheduler, SimLock
+from repro.simthread import SUSPEND, Delay, SchedStats, Scheduler, SimLock, YieldNow
 
 
 @given(delays=st.lists(st.integers(min_value=0, max_value=10_000),
@@ -91,3 +93,59 @@ def test_determinism_property(seed):
         return log
 
     assert run_once() == run_once()
+
+
+_INSTANTS = st.sampled_from([0, 50, 100])
+_ACTIONS = st.lists(st.tuples(
+    st.sampled_from(["delay", "exact", "yield", "suspend", "call"]), _INSTANTS),
+    max_size=8)
+
+
+@given(scripts=st.lists(_ACTIONS, min_size=1, max_size=4),
+       calls=st.lists(_INSTANTS, max_size=4),
+       seed=st.integers(0, 2 ** 20),
+       instrumented=st.booleans(),
+       pause_at=st.one_of(st.none(), _INSTANTS))
+@settings(max_examples=60, deadline=None)
+def test_threads_and_callbacks_run_in_one_order(scripts, calls, seed,
+                                                instrumented, pause_at):
+    """Every event runs in (virtual time, scheduling order), whichever
+    queue holds it: a thread's Delay/YieldNow is numbered just before it
+    yields, a wake through its value, a ``call_at`` through its argument.
+    Delays of 0 and unjittered delays make the instants collide."""
+    sched = Scheduler(seed=seed, jitter=0.1)
+    if instrumented:
+        sched.set_stats(SchedStats())
+    seq = itertools.count()
+    log = []
+
+    def record(number):
+        log.append((sched.now, number))
+
+    def waker(number, thread, delay):
+        record(number)
+        sched.wake(thread, value=next(seq), delay=delay)
+
+    def worker(script, number):
+        record(number)
+        for kind, ns in script:
+            if kind == "call":
+                sched.call_at(sched.now + ns, record, next(seq))
+            elif kind == "suspend":
+                sched.call_at(sched.now + ns, waker, next(seq), sched.current, ns)
+                record((yield SUSPEND))
+            else:
+                number = next(seq)
+                yield (YieldNow() if kind == "yield"
+                       else Delay(ns, jitter=kind == "delay"))
+                record(number)
+
+    for script in scripts:
+        sched.spawn(worker(script, next(seq)))
+    for when in calls:
+        sched.call_at(when, record, next(seq))
+    if pause_at is not None:
+        sched.run(max_time=pause_at)
+    sched.run()
+    assert log == sorted(log)
+    assert sorted(number for _, number in log) == list(range(next(seq)))

@@ -6,6 +6,7 @@ from repro.simthread import (
     DeadlockError,
     Delay,
     SUSPEND,
+    SchedStats,
     Scheduler,
     SimThreadError,
     YieldNow,
@@ -130,6 +131,30 @@ def test_call_at_runs_callback_at_time():
     assert seen == ["b", "a"]
 
 
+@pytest.mark.parametrize("instrumented", [False, True])
+@pytest.mark.parametrize("first", ["callback", "thread"])
+def test_callback_and_thread_due_together_run_in_scheduling_order(first, instrumented):
+    sched = Scheduler(jitter=0.0)
+    if instrumented:
+        sched.set_stats(SchedStats())
+    log = []
+
+    def sleeper():
+        yield Delay(100)
+        log.append("thread")
+
+    def booker():
+        sched.call_at(100, log.append, "callback")
+        yield Delay(0)
+
+    bodies = [booker, sleeper] if first == "callback" else [sleeper, booker]
+    for body in bodies:
+        sched.spawn(body())
+    sched.run()
+    assert log == (["callback", "thread"] if first == "callback"
+                   else ["thread", "callback"])
+
+
 def test_exception_in_thread_propagates():
     sched = Scheduler()
 
@@ -243,6 +268,28 @@ def test_max_time_pauses_not_raises():
     assert sched.now <= 250
     sched.run()  # finish the rest
     assert t.done
+
+
+def test_paused_run_resumes_in_the_same_order():
+    def order(pause):
+        sched = Scheduler(jitter=0.0)
+        log = []
+
+        def body(name):
+            yield Delay(100)
+            log.append(name)
+
+        sched.spawn(body("a"))
+        sched.spawn(body("b"))
+        sched.call_at(100, log.append, "cb")
+        if pause:
+            sched.run(max_time=50)
+            assert log == [] and sched.now == 0
+        sched.run()
+        return log
+
+    assert order(pause=False) == ["cb", "a", "b"]
+    assert order(pause=True) == ["cb", "a", "b"]
 
 
 def test_spawn_requires_generator():
