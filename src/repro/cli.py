@@ -78,9 +78,9 @@ serve the byte-exact ``repro run`` artifacts with immutable ETags.
 
 ``perf`` is the regression gate (:mod:`repro.perf`): ``check`` re-runs
 every deterministic probe and diffs it against the committed
-``results/BENCH_*.json`` baselines, ``update`` rewrites the baselines
-(preserving host wall-clock sections), ``list`` shows what is
-committed.  CI runs ``python -m repro perf check``.
+``results/BENCH_*.json`` baselines, ``update`` rewrites the baselines,
+``list`` shows what is committed.  CI runs ``python -m repro perf
+check``.
 """
 
 from __future__ import annotations
@@ -332,25 +332,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     perf = sub.add_parser(
         "perf", help="deterministic performance baselines (the CI gate)")
-    perf.add_argument("action", choices=("check", "update", "list", "report"),
+    perf.add_argument("action", choices=("check", "update", "list"),
                       help="check: diff fresh probe runs against committed "
                            "baselines; update: rewrite the deterministic "
-                           "sections; list: show committed baselines; "
-                           "report: build the HTML trajectory dashboard")
+                           "sections; list: show committed baselines")
     perf.add_argument("--results", type=pathlib.Path,
                       default=pathlib.Path("results"),
                       help="baseline directory (default results/)")
     perf.add_argument("--only", action="append", default=None, metavar="NAME",
                       help="restrict to one bench family (repeatable)")
     perf.add_argument("--json", action="store_true",
-                      help="check: print the machine-readable report "
-                           "(the format CI and the dashboard consume)")
-    perf.add_argument("--out", type=pathlib.Path, default=None,
-                      help="report: output HTML path "
-                           "(default results/perf_report.html)")
-    perf.add_argument("--no-check", action="store_true",
-                      help="report: skip re-running the probes; render "
-                           "trajectories only")
+                      help="check: print the machine-readable report")
     return parser
 
 
@@ -453,26 +445,11 @@ def _cmd_perf(args) -> int:
         for path in list_benches(args.results):
             doc = load_bench(path)
             print(f"{doc['name']:<12} {len(doc['deterministic']):>3} "
-                  f"deterministic metrics, "
-                  f"{len(doc['host'])} host entries  ({path})")
+                  f"deterministic metrics  ({path})")
         return 0
     if args.action == "update":
         for name in update_benches(args.results, names=names):
             print(f"updated {name}")
-        return 0
-    if args.action == "report":
-        from repro.obs.dashboard import save_dashboard
-
-        report = None
-        if not args.no_check:
-            report = check_benches(args.results, names=names)
-        out = args.out if args.out is not None \
-            else args.results / "perf_report.html"
-        path = save_dashboard(args.results, out, report=report)
-        print(f"dashboard: {path}")
-        if report is not None:
-            print(render_report(report))
-            return 0 if report.ok else 1
         return 0
     report = check_benches(args.results, names=names)
     if args.json:

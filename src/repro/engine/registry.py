@@ -21,9 +21,10 @@ from typing import Callable
 _TRIALS: dict[str, Callable] = {}
 
 #: the experiment modules that define trials (each applies ``@trial``)
-TRIAL_MODULES = ("repro.experiments.chaos", "repro.experiments.extensions",
-                 "repro.experiments.figure3", "repro.experiments.figure5",
-                 "repro.experiments.figure6", "repro.experiments.table2")
+TRIAL_MODULES = ("repro.experiments.ablations", "repro.experiments.chaos",
+                 "repro.experiments.extensions", "repro.experiments.figure3",
+                 "repro.experiments.figure5", "repro.experiments.figure6",
+                 "repro.experiments.table2")
 
 
 def trial(name: str):

@@ -70,6 +70,30 @@ EXPERIMENTS = {
     "chaos": Experiment("chaos",
                         "message-rate degradation under injected packet loss",
                         _runner("chaos.run_chaos")),
+    # mechanism ablations: one modeled mechanism on (x=0) vs off (x=1)
+    "ablation-fairness": Experiment("ablation-fairness",
+                                    "OOS fraction with unfair vs FIFO locks",
+                                    _runner("ablations.run_ablation",
+                                            "fairness")),
+    "ablation-migration": Experiment("ablation-migration",
+                                     "match time with vs without the "
+                                     "migration penalty",
+                                     _runner("ablations.run_ablation",
+                                             "migration")),
+    "ablation-convoy": Experiment("ablation-convoy",
+                                  "1-instance rate with vs without the "
+                                  "lock convoy",
+                                  _runner("ablations.run_ablation",
+                                          "convoy")),
+    "ablation-jitter": Experiment("ablation-jitter",
+                                  "OOS fraction with vs without wire jitter",
+                                  _runner("ablations.run_ablation",
+                                          "jitter")),
+    "ablation-hostgap": Experiment("ablation-hostgap",
+                                   "concurrent-matching rate with vs "
+                                   "without the host gap",
+                                   _runner("ablations.run_ablation",
+                                           "hostgap")),
 }
 
 

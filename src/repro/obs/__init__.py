@@ -24,9 +24,6 @@ cannot provide: *when* and *on which lock/CRI* contention happens.
   (``sys.setprofile`` call accumulator, scheduler counters,
   virtual-time phase attribution, folded stacks + flamegraphs) behind
   ``python -m repro profile``.
-* :mod:`~repro.obs.dashboard` -- the static HTML perf observatory over
-  the ``results/BENCH_*.json`` registry behind ``python -m repro perf
-  report``.
 
 Traces are deterministic: byte-identical across runs with the same seed.
 The package re-exports nothing: every simulation imports the scheduler,

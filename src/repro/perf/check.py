@@ -5,8 +5,7 @@ result, metric by metric, with the ``deterministic`` section of the
 matching ``results/BENCH_<name>.json``.  Integers and strings must
 match exactly; floats get a small relative tolerance (they are derived
 from exact integers, so only rounding in the derivation itself is
-forgiven).  ``host`` sections are never compared -- wall-clock numbers
-are weather, not behaviour.
+forgiven).
 
 The output is a :class:`CheckReport`: per-metric deltas with old/new
 values, plus structural findings (missing baselines, stale metrics
@@ -15,8 +14,8 @@ CLI renders it via :func:`render_report` and exits non-zero on any
 failure, which is exactly what the CI ``perf-gate`` job gates on.
 
 ``update_benches`` is the other half of the workflow: rewrite the
-``deterministic`` sections in place (preserving ``host``) so an
-*intentional* behaviour change becomes a reviewable baseline diff.
+``deterministic`` sections so an *intentional* behaviour change becomes
+a reviewable baseline diff.
 """
 
 from __future__ import annotations
@@ -155,18 +154,14 @@ def check_benches(results_dir, names: list[str] | None = None,
 
 
 def update_benches(results_dir, names: list[str] | None = None) -> list[str]:
-    """Re-probe and rewrite the deterministic sections; returns names.
-
-    Host sections are left untouched -- only the benches themselves
-    record wall-clock data.
-    """
+    """Re-probe and rewrite the deterministic sections; returns names."""
     selected = sorted(names) if names else sorted(PROBES)
     for name in selected:
         write_bench(results_dir, name, run_probe(name))
     return selected
 
 
-def render_report(report: CheckReport, verbose: bool = False) -> str:
+def render_report(report: CheckReport) -> str:
     """The delta report ``python -m repro perf check`` prints."""
     lines = []
     width = max((len(c.name) for c in report.checks), default=4)
@@ -198,18 +193,15 @@ def render_report(report: CheckReport, verbose: bool = False) -> str:
         summary += (f", {len(report.unknown_files)} stray file(s) "
                     f"({', '.join(report.unknown_files)})")
     lines.append(summary + ("" if report.ok else " -- FAILED"))
-    if verbose and report.ok:
-        lines.append("(deterministic sections only; host wall-clock data "
-                     "is informational)")
     return "\n".join(lines)
 
 
 def report_json(report: CheckReport) -> dict:
     """Machine-readable form of a :class:`CheckReport`.
 
-    One format for every consumer -- ``repro perf check --json``, the
-    CI gate and the dashboard -- instead of each scraping the text
-    report.  Missing baselines and stray files are separate fields.
+    One format for every consumer -- ``repro perf check --json`` and
+    the CI gate -- instead of each scraping the text report.  Missing
+    baselines and stray files are separate fields.
     """
     return {
         "schema": 1,

@@ -1,19 +1,16 @@
 """Deterministic probes: the seeded measurements behind every baseline.
 
-One probe per benchmark family.  A probe runs a small, seeded slice of
-the family's workload -- the same "unit of work" the pytest benches
-time -- and returns a flat ``{metric: value}`` dict of *deterministic*
-quantities: virtual-time totals, message counts, SPC aggregates and
-sha256 prefixes of rendered artifacts.  Nothing host-dependent goes in
-here; wall-clock numbers belong to the ``host`` section the benches
-record.
+One probe per baseline family.  A probe runs a small, seeded slice of
+the family's workload and returns a flat ``{metric: value}`` dict of
+*deterministic* quantities: virtual-time totals, message counts, SPC
+aggregates and sha256 prefixes of rendered artifacts.  Nothing
+host-dependent goes in here.
 
-Both surfaces call the same probe, which is the registry's core
-guarantee: ``benchmarks/test_bench_X.py`` writes
-``results/BENCH_X.json`` from ``run_probe("X")``, and ``python -m
-repro perf check`` recomputes ``run_probe("X")`` on the current tree
-and diffs it against the committed file.  A delta therefore always
-means behaviour drift in the simulation, never runner noise.
+``python -m repro perf update`` writes ``results/BENCH_X.json`` from
+``run_probe("X")``, and ``python -m repro perf check`` recomputes
+``run_probe("X")`` on the current tree and diffs it against the
+committed file.  A delta therefore always means behaviour drift in the
+simulation, never runner noise.
 """
 
 from __future__ import annotations
@@ -42,7 +39,7 @@ def _multirate_metrics(prefix: str, result) -> dict:
 
 
 def probe_fig3() -> dict:
-    """Figure 3's three panels at the bench unit-of-work size."""
+    """Figure 3's three panels at a small unit-of-work size."""
     from repro.core import ThreadingConfig
     from repro.experiments.figure3 import PANELS
     from repro.workloads import MultirateConfig, run_multirate
@@ -161,50 +158,19 @@ def probe_table2() -> dict:
 
 def probe_ablations() -> dict:
     """The five mechanism ablations, one on/off pair each."""
-    from repro.core import CostModel, ThreadingConfig
-    from repro.netsim.ib import IB_EDR
-    from repro.workloads import MultirateConfig, run_multirate
+    from repro.experiments.ablations import SEED, ablation_trial
 
-    pairs = 12
-    cfg = MultirateConfig(pairs=pairs, window=64, windows=2)
-    single = ThreadingConfig(num_instances=1, assignment="dedicated",
-                             progress="serial")
-    many = ThreadingConfig(num_instances=pairs, assignment="dedicated",
-                           progress="serial")
-    conc = ThreadingConfig(num_instances=pairs, assignment="dedicated",
-                           progress="concurrent")
-
-    unfair = run_multirate(cfg, threading=single, lock_fairness="unfair")
-    fair = run_multirate(cfg, threading=single, lock_fairness="fair")
-    migration = run_multirate(cfg, threading=conc, costs=CostModel()
-                              .with_overrides(match_migration_ns=1800))
-    no_migration = run_multirate(cfg, threading=conc, costs=CostModel()
-                                 .with_overrides(match_migration_ns=0))
-    convoy = run_multirate(cfg, threading=single, costs=CostModel()
-                           .with_overrides(lock_contended_per_waiter_ns=320))
-    no_convoy = run_multirate(cfg, threading=single, costs=CostModel()
-                              .with_overrides(lock_contended_per_waiter_ns=0))
-    jitter = run_multirate(cfg, threading=many,
-                           fabric=IB_EDR.with_overrides(wire_jitter_ns=400))
-    no_jitter = run_multirate(cfg, threading=many,
-                              fabric=IB_EDR.with_overrides(wire_jitter_ns=0))
-    gap_cfg = cfg.with_overrides(comm_per_pair=True)
-    gap = run_multirate(gap_cfg, threading=conc,
-                        costs=CostModel().with_overrides(host_gap_ns=340))
-    no_gap = run_multirate(gap_cfg, threading=conc,
-                           costs=CostModel().with_overrides(host_gap_ns=0))
-    return {
-        "fairness.oos_unfair": unfair.spc.out_of_sequence,
-        "fairness.oos_fair": fair.spc.out_of_sequence,
-        "migration.match_ns_on": migration.spc.match_time_ns,
-        "migration.match_ns_off": no_migration.spc.match_time_ns,
-        "convoy.elapsed_ns_on": convoy.elapsed_ns,
-        "convoy.elapsed_ns_off": no_convoy.elapsed_ns,
-        "jitter.oos_on": jitter.spc.out_of_sequence,
-        "jitter.oos_off": no_jitter.spc.out_of_sequence,
-        "hostgap.elapsed_ns_on": gap.elapsed_ns,
-        "hostgap.elapsed_ns_off": no_gap.elapsed_ns,
-    }
+    out: dict = {}
+    for mechanism, key, on_metric, off_metric in (
+            ("fairness", "oos", "oos_unfair", "oos_fair"),
+            ("migration", "match_time_ns", "match_ns_on", "match_ns_off"),
+            ("convoy", "elapsed_ns", "elapsed_ns_on", "elapsed_ns_off"),
+            ("jitter", "oos", "oos_on", "oos_off"),
+            ("hostgap", "elapsed_ns", "elapsed_ns_on", "elapsed_ns_off")):
+        for off, metric in enumerate((on_metric, off_metric)):
+            out[f"{mechanism}.{metric}"] = ablation_trial(
+                off, SEED, mechanism=mechanism)[key]
+    return out
 
 
 def probe_extensions() -> dict:
@@ -238,7 +204,7 @@ def probe_engine() -> dict:
 
 
 def probe_simcore() -> dict:
-    """Simulation-core invariants behind the host microbenches."""
+    """Simulation-core invariants: scheduler, lock, match queue, e2e."""
     from repro.mpi.matchqueue import MatchQueue
     from repro.simthread import Delay, Scheduler, SimLock
     from repro.workloads import MultirateConfig, run_multirate
@@ -301,7 +267,7 @@ def probe_obs() -> dict:
     return out
 
 
-#: bench-family name -> probe; one entry per ``benchmarks/test_bench_*``
+#: baseline-family name -> probe; one entry per ``results/BENCH_*.json``
 PROBES = {
     "ablations": probe_ablations,
     "engine": probe_engine,

@@ -1,9 +1,9 @@
-"""Result records shared by the experiment harness and the benchmarks.
+"""Result records shared by the experiment harness and its writers.
 
 A figure in the paper maps to a :class:`FigureResult` holding one
 :class:`Series` per plotted line; a table maps to a ``FigureResult`` whose
 ``extra`` dict carries the table cells.  These records render to aligned
-ASCII (what the benches print) and to CSV (for offline plotting).
+ASCII (what ``repro run`` prints) and to CSV (for offline plotting).
 """
 
 from __future__ import annotations

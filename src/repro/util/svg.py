@@ -1,6 +1,6 @@
 """Dependency-free SVG rendering for FigureResult.
 
-The benches save ASCII and CSV; this adds a small line-chart renderer so
+Exhibits are saved as ASCII and CSV; this adds a small line-chart renderer so
 ``results/<fig>.svg`` can be opened directly in a browser -- handy for
 eyeballing the reproduced curves against the paper's figures.  Supports
 linear or log axes (the paper's rate plots are log-y).
@@ -126,7 +126,7 @@ def render_svg(fig, log_x: bool = False, log_y: bool = True) -> str:
 
 
 # ----------------------------------------------------------------------
-# flamegraphs + sparklines (the observability layer's renderers)
+# flamegraphs (the observability layer's renderer)
 # ----------------------------------------------------------------------
 
 _FLAME_COLORS = ("#e4593b", "#e8743b", "#ec8f3b", "#f0aa3b", "#dd5144",
@@ -224,37 +224,3 @@ def render_flamegraph(rows, title: str = "", value_key: str = "self_ns",
             f'<text x="10" y="18" font-size="13" font-weight="bold">'
             f'{_esc(title)}</text>')
     return head + "".join(rows_out) + "</svg>"
-
-
-def render_sparkline(values, width: int = 140, height: int = 30,
-                     color: str = "#1f77b4", flag_last: bool = False) -> str:
-    """Inline-SVG sparkline of a numeric series (dashboard cells).
-
-    Scales to the series' own min/max (a flat series draws midline).
-    ``flag_last=True`` marks the final point with a red dot -- the
-    dashboard uses it to highlight a regressing trajectory.
-    """
-    values = [float(v) for v in values]
-    if not values:
-        return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-                f'height="{height}"></svg>')
-    lo, hi = min(values), max(values)
-    span = (hi - lo) or 1.0
-    n = len(values)
-    pts = []
-    for i, v in enumerate(values):
-        x = 3 + (width - 6) * (i / (n - 1) if n > 1 else 0.5)
-        y = height - 4 - (height - 8) * ((v - lo) / span)
-        pts.append((x, y))
-    path = " ".join(f"{'M' if i == 0 else 'L'}{x:.1f},{y:.1f}"
-                    for i, (x, y) in enumerate(pts))
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-             f'height="{height}">',
-             f'<path d="{path}" fill="none" stroke="{color}" '
-             f'stroke-width="1.4"/>']
-    lx, ly = pts[-1]
-    dot = "#d62728" if flag_last else color
-    parts.append(f'<circle cx="{lx:.1f}" cy="{ly:.1f}" r="2.4" '
-                 f'fill="{dot}"/>')
-    parts.append("</svg>")
-    return "".join(parts)

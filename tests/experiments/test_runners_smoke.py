@@ -21,7 +21,8 @@ def test_registry_covers_every_exhibit():
         "table1", "fig3a", "fig3b", "fig3c", "table2",
         "fig4a", "fig4b", "fig4c", "fig5", "fig6", "fig7",
         "ext-msgsize", "ext-instances", "ext-modes", "ext-latency",
-        "chaos",
+        "chaos", "ablation-fairness", "ablation-migration",
+        "ablation-convoy", "ablation-jitter", "ablation-hostgap",
     }
     assert all(e.description for e in EXPERIMENTS.values())
 

@@ -69,9 +69,10 @@ def test_chaos_scenario_records_fault_instants():
     assert "drop" in names and "retransmit" in names
 
 
-def test_chaos_trace_is_deterministic():
-    a = traced_run("chaos", seed=4)
-    b = traced_run("chaos", seed=4)
+@pytest.mark.parametrize("exp", ["fig3b", "chaos"])
+def test_same_seed_trace_is_byte_identical(exp):
+    a = traced_run(exp, seed=4)
+    b = traced_run(exp, seed=4)
     assert to_chrome_json(a.tracer) == to_chrome_json(b.tracer)
 
 

@@ -1,15 +1,15 @@
-"""BENCH_*.json schema: round-trips, v1 migration, host preservation."""
+"""BENCH_*.json schema: round-trips and stable bytes."""
 
 import json
 
-from repro.perf import (SCHEMA_VERSION, bench_path, dump_bench, empty_doc,
-                        list_benches, load_bench, write_bench)
+from repro.perf import (SCHEMA_VERSION, dump_bench, empty_doc, list_benches,
+                        load_bench, write_bench)
 
 
 def test_empty_doc_shape():
     doc = empty_doc("x")
     assert doc == {"schema": SCHEMA_VERSION, "name": "x",
-                   "deterministic": {}, "host": {}}
+                   "deterministic": {}}
 
 
 def test_absent_and_corrupt_files_yield_fresh_docs(tmp_path):
@@ -19,16 +19,9 @@ def test_absent_and_corrupt_files_yield_fresh_docs(tmp_path):
     assert load_bench(bad) == empty_doc("bad")
     bad.write_text(json.dumps({"schema": 99}))
     assert load_bench(bad) == empty_doc("bad")
-
-
-def test_v1_trajectory_migrates_under_host(tmp_path):
-    path = tmp_path / "BENCH_engine.json"
-    entry = {"label": "old", "serial_cold_s": 2.0}
-    path.write_text(json.dumps({"schema": 1, "trajectory": [entry]}))
-    doc = load_bench(path)
-    assert doc["schema"] == SCHEMA_VERSION
-    assert doc["deterministic"] == {}
-    assert doc["host"]["trajectory"] == [entry]
+    bad.write_text(json.dumps({"schema": 2, "deterministic": {"k": 1},
+                               "host": {}}))
+    assert load_bench(bad) == empty_doc("bad")
 
 
 def test_write_is_byte_stable_and_sorted(tmp_path):
@@ -38,20 +31,6 @@ def test_write_is_byte_stable_and_sorted(tmp_path):
     write_bench(tmp_path, "x", {"b": 2, "a": 1})
     assert path.read_bytes() == first
     assert first.index(b'"a"') < first.index(b'"b"')
-
-
-def test_write_replaces_deterministic_but_preserves_host(tmp_path):
-    write_bench(tmp_path, "x", {"old": 1}, host={"python": "3.11"})
-    write_bench(tmp_path, "x", {"new": 2})
-    doc = load_bench(bench_path(tmp_path, "x"))
-    assert doc["deterministic"] == {"new": 2}
-    assert doc["host"] == {"python": "3.11"}
-
-
-def test_write_merges_host_sections(tmp_path):
-    write_bench(tmp_path, "x", {}, host={"a": 1, "b": 1})
-    write_bench(tmp_path, "x", {}, host={"b": 2})
-    assert load_bench(bench_path(tmp_path, "x"))["host"] == {"a": 1, "b": 2}
 
 
 def test_dump_roundtrips(tmp_path):

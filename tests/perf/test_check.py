@@ -5,9 +5,8 @@ import json
 import pytest
 
 import repro.perf.check as check_mod
-from repro.perf import (bench_path, check_benches, compare, load_bench,
-                        render_report, update_benches, values_match,
-                        write_bench)
+from repro.perf import (check_benches, compare, render_report,
+                        update_benches, values_match, write_bench)
 from repro.perf.probes import PROBES
 
 
@@ -61,15 +60,6 @@ def test_check_detects_probe_drift(tmp_path, fake_probe):
     assert "1000 -> 1300" in rendered and "FAILED" in rendered
 
 
-def test_check_ignores_host_sections(tmp_path, fake_probe):
-    update_benches(tmp_path, names=["fake"])
-    path = bench_path(tmp_path, "fake")
-    doc = json.loads(path.read_text())
-    doc["host"]["wall_s"] = 99.9
-    path.write_text(json.dumps(doc))
-    assert check_benches(tmp_path, names=["fake"]).ok
-
-
 def test_missing_and_empty_baselines_fail(tmp_path, fake_probe):
     report = check_benches(tmp_path, names=["fake"])
     assert not report.ok and report.checks[0].status == "missing"
@@ -87,16 +77,6 @@ def test_stray_baseline_files_fail_the_full_gate(tmp_path, fake_probe):
     assert not report.ok
     assert report.unknown_files == ["BENCH_bogus.json"]
     assert "no matching probe" in render_report(report)
-
-
-def test_update_preserves_host_trajectory(tmp_path, fake_probe):
-    from repro.perf.baseline import record_trajectory
-
-    record_trajectory(tmp_path, "fake", {"label": "run1", "wall_s": 1.5})
-    update_benches(tmp_path, names=["fake"])
-    doc = load_bench(bench_path(tmp_path, "fake"))
-    assert doc["host"]["trajectory"][0]["label"] == "run1"
-    assert doc["deterministic"]["elapsed_ns"] == 1000
 
 
 def test_summary_separates_missing_from_stray(tmp_path, fake_probe,
@@ -136,14 +116,3 @@ def test_report_json_on_clean_gate(tmp_path, fake_probe):
     doc = check_mod.report_json(check_benches(tmp_path))
     assert doc["ok"] is True and doc["passed"] == doc["total"] == 1
     assert doc["families"][0]["deltas"] == []
-
-
-def test_trajectory_replaces_same_label(tmp_path):
-    from repro.perf.baseline import record_trajectory
-
-    record_trajectory(tmp_path, "eng", {"label": "a", "v": 1})
-    record_trajectory(tmp_path, "eng", {"label": "b", "v": 2})
-    doc = record_trajectory(tmp_path, "eng", {"label": "a", "v": 3})
-    trajectory = doc["host"]["trajectory"]
-    assert [e["label"] for e in trajectory] == ["b", "a"]
-    assert trajectory[1]["v"] == 3

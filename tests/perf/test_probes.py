@@ -9,16 +9,17 @@ from repro.perf import PROBES, run_probe
 REPO = pathlib.Path(__file__).resolve().parents[2]
 
 
+def _committed_families():
+    return {p.stem.removeprefix("BENCH_")
+            for p in (REPO / "results").glob("BENCH_*.json")}
+
+
 def test_every_bench_family_has_a_probe():
-    families = {p.stem.removeprefix("test_bench_")
-                for p in (REPO / "benchmarks").glob("test_bench_*.py")}
-    assert families == set(PROBES)
+    assert set(PROBES) <= _committed_families()
 
 
 def test_every_committed_baseline_has_a_probe():
-    committed = {p.stem.removeprefix("BENCH_")
-                 for p in (REPO / "results").glob("BENCH_*.json")}
-    assert committed <= set(PROBES)
+    assert _committed_families() <= set(PROBES)
 
 
 def test_unknown_probe_name_is_rejected():

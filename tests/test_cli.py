@@ -389,26 +389,6 @@ def test_perf_check_json_output(tmp_path, capsys):
     assert doc["families"][0]["name"] == "fig6"
 
 
-def test_perf_report_writes_dashboard(tmp_path, capsys):
-    results = tmp_path / "results"
-    assert main(["perf", "update", "--results", str(results),
-                 "--only", "fig6"]) == 0
-    out = tmp_path / "dash.html"
-    assert main(["perf", "report", "--results", str(results),
-                 "--only", "fig6", "--out", str(out)]) == 0
-    html = out.read_text()
-    assert "perf observatory" in html and "fig6" in html
-    assert "dashboard:" in capsys.readouterr().out
-
-
-def test_perf_report_no_check_skips_the_gate(tmp_path, capsys):
-    results = tmp_path / "results"          # empty: gate would fail
-    out = tmp_path / "dash.html"
-    assert main(["perf", "report", "--results", str(results),
-                 "--no-check", "--out", str(out)]) == 0
-    assert "gate not run" in out.read_text()
-
-
 def test_profile_prints_deterministic_counters(capsys):
     assert main(["profile", "fig3a", "--micro"]) == 0
     out = capsys.readouterr().out

@@ -6,6 +6,7 @@ directly).
 """
 
 import pathlib
+import subprocess
 import sys
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
@@ -55,3 +56,14 @@ def test_repo_absolute_targets_resolve_against_root(tmp_path):
     (tmp_path / "README.md").write_text("# r\n")
     assert lint_file(tmp_path / "docs" / "deep.md", root=tmp_path) == []
     assert lint_file(tmp_path / "docs" / "deep.md", root=tmp_path / "docs") != []
+
+
+def test_cli_fails_on_256_findings(tmp_path):
+    # an exit status of len(findings) wraps to 0 at 256
+    doc = tmp_path / "many.md"
+    doc.write_text("".join(f"[x](gone-{i}.md)\n" for i in range(256)))
+    run = subprocess.run([sys.executable, str(REPO / "tools" /
+                                              "lint_doclinks.py"), str(doc)],
+                         capture_output=True, text=True, cwd=tmp_path)
+    assert "256 broken link(s)" in run.stdout
+    assert run.returncode != 0

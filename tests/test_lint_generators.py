@@ -5,6 +5,7 @@ enforceable from a plain pytest run and proves the lint can fail.
 """
 
 import pathlib
+import subprocess
 import sys
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
@@ -58,3 +59,16 @@ def test_lint_accepts_delegation_by_return_and_real_work(tmp_path):
         "    for g in gens:\n"
         "        yield from g\n")
     assert lint_file(ok) == []
+
+
+def test_cli_fails_on_256_findings(tmp_path):
+    # an exit status of len(findings) wraps to 0 at 256
+    bad = tmp_path / "many.py"
+    bad.write_text('"""Module."""\n'
+                   + "".join(f"def w{i}():\n    yield from step()\n"
+                             for i in range(256)))
+    run = subprocess.run([sys.executable, str(REPO / "tools" /
+                                              "lint_generators.py"), str(bad)],
+                         capture_output=True, text=True)
+    assert "256 finding(s)" in run.stdout
+    assert run.returncode != 0

@@ -1,7 +1,7 @@
-"""SVG renderers: figure charts, flamegraphs, sparklines."""
+"""SVG renderers: figure charts and flamegraphs."""
 
 from repro.util.records import FigureResult, Series
-from repro.util.svg import render_flamegraph, render_sparkline, render_svg
+from repro.util.svg import render_flamegraph, render_svg
 
 
 def make_fig():
@@ -86,22 +86,3 @@ def test_flamegraph_escapes_frame_names():
     svg = render_flamegraph(rows)
     assert "a&lt;b" in svg and "c&amp;d" in svg
     assert "a<b" not in svg
-
-
-def test_sparkline_plots_series():
-    svg = render_sparkline([1.0, 2.0, 1.5, 3.0])
-    assert svg.startswith("<svg") and "<path" in svg
-    assert "circle" in svg                    # endpoint dot
-
-
-def test_sparkline_flags_regression():
-    plain = render_sparkline([1.0, 1.0, 2.0])
-    flagged = render_sparkline([1.0, 1.0, 2.0], flag_last=True)
-    assert plain != flagged
-    assert "#d62728" in flagged or "red" in flagged
-
-
-def test_sparkline_flat_and_empty_series():
-    assert "<svg" in render_sparkline([])
-    flat = render_sparkline([5, 5, 5])
-    assert "<path" in flat

@@ -16,8 +16,8 @@ Skipped targets (not this tool's business):
   examples, not references.
 
 A ``path#anchor`` target is checked for the *file* part only (anchor
-names are not validated).  Exit status is the number of findings, so CI
-fails when a doc link goes stale.
+names are not validated).  Exit status is 1 when there is any finding,
+so CI fails when a doc link goes stale.
 
 Usage::
 
@@ -104,14 +104,14 @@ def default_roots(repo: pathlib.Path) -> list[pathlib.Path]:
 
 
 def main(argv: list[str]) -> int:
-    """CLI entry point; returns the number of findings."""
+    """CLI entry point; returns 1 when there is any finding, else 0."""
     repo = pathlib.Path.cwd()
     roots = [pathlib.Path(a) for a in argv] or default_roots(repo)
     findings = lint_roots(roots, repo_root=repo)
     for f in findings:
         print(f)
     print(f"doc-link lint: {len(findings)} broken link(s)")
-    return len(findings)
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Docstring lint: a dependency-free pydocstyle subset for this repo.
 
-Checks every ``.py`` file under the given roots (default ``src/repro``,
-``benchmarks`` and ``tools``) and reports:
+Checks every ``.py`` file under the given roots (default ``src/repro``
+and ``tools``) and reports:
 
 * ``D100`` -- module missing a docstring;
 * ``D101`` -- public class missing a docstring;
@@ -14,9 +14,9 @@ Checks every ``.py`` file under the given roots (default ``src/repro``,
 "Public" means the name (and every enclosing scope) has no leading
 underscore; ``__init__`` and other dunders are exempt, as are nested
 (function-local) definitions and unit-test files (``test_*`` under a
-``tests`` directory -- the benchmark suite's ``test_bench_*`` files are
-documentation-bearing exhibits and *are* linted).  Exit status is the
-number of findings, so CI fails when coverage regresses.
+``tests`` directory; a ``test_*`` file anywhere else *is* linted).
+Exit status is 1 when there is any finding, so CI fails when coverage
+regresses.
 
 Usage::
 
@@ -86,8 +86,8 @@ def lint_roots(roots) -> list[str]:
         root = pathlib.Path(root)
         paths = sorted(root.rglob("*.py")) if root.is_dir() else [root]
         for path in paths:
-            # Unit tests are exempt; benches (test_bench_* outside any
-            # tests/ directory) are not.
+            # Unit tests are exempt; test_* files outside any tests/
+            # directory are not.
             if path.name.startswith("test_") and "tests" in path.parts:
                 continue
             findings += lint_file(path)
@@ -95,14 +95,13 @@ def lint_roots(roots) -> list[str]:
 
 
 def main(argv=None) -> int:
-    """CLI entry point; returns the number of findings."""
-    roots = (argv if argv else sys.argv[1:]) or ["src/repro", "benchmarks",
-                                                 "tools"]
+    """CLI entry point; returns 1 when there is any finding, else 0."""
+    roots = (argv if argv else sys.argv[1:]) or ["src/repro", "tools"]
     findings = lint_roots(roots)
     for finding in findings:
         print(finding)
     print(f"docstring lint: {len(findings)} finding(s) in {', '.join(map(str, roots))}")
-    return len(findings)
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":

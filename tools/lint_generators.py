@@ -14,7 +14,7 @@ instead: ``return f(...)``.  Callers still drive it with ``yield from``.
 See ``docs/PERFORMANCE.md``, "Generator depth on poll paths".
 
 Every function and method is checked, nested ones included.  Exit
-status is the number of findings, so CI fails when a wrapper comes
+status is 1 when there is any finding, so CI fails when a wrapper comes
 back.
 
 Usage::
@@ -98,13 +98,13 @@ def lint_roots(roots) -> list[str]:
 
 
 def main(argv=None) -> int:
-    """CLI entry point; returns the number of findings."""
+    """CLI entry point; returns 1 when there is any finding, else 0."""
     roots = (argv if argv else sys.argv[1:]) or ["src/repro"]
     findings = lint_roots(roots)
     for finding in findings:
         print(finding)
     print(f"generator lint: {len(findings)} finding(s) in {', '.join(map(str, roots))}")
-    return len(findings)
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":
