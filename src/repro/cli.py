@@ -254,28 +254,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     profile = sub.add_parser(
         "profile", help="host-time profile of one experiment's "
-                        "representative run (sys.setprofile)")
+                        "representative run, per function and layer")
     profile.add_argument("experiment", help="a traceable experiment id")
     profile.add_argument("--seed", type=int, default=1,
                         help="simulation seed (call/event counts are "
                              "byte-identical per seed)")
-    profile.add_argument("--phases", type=int, default=8, metavar="N",
-                        help="virtual-time phases to attribute host time "
-                             "to (default 8)")
     profile.add_argument("--micro", action="store_true",
                         help="scaled-down scenario shape (fast; used by "
                              "the CI profile smoke)")
     profile.add_argument("--top", type=int, default=12,
                         help="rows per table in the printed report")
     profile.add_argument("--out", type=pathlib.Path, default=None,
-                        help="write <exp>.{profile,counters,folded}.txt + "
-                             "<exp>.flame.svg + manifest.json here")
-    profile.add_argument("--folded", action="store_true",
-                        help="print the collapsed-stack (folded) output "
-                             "instead of the report")
-    profile.add_argument("--svg", type=pathlib.Path, default=None,
-                        metavar="PATH",
-                        help="also write the flamegraph SVG to PATH")
+                        help="write <exp>.{profile,counters}.txt + "
+                             "manifest.json here")
 
     serve = sub.add_parser(
         "serve", help="run the HTTP experiment service (dedup + SSE)")
@@ -460,31 +451,15 @@ def _cmd_perf(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    from repro.obs.profile import (folded_text, profile_report, profile_run,
-                                   save_profile)
+    from repro.obs.profile import profile_report, profile_run, save_profile
 
     try:
         result = profile_run(args.experiment, seed=args.seed,
-                             phases=args.phases, micro=args.micro)
+                             micro=args.micro)
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    if args.folded:
-        sys.stdout.write(folded_text(result))
-    else:
-        print(profile_report(result, top=args.top))
-    if args.svg is not None:
-        from repro.util.svg import render_flamegraph
-
-        args.svg.parent.mkdir(parents=True, exist_ok=True)
-        args.svg.write_text(render_flamegraph(
-            result.folded,
-            title=f"{args.experiment} host-time flamegraph "
-                  f"(seed {args.seed})"))
-        print(f"flamegraph: {args.svg}")
+    print(profile_report(result, top=args.top))
     if args.out is not None:
         from repro.engine.manifest import build_manifest, write_manifest
 
@@ -493,8 +468,7 @@ def _cmd_profile(args) -> int:
         manifest = build_manifest(
             command=["repro", "profile", args.experiment],
             experiments=[args.experiment],
-            params={"phases": args.phases, "micro": args.micro,
-                    "top": args.top},
+            params={"micro": args.micro, "top": args.top},
             seed=args.seed,
             wall_s=result.host_wall_ns / 1e9)
         print(f"wrote {write_manifest(args.out, manifest)}")

@@ -5,7 +5,7 @@ collects *all* series of an exhibit as
 :class:`~repro.engine.task.TrialTask` batches and submits them to the
 ambient :class:`~repro.engine.engine.Engine` in one call, so a parallel
 engine can overlap trials across series and points, not just within
-one series.  Per-trial seeds are ``base_seed + 97 * t``
+one series.  Trial ``t`` runs with seed ``BASE_SEED + 97 * t``
 (:func:`trial_seeds`).
 """
 
@@ -16,15 +16,18 @@ from repro.engine.task import TrialSpec, TrialTask
 from repro.util.records import Series, SeriesPoint
 from repro.util.stats import summarize
 
+#: seed of every exhibit's first trial
+BASE_SEED = 11
+
 #: stride between per-trial seeds (prime, so axes and trials never alias)
 SEED_STRIDE = 97
 
 
-def trial_seeds(trials: int, base_seed: int = 11) -> tuple[int, ...]:
+def trial_seeds(trials: int) -> tuple[int, ...]:
     """The seed for each of ``trials`` repetitions."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    return tuple(base_seed + SEED_STRIDE * t for t in range(trials))
+    return tuple(BASE_SEED + SEED_STRIDE * t for t in range(trials))
 
 
 class SweepPlan:
@@ -44,8 +47,8 @@ class SweepPlan:
     of the engine's job count.
     """
 
-    def __init__(self, trials: int, base_seed: int = 11):
-        self.seeds = trial_seeds(trials, base_seed)
+    def __init__(self, trials: int):
+        self.seeds = trial_seeds(trials)
         self._series: list[tuple[str, tuple, list[TrialTask]]] = []
 
     def add(self, label: str, xs, fn: str, **params) -> None:

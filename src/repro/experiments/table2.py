@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from repro.core.config import ThreadingConfig
 from repro.engine import TrialSpec, TrialTask, current_engine, trial
+from repro.experiments.sweep import BASE_SEED
 from repro.experiments.testbeds import ALEMBERT, Testbed
 from repro.util.records import FigureResult, Series, SeriesPoint
 from repro.workloads.multirate import MultirateConfig, run_multirate
@@ -48,7 +49,7 @@ def _table2_trial(instances, seed: int, *, progress: str,
 
 
 def run_table2(quick: bool = True, testbed: Testbed = ALEMBERT,
-               pairs: int = 20, seed: int = 11) -> FigureResult:
+               pairs: int = 20) -> FigureResult:
     """Regenerate Table II (one run per cell; counters are totals)."""
     window = 64 if quick else 128
     windows = 2 if quick else 8
@@ -65,7 +66,7 @@ def run_table2(quick: bool = True, testbed: Testbed = ALEMBERT,
         spec = TrialSpec.make("table2.cell", progress=progress,
                               comm_per_pair=comm_per_pair, pairs=pairs,
                               window=window, windows=windows, testbed=testbed)
-        tasks.extend(TrialTask(spec, instances, seed)
+        tasks.extend(TrialTask(spec, instances, BASE_SEED)
                      for instances in INSTANCE_COUNTS)
     values = current_engine().run_tasks(tasks)
 

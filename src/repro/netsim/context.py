@@ -99,7 +99,8 @@ class NetworkContext:
         """Generator: post a one-sided operation (put/get/atomic).
 
         No target CPU involvement: the remote side-effect happens in a
-        delivery callback, and the hardware ack lands in *this* context's
+        delivery callback, and the hardware ack completes the op through
+        a counter callback (:meth:`_complete_rma`) that never touches a
         CQ.  The caller must hold the context's protection.
         """
         sched = self.sched

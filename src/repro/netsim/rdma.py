@@ -2,9 +2,10 @@
 
 The defining property of RMA for the paper's study: the target CPU never
 participates.  The remote side-effect runs as a hardware (callback) event,
-and the initiator learns of completion from its own CQ.  There is no
-matching, hence no matching bottleneck -- which is why dedicated CRIs let
-RMA scale almost perfectly with threads (Figures 6 and 7).
+and the initiator learns of completion from a hardware completion counter
+(another callback), never from a CQ.  There is no matching, hence no
+matching bottleneck -- which is why dedicated CRIs let RMA scale almost
+perfectly with threads (Figures 6 and 7).
 """
 
 from __future__ import annotations

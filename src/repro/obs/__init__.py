@@ -20,10 +20,11 @@ cannot provide: *when* and *on which lock/CRI* contention happens.
 * :mod:`~repro.obs.enginestats` -- the experiment engine's SPC-style
   counters (cache hits/misses, worker utilization) rendered in the same
   CSV/summary conventions.
-* :mod:`~repro.obs.profile` -- the **host-time** profiler
-  (``sys.setprofile`` call accumulator, scheduler counters,
-  virtual-time phase attribution, folded stacks + flamegraphs) behind
-  ``python -m repro profile``.
+* :mod:`~repro.obs.profile` -- the **host-time** profiler behind
+  ``python -m repro profile``: scheduler counters and lock rows from
+  one pass, then ``cProfile`` self time and calls per function and per
+  layer (:data:`~repro.obs.profile.PACKAGE_LAYER`) from an
+  uninstrumented one.
 
 Traces are deterministic: byte-identical across runs with the same seed.
 The package re-exports nothing: every simulation imports the scheduler,

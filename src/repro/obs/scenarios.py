@@ -64,7 +64,7 @@ WINDOWS = 2
 INSTANCES = 20
 
 #: micro shape used by profiling smoke tests: the same scenario, scaled
-#: down until a ``sys.setprofile`` run stays well under a second.
+#: down until a profiled run takes tens of milliseconds.
 MICRO_PAIRS = 4
 MICRO_WINDOW = 16
 MICRO_WINDOWS = 1
@@ -105,8 +105,7 @@ def representative_run(exp_id: str, seed: int = 1, instrument=None,
     profiler: it picks the experiment's representative configuration
     and executes it, passing ``instrument`` (an ``fn(sched, world)``)
     straight through to the workload.  ``micro=True`` shrinks the shape
-    (fewer pairs/ops, one window) for profiling smoke runs where a
-    ``sys.setprofile`` hook multiplies host cost.
+    (fewer pairs/ops, one window) for profiling smoke runs.
 
     Returns ``(result, elapsed_ns)``; both are pure functions of
     ``(exp_id, seed, micro)`` plus whatever the hook perturbs (the

@@ -44,16 +44,9 @@ def lock_rows(sched) -> list[dict]:
     Every lock created against ``sched`` registers itself in creation
     order (see ``Scheduler.locks``), so the rows -- acquisition counts
     and virtual-time wait/hold totals -- are deterministic per seed.
-    Tracer-guard branch hits are derived from the same counters: each
-    acquisition checks the guard twice (acquire + release), contended
-    acquisitions add a wait-begin/wait-end pair, and failed trylocks
-    and owner migrations one check each.
     """
     rows = []
     for lock in sched.locks:
-        tracer_branches = (2 * lock.acquisitions
-                           + 2 * lock.contended_acquisitions
-                           + lock.tryfails + lock.migrations)
         rows.append({
             "name": lock.name,
             "acquisitions": lock.acquisitions,
@@ -62,6 +55,5 @@ def lock_rows(sched) -> list[dict]:
             "migrations": lock.migrations,
             "wait_ns": lock.wait_time_ns,
             "hold_ns": lock.hold_time_ns,
-            "tracer_branches": tracer_branches,
         })
     return rows

@@ -124,103 +124,3 @@ def render_svg(fig, log_x: bool = False, log_y: bool = True) -> str:
     parts.append("</svg>")
     return "\n".join(parts)
 
-
-# ----------------------------------------------------------------------
-# flamegraphs (the observability layer's renderer)
-# ----------------------------------------------------------------------
-
-_FLAME_COLORS = ("#e4593b", "#e8743b", "#ec8f3b", "#f0aa3b", "#dd5144",
-                 "#e06a35", "#d9813f", "#ef9e30")
-_ROW_H = 17
-
-
-class _FlameNode:
-    """One frame in the aggregated flamegraph tree."""
-
-    __slots__ = ("name", "self_value", "children")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.self_value = 0
-        self.children: dict = {}
-
-    def total(self) -> int:
-        """Self value plus every descendant's."""
-        return self.self_value + sum(c.total() for c in self.children.values())
-
-
-def _flame_tree(rows, value_key: str) -> _FlameNode:
-    root = _FlameNode("all")
-    for row in rows:
-        node = root
-        for frame in row["stack"].split(";"):
-            child = node.children.get(frame)
-            if child is None:
-                child = node.children[frame] = _FlameNode(frame)
-            node = child
-        node.self_value += row[value_key]
-    return root
-
-
-def _esc(text: str) -> str:
-    return (text.replace("&", "&amp;").replace("<", "&lt;")
-            .replace(">", "&gt;").replace('"', "&quot;"))
-
-
-def render_flamegraph(rows, title: str = "", value_key: str = "self_ns",
-                      width: int = 1100) -> str:
-    """Render folded-stack rows as a self-contained flamegraph SVG.
-
-    ``rows`` are dicts with a ``stack`` (semicolon-joined frames) and a
-    value under ``value_key`` (host ``self_ns`` by default; pass
-    ``"calls"`` for a fully deterministic chart).  Layout is an icicle:
-    the root spans the top, children split their parent's width
-    proportionally to their subtree totals, siblings in name order.
-    Every rect carries a ``<title>`` tooltip with the frame's exact
-    value, so the SVG is explorable in any browser with zero scripts.
-    """
-    root = _flame_tree(rows, value_key)
-    grand = root.total()
-    if grand <= 0:
-        return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-                f'height="40"><text x="10" y="25">{_esc(title)}: no samples'
-                f'</text></svg>')
-
-    def depth(node) -> int:
-        if not node.children:
-            return 1
-        return 1 + max(depth(c) for c in node.children.values())
-
-    rows_out: list[str] = []
-    height = 30 + depth(root) * _ROW_H + 10
-
-    def emit(node, x: float, w: float, level: int) -> None:
-        if w < 0.8:
-            return
-        y = 30 + level * _ROW_H
-        color = _FLAME_COLORS[sum(map(ord, node.name)) % len(_FLAME_COLORS)]
-        label = _esc(node.name)
-        rows_out.append(
-            f'<g><rect x="{x:.1f}" y="{y}" width="{w:.1f}" '
-            f'height="{_ROW_H - 1}" fill="{color}" rx="1"/>'
-            f'<title>{label}: {node.total()} {value_key} '
-            f'({node.total() / grand:.1%})</title>')
-        if w > 40:
-            chars = max(1, int(w / 6.5))
-            shown = label if len(label) <= chars else label[:chars - 1] + "…"
-            rows_out.append(f'<text x="{x + 3:.1f}" y="{y + 12}" '
-                            f'font-size="10" fill="#222">{shown}</text>')
-        rows_out.append("</g>")
-        cx = x
-        for name in sorted(node.children):
-            child = node.children[name]
-            cw = w * child.total() / node.total()
-            emit(child, cx, cw, level + 1)
-            cx += cw
-
-    emit(root, 10.0, float(width - 20), 0)
-    head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-            f'height="{height}" font-family="sans-serif" font-size="11">'
-            f'<text x="10" y="18" font-size="13" font-weight="bold">'
-            f'{_esc(title)}</text>')
-    return head + "".join(rows_out) + "</svg>"

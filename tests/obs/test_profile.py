@@ -1,55 +1,95 @@
-"""Host-time profiler: call accumulator, phases, deterministic reports."""
+"""Host-time profiler: layer table, cProfile aggregation, deterministic reports."""
+
+import cProfile
+import importlib.util
+import json
+import pathlib
+from dataclasses import dataclass
 
 import pytest
 
-from repro.obs.profile import DEFAULT_PHASES, profile_run
-from repro.obs.profile.hostprof import HostProfiler, code_key
-from repro.obs.profile.report import counters_text, folded_text, profile_report
+from repro.obs.profile import (LAYERS, PACKAGE_LAYER, REPRO_DIR, aggregate,
+                               counters_text, function_rows, layer_of,
+                               profile_report, profile_run, shares)
 from repro.obs.scenarios import representative_run
 
-
-def leaf():
-    """A tiny call-tree leaf for profiler unit tests."""
-    return sum(range(10))
+REPRO = pathlib.Path(REPRO_DIR)
 
 
-def mid():
-    """Calls leaf twice."""
-    return leaf() + leaf()
+def test_every_package_has_a_layer():
+    packages = sorted(p.name for p in REPRO.iterdir()
+                      if (p / "__init__.py").is_file())
+    assert packages, "no packages found under src/repro"
+    assert sorted(PACKAGE_LAYER) == packages
+    assert set(PACKAGE_LAYER.values()) <= set(LAYERS)
 
 
-def test_hostprofiler_counts_calls_and_builds_stacks():
-    prof = HostProfiler()
-    with prof:
-        mid()
-        leaf()
-    rows = {r["name"]: r for r in prof.function_rows()}
-    mid_key = next(k for k in rows if k.endswith(":mid"))
-    leaf_key = next(k for k in rows if k.endswith(":leaf"))
-    assert rows[mid_key]["calls"] == 1
-    assert rows[leaf_key]["calls"] == 3
-    assert rows[leaf_key]["self_ns"] <= rows[leaf_key]["cum_ns"]
-    stacks = [r["stack"] for r in prof.folded_rows()]
-    assert any(s.endswith(f"{mid_key};{leaf_key}") for s in stacks)
+def test_bench_layer_table_equals_the_src_table():
+    # bench/layers.py keeps its own copy of the table until it imports
+    # this one; the copies must not drift apart meanwhile
+    path = REPRO.parents[1] / "bench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("bench_layers", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    assert bench.LAYERS == LAYERS
+    assert bench.PACKAGE_LAYER == PACKAGE_LAYER
 
 
-def test_hostprofiler_nests_cum_time():
-    prof = HostProfiler()
-    with prof:
-        mid()
-    rows = {r["name"]: r for r in prof.function_rows()}
-    mid_row = next(v for k, v in rows.items() if k.endswith(":mid"))
-    leaf_row = next(v for k, v in rows.items() if k.endswith(":leaf"))
-    assert mid_row["cum_ns"] >= leaf_row["cum_ns"]
-    assert mid_row["cum_ns"] >= mid_row["self_ns"]
+def test_files_map_to_layers():
+    assert layer_of("~") == "builtins"
+    assert layer_of(str(REPRO / "mpi" / "rma" / "window.py")) == "mpi.rma"
+    assert layer_of(str(REPRO / "mpi" / "matching.py")) == "mpi"
+    assert layer_of(str(REPRO / "util" / "stats.py")) == "other"
+    assert layer_of(str(REPRO / "cli.py")) == "other"
+    assert layer_of(json.__file__) == "stdlib"
+    assert layer_of("<frozen importlib._bootstrap>") == "stdlib"
 
 
-def test_code_key_normalizes_repro_modules():
-    key = code_key(representative_run.__code__)
-    assert key == "repro.obs.scenarios:representative_run"
-    key2 = code_key(leaf.__code__)
-    assert key2.startswith("~") and key2.endswith(":leaf")
-    assert " " not in key2 and ";" not in key2
+def test_aggregate_counts_cross_layer_calls():
+    from repro.simthread.scheduler import Scheduler
+
+    def body(sched):
+        for _ in range(5):
+            sched.jittered(100)
+        json.dumps({"x": 1})
+
+    prof = cProfile.Profile()
+    prof.runcall(body, Scheduler(seed=1))
+    totals, edges = aggregate(prof.getstats())
+    assert list(totals) == list(LAYERS)
+    assert totals["simthread"]["calls"] == 5
+    # the five jittered() calls come from this test module ("other")
+    assert totals["simthread"]["calls_in"] == 5
+    assert edges["other>simthread"] == 5
+    assert totals["stdlib"]["calls_in"] >= 1
+    assert sum(shares(totals).values()) == pytest.approx(1.0)
+
+
+@dataclass
+class _Left:
+    x: int
+
+
+@dataclass
+class _Right:
+    y: int
+
+
+def test_aggregate_sums_generated_functions_that_share_a_key():
+    def body():
+        for i in range(3):
+            _Left(i)
+        for i in range(5):
+            _Right(i)
+
+    prof = cProfile.Profile()
+    prof.runcall(body)
+    entries = prof.getstats()
+    inits = [e for e in entries if getattr(e.code, "co_name", "") == "__init__"]
+    assert len(inits) == 2          # one code object per dataclass
+    rows = {row["name"]: row for row in function_rows(entries)}
+    assert rows["<string>:__init__"]["calls"] == 8
+    assert aggregate(entries)[0]["other"]["calls"] == 8 + 1   # + body()
 
 
 def test_profile_run_unknown_experiment():
@@ -68,22 +108,16 @@ def test_profile_matches_uninstrumented_run(micro_profile):
     assert micro_profile.elapsed_ns == elapsed
 
 
-def test_phases_partition_the_run(micro_profile):
-    phases = micro_profile.phases
-    assert len(phases) == DEFAULT_PHASES
-    assert phases[0]["start_ns"] == 0
-    assert phases[-1]["end_ns"] == micro_profile.elapsed_ns
-    assert sum(p["events"] for p in phases) == micro_profile.events_processed
-    assert sum(p["gen_steps"] for p in phases) \
-        == micro_profile.sched["gen_steps"]
+def test_profiled_pass_runs_the_fast_loop(micro_profile):
+    names = {row["name"] for row in micro_profile.functions}
+    assert "simthread.scheduler:_run_fast" in names
+    assert not any(name.endswith(":_run_full") for name in names)
 
 
 def test_scheduler_counters_are_consistent(micro_profile):
     sched = micro_profile.sched
     assert sched["heap_pushes"] == sched["heap_pops"]
     assert sched["spawns"] > 0
-    assert micro_profile.tracer_branches \
-        == sum(r["tracer_branches"] for r in micro_profile.locks)
 
 
 def test_lock_rows_cover_the_matching_lock(micro_profile):
@@ -107,25 +141,19 @@ def test_counters_text_is_deterministic_across_runs(micro_profile):
     assert counters_text(micro_profile) == counters_text(again)
 
 
-def test_folded_stacks_deterministic_modulo_host_ns(micro_profile):
-    again = profile_run("fig3a", micro=True)
-
-    def stacks_and_calls(result):
-        return [line.rsplit(" ", 1)[0]
-                for line in folded_text(result).splitlines()]
-
-    assert stacks_and_calls(micro_profile) == stacks_and_calls(again)
-
-
 def test_profile_report_mentions_host_columns(micro_profile):
     report = profile_report(micro_profile)
     assert "host" in report and "fig3a" in report
     assert "[locks" in report and "[functions" in report
+    table = report.split("[layers]")[1].split("\n\n")[0].splitlines()
+    assert table[1].split() == ["layer", "share", "calls", "calls_in"]
+    assert [row.split()[0] for row in table[2:]] == list(LAYERS)
 
 
 def test_counters_text_excludes_host_ns(micro_profile):
     text = counters_text(micro_profile)
-    assert "tracer_branches" in text
+    assert "[layers]" in text and "calls_in" in text
+    assert "%" not in text            # no layer shares: host time
     assert "host_ns" not in text
     assert "self_ns" not in text
 

@@ -1,7 +1,7 @@
-"""SVG renderers: figure charts and flamegraphs."""
+"""SVG renderer for figure charts."""
 
 from repro.util.records import FigureResult, Series
-from repro.util.svg import render_flamegraph, render_svg
+from repro.util.svg import render_svg
 
 
 def make_fig():
@@ -53,36 +53,3 @@ def test_single_point_series():
     svg = render_svg(fig)
     assert "<circle" in svg
 
-
-FOLDED = [
-    {"stack": "main;run;step", "calls": 10, "self_ns": 500},
-    {"stack": "main;run", "calls": 1, "self_ns": 300},
-    {"stack": "main;other", "calls": 2, "self_ns": 200},
-]
-
-
-def test_flamegraph_renders_all_frames():
-    svg = render_flamegraph(FOLDED, title="hot loop")
-    assert svg.startswith("<svg") and svg.endswith("</svg>")
-    assert "hot loop" in svg
-    for frame in ("all", "main", "run", "step", "other"):
-        assert f"<title>{frame} " in svg or f">{frame}<" in svg
-
-
-def test_flamegraph_is_deterministic_and_proportional():
-    assert render_flamegraph(FOLDED) == render_flamegraph(FOLDED)
-    by_calls = render_flamegraph(FOLDED, value_key="calls")
-    assert by_calls != render_flamegraph(FOLDED)
-    assert "<script" not in by_calls          # explorable without scripts
-
-
-def test_flamegraph_empty_rows():
-    svg = render_flamegraph([])
-    assert svg.startswith("<svg") and svg.endswith("</svg>")
-
-
-def test_flamegraph_escapes_frame_names():
-    rows = [{"stack": "a<b;c&d", "calls": 1, "self_ns": 10}]
-    svg = render_flamegraph(rows)
-    assert "a&lt;b" in svg and "c&amp;d" in svg
-    assert "a<b" not in svg
