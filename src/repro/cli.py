@@ -10,7 +10,6 @@ Examples::
     python -m repro run fig3b --metrics-interval 100000 --out results/
     python -m repro run chaos --drop-rate 0.02
     python -m repro run fig5 --jobs 4 --no-cache
-    python -m repro run fig3a --jobs 4 --resume
     python -m repro run fig6 --shard 1/4 --out results/
     python -m repro run fig3a --jobs 4 --flaky-workers 0.2 --trial-timeout 30
     python -m repro top results/          # watch a run from another terminal
@@ -33,17 +32,18 @@ are safe by construction -- trials are pure, so parallel and
 warm-cache runs emit byte-identical artifacts -- and ``--no-cache``
 forces recomputation.
 
-The run is **crash-safe**: every planned trial and outcome is appended
-to a durable sweep journal under ``<cache-root>/journal/``, so after a
-crash (or Ctrl-C, or ``kill -9``) ``--resume`` replays completed
-trials and executes only the missing ones, with byte-identical merged
+The run is **crash-safe**: each computed trial is fsynced into the
+trial cache the moment it finishes, so after a crash (or Ctrl-C, or
+``kill -9``) rerunning the same command replays the finished trials
+from the cache and computes only the missing ones, with byte-identical
 artifacts.  ``--shard k/N`` computes only every N-th trial (for CI
-fan-out; artifacts are suppressed, a later ``--resume`` run merges the
-union).  Worker failures are supervised: ``--trial-timeout`` bounds
-each trial's wall clock, dead or wedged workers are respawned and
-their trials retried with exponential backoff up to ``--retries``
-times, and ``--flaky-workers R`` chaos-tests exactly that machinery by
-killing/hanging a seeded fraction of first attempts.
+fan-out; artifacts are suppressed, and a rerun without ``--shard``
+merges the union).  Worker failures are supervised:
+``--trial-timeout`` bounds each trial's wall clock, dead or wedged
+workers are respawned and their trials retried with exponential
+backoff up to ``--retries`` times, and ``--flaky-workers R``
+chaos-tests exactly that machinery by killing/hanging a seeded
+fraction of first attempts.
 
 Every ``run --out`` is also **observable while it runs**: a telemetry
 directory (``<out>/telemetry``, or ``--telemetry DIR``) receives an
@@ -172,19 +172,12 @@ def _build_parser() -> argparse.ArgumentParser:
                           "(byte-identical to serial; default 1)")
     run.add_argument("--no-cache", action="store_true",
                      help="bypass the content-addressed trial cache and "
-                          "recompute every trial (also disables the sweep "
-                          "journal, so --resume/--shard need caching on)")
-    run.add_argument("--resume", action="store_true",
-                     help="resume an interrupted run: replay trials the "
-                          "sweep journal recorded as completed, execute "
-                          "only the missing ones")
+                          "recompute every trial (a rerun then replays "
+                          "nothing, and --shard needs the cache)")
     run.add_argument("--shard", type=_shard, default=None, metavar="K/N",
                      help="compute only every N-th planned trial (shard K "
-                          "of N); artifacts are suppressed -- run with "
-                          "--resume afterwards to merge the shards' union")
-    run.add_argument("--no-journal", action="store_true",
-                     help="skip the durable sweep journal (disables "
-                          "--resume for this run)")
+                          "of N); artifacts are suppressed -- rerun without "
+                          "--shard afterwards to merge the shards' union")
     run.add_argument("--retries", type=_retries, default=2, metavar="N",
                      help="max supervised re-executions per trial after a "
                           "worker death, timeout, or trial error "
@@ -537,11 +530,30 @@ def _cmd_submit(args) -> int:
 
 
 def _run_params(args) -> dict:
-    """The sweep-identity params shared by journal and telemetry ids."""
+    """The sweep-identity params behind the telemetry run id."""
     params = {"quick": not args.full}
     if args.drop_rate is not None:
         params["drop_rate"] = args.drop_rate
     return params
+
+
+def sweep_id(experiments, params=None) -> str:
+    """Stable id of one sweep: experiments + params + code fingerprint.
+
+    Order-free in ``experiments``; an edit to the simulator's code
+    yields a new id, just as it invalidates the trial cache.
+    """
+    import hashlib
+    import json
+
+    from repro.engine.fingerprint import core_fingerprint
+
+    blob = json.dumps({
+        "experiments": sorted(str(e) for e in experiments),
+        "params": dict(params or {}),
+        "code": core_fingerprint(),
+    }, sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
 def _build_telemetry(args, experiments):
@@ -549,10 +561,8 @@ def _build_telemetry(args, experiments):
 
     Telemetry is on whenever the run writes artifacts (``--out``) or is
     pointed somewhere explicitly (``--telemetry DIR``), and off
-    otherwise or under ``--no-telemetry``.  The run id reuses the sweep
-    journal's id (experiments + params + code fingerprint), so event
-    contents are deterministic per sweep and an ``events.jsonl`` can be
-    matched to the journal that ran beside it.
+    otherwise or under ``--no-telemetry``.  The run id is
+    :func:`sweep_id`, so event contents are deterministic per sweep.
     """
     if args.no_telemetry:
         return None
@@ -561,30 +571,28 @@ def _build_telemetry(args, experiments):
         if args.out is None:
             return None
         base = args.out / "telemetry"
-    from repro.engine.journal import journal_id
     from repro.obs.live import LiveTelemetry
 
     params = _run_params(args)
-    return LiveTelemetry(base, journal_id(experiments, params),
+    return LiveTelemetry(base, sweep_id(experiments, params),
                          experiments=experiments, params=params,
                          jobs=args.jobs)
 
 
-def _build_engine(args, experiments, telemetry=None):
+def _build_engine(args, telemetry=None):
     """The engine a ``run`` invocation executes its trials through.
 
     The cache root is ``$REPRO_TRIAL_CACHE`` when set, else ``.cache``
-    under ``--out`` (or ``results/``).  Unless ``--no-cache`` or
-    ``--no-journal`` disables it, a durable sweep journal under
-    ``<cache-root>/journal/`` makes the run crash-safe: ``--resume``
-    (and every ``--shard`` run, which is partial by design) reopens it
-    and replays completed trials.  ``telemetry`` (a
-    :class:`~repro.obs.live.session.LiveTelemetry` or None) is injected
-    into the engine so every resolution decision emits a run event.
+    under ``--out`` (or ``results/``).  The cache is what makes the run
+    crash-safe: rerunning the same command replays every trial an
+    earlier (interrupted, or ``--shard``) run finished.  ``telemetry``
+    (a :class:`~repro.obs.live.session.LiveTelemetry` or None) is
+    injected into the engine so every resolution decision emits a run
+    event.
     """
-    from repro.engine import Engine, SweepJournal, TrialCache, supervision
+    from repro.engine import Engine, TrialCache, supervision
 
-    cache = journal = None
+    cache = None
     if not args.no_cache:
         root = os.environ.get("REPRO_TRIAL_CACHE")
         if root:
@@ -593,24 +601,19 @@ def _build_engine(args, experiments, telemetry=None):
             base = args.out if args.out is not None else pathlib.Path("results")
             cache_root = base / ".cache"
         cache = TrialCache(cache_root)
-        if not args.no_journal:
-            journal = SweepJournal.open(
-                cache_root / "journal", experiments, params=_run_params(args),
-                resume=args.resume or args.shard is not None)
     policy, faults = supervision(args.retries, args.trial_timeout,
                                  args.flaky_workers, args.flaky_seed)
-    return Engine(jobs=args.jobs, cache=cache, journal=journal,
-                  policy=policy, faults=faults, shard=args.shard,
-                  telemetry=telemetry)
+    return Engine(jobs=args.jobs, cache=cache, policy=policy, faults=faults,
+                  shard=args.shard, telemetry=telemetry)
 
 
 def _emit_engine(engine, out_dir) -> None:
     """Print the engine summary; persist its counters next to --out."""
-    from repro.obs.enginestats import engine_csv, engine_summary
+    from repro.obs.enginestats import engine_csv
 
     if engine.counters.batches == 0:
         return
-    print(engine_summary(engine))
+    print(engine.summary())
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "engine.metrics.csv").write_text(engine_csv(engine))
@@ -624,9 +627,7 @@ def _write_run_manifest(args, engine, experiments, started: float,
     from repro.engine.manifest import build_manifest, write_manifest
 
     params = {"quick": not args.full, "jobs": args.jobs,
-              "cache": not args.no_cache,
-              "journal": not (args.no_cache or args.no_journal),
-              "resume": args.resume, "retries": args.retries}
+              "cache": not args.no_cache, "retries": args.retries}
     if args.shard is not None:
         params["shard"] = list(args.shard)
     if args.trial_timeout is not None:
@@ -654,13 +655,13 @@ def _cmd_run(args) -> int:
     from repro.engine import TrialRetryError, use_engine
     from repro.experiments.registry import EXPERIMENTS, run_experiment
 
-    if args.resume and (args.no_cache or args.no_journal):
-        print("--resume replays the sweep journal: drop --no-cache / "
-              "--no-journal", file=sys.stderr)
+    if args.drop_rate is not None and args.experiment != "chaos":
+        print("--drop-rate only applies to the 'chaos' experiment",
+              file=sys.stderr)
         return 2
     if args.shard is not None and args.no_cache:
-        print("--shard needs the trial cache so a --resume run can merge "
-              "the shards: drop --no-cache", file=sys.stderr)
+        print("--shard needs the trial cache, where a rerun without --shard "
+              "merges the shards: drop --no-cache", file=sys.stderr)
         return 2
     if args.flaky_workers is not None and args.jobs < 2:
         print("--flaky-workers injects faults into the supervised worker "
@@ -673,7 +674,7 @@ def _cmd_run(args) -> int:
     experiments = list(EXPERIMENTS) if args.experiment == "all" \
         else [args.experiment]
     telemetry = _build_telemetry(args, experiments)
-    engine = _build_engine(args, experiments, telemetry)
+    engine = _build_engine(args, telemetry)
     if telemetry is not None:
         telemetry.install_sigterm()
         telemetry.sweep_start()
@@ -690,10 +691,6 @@ def _cmd_run(args) -> int:
                                 _emit_metrics(exp_id, args.metrics_interval,
                                               args.out)
                 elif args.drop_rate is not None:
-                    if args.experiment != "chaos":
-                        print("--drop-rate only applies to the 'chaos' "
-                              "experiment", file=sys.stderr)
-                        return 2
                     from repro.experiments.chaos import run_chaos
 
                     result = run_chaos(
@@ -708,8 +705,8 @@ def _cmd_run(args) -> int:
                 return 2
             except TrialRetryError as exc:
                 print(f"run failed: {exc}", file=sys.stderr)
-                print("completed trials are journaled; fix the fault and "
-                      "rerun with --resume", file=sys.stderr)
+                print("completed trials are in the trial cache; fix the "
+                      "fault and rerun the same command", file=sys.stderr)
                 if telemetry is not None:
                     bundle = telemetry.postmortem("retry-exhaustion", exc)
                     telemetry.sweep_finish(False)
@@ -727,8 +724,8 @@ def _cmd_run(args) -> int:
                                   args.out)
             if sharded:
                 k, n = args.shard
-                print(f"shard {k}/{n}: artifacts suppressed (journal + cache "
-                      f"updated; merge with a --resume run)")
+                print(f"shard {k}/{n}: artifacts suppressed (trial cache "
+                      f"updated; merge by rerunning without --shard)")
             _emit_engine(engine, args.out)
             if telemetry is not None:
                 telemetry.sweep_finish(True)

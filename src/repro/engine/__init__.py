@@ -20,21 +20,20 @@ Layers (each in its own module):
   simulator's code into cache keys, so editing the model invalidates
   stale trials while documentation edits do not;
 * :mod:`~repro.engine.cache` -- :class:`TrialCache`, one JSON file per
-  trial under ``results/.cache/``, multi-process safe (file-locked
-  writes, corrupt entries quarantined to ``*.bad``);
+  trial under ``results/.cache/``, multi-process safe (file-locked,
+  fsynced writes, corrupt entries quarantined to ``*.bad``) and the one
+  durable record of a finished trial, so every rerun replays what an
+  interrupted run finished;
 * :mod:`~repro.engine.locks` -- the advisory :class:`FileLock` behind
   every shared-state write;
-* :mod:`~repro.engine.journal` -- :class:`SweepJournal`, the durable
-  append-only plan/outcome log that makes ``--resume`` and
-  ``--shard k/N`` possible;
 * :mod:`~repro.engine.pool` -- the serial executor and :class:`TaskOutcome`;
 * :mod:`~repro.engine.supervise` -- the supervised pool: per-trial
   timeouts, dead-worker detection, bounded retry with backoff
   (:class:`RetryPolicy`), chaos-testable via
   :class:`repro.faults.workers.WorkerFaultPlan`;
-* :mod:`~repro.engine.engine` -- :class:`Engine` orchestrating journal
-  + cache + pool and keeping SPC-style counters (hits, misses,
-  resumes, retries, utilization);
+* :mod:`~repro.engine.engine` -- :class:`Engine` orchestrating cache
+  + pool (and ``--shard k/N`` partitions) and keeping SPC-style
+  counters (hits, misses, retries, utilization);
 * :mod:`~repro.engine.handle` -- :class:`JobHandle`, the lifecycle
   wrapper the experiment service schedules sweeps through (state
   machine, waiters, telemetry callbacks over one engine);
@@ -58,7 +57,6 @@ from repro.engine.engine import (
     use_engine,
 )
 from repro.engine.handle import JOB_STATES, JobHandle
-from repro.engine.journal import SweepJournal, journal_id
 from repro.engine.locks import FileLock, LockTimeout
 from repro.engine.manifest import (
     build_manifest,
@@ -80,7 +78,6 @@ __all__ = [
     "LockTimeout",
     "RetryPolicy",
     "ShardValue",
-    "SweepJournal",
     "TrialCache",
     "TrialRetryError",
     "TrialSpec",
@@ -89,7 +86,6 @@ __all__ = [
     "canonical",
     "current_engine",
     "engine_provenance",
-    "journal_id",
     "load_manifest",
     "resolve_trial",
     "run_supervised",

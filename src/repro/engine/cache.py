@@ -19,6 +19,13 @@ crashed writer on a filesystem without atomic replace, a bad disk) are
 is recomputed exactly once instead of silently re-simulated forever,
 and the evidence survives for inspection.  Entries from an older
 on-disk format are plain misses: recomputed and overwritten in place.
+
+The cache is also the **one durable record of a finished trial**: the
+temp file is flushed and ``os.fsync``-ed before the rename, so a trial
+the engine counted as computed survives a ``kill -9`` or an OS crash,
+and rerunning the same command replays it instead of recomputing it.
+That is how an interrupted sweep resumes and how ``--shard k/N`` runs
+merge: the rerun simply hits.
 """
 
 from __future__ import annotations
@@ -102,7 +109,11 @@ class TrialCache:
             pass  # a concurrent process already quarantined or rewrote it
 
     def put(self, task: TrialTask, value) -> None:
-        """Persist ``value`` for ``task`` (no-op for uncacheable tasks)."""
+        """Durably persist ``value`` for ``task`` (no-op when uncacheable).
+
+        The entry is fsynced before it is renamed into place, so once
+        this returns the trial survives a crash of the process or host.
+        """
         key = self.key_for(task)
         if key is None:
             return
@@ -118,7 +129,10 @@ class TrialCache:
         }
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
         with self._lock():
-            tmp.write_text(json.dumps(payload, sort_keys=True))
+            with open(tmp, "w") as handle:
+                handle.write(json.dumps(payload, sort_keys=True))
+                handle.flush()
+                os.fsync(handle.fileno())
             os.replace(tmp, path)
         self.stores += 1
 

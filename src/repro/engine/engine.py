@@ -4,24 +4,24 @@
 through.  For each batch it:
 
 1. deduplicates identical tasks (same spec/x/seed never computes twice);
-2. records every planned trial in the :class:`~repro.engine.journal.
-   SweepJournal` (when one is attached) and resolves what it can from
-   the journal's completed records -- the ``--resume`` path;
-3. resolves the rest from the :class:`~repro.engine.cache.TrialCache`;
+2. resolves what it can from the :class:`~repro.engine.cache.TrialCache`
+   -- which is also how a rerun picks up where an interrupted run (or a
+   set of ``--shard`` runs) left off;
+3. skips the misses owned by other shards when ``shard=(k, n)``
+   partitions the sweep;
 4. fans the remaining misses out over the supervised worker pool (or
-   runs them inline when ``jobs == 1``), skipping trials owned by other
-   shards when ``shard=(k, n)`` partitions the sweep;
-5. persists each freshly computed value to the cache *and* journal the
-   moment it arrives (streamed, so a crash loses at most in-flight
+   runs them inline when ``jobs == 1``);
+5. persists each freshly computed value to the cache the moment it
+   arrives (streamed and fsynced, so a crash loses at most in-flight
    trials);
 6. reassembles results in submission order.
 
 Because trials are pure, steps 2-5 cannot change any value -- only where
 it came from -- which is what the byte-identical-artifacts guarantee
-rests on, and why supervision retries and resumed runs reproduce a
-clean serial run exactly.  The engine keeps SPC-style counters
+rests on, and why supervision retries and reruns reproduce a clean
+serial run exactly.  The engine keeps SPC-style counters
 (:class:`EngineCounters`) mirroring the simulator's own software
-performance counters: totals, hits/misses, journal/resume and
+performance counters: totals, hits/misses, shard and
 retry/timeout/respawn tallies, per-worker busy time and the derived
 utilization, surfaced through ``repro.obs.enginestats`` and
 ``manifest.json``.
@@ -29,10 +29,10 @@ utilization, surfaced through ``repro.obs.enginestats`` and
 When the CLI injects a live-telemetry session (``telemetry=``, duck-
 typed so this module never imports :mod:`repro.obs.live`), every
 resolution decision additionally narrates itself as a structured run
-event -- cache hit, journal replay, shard skip, dispatch, completion,
-supervision recoveries -- and the supervised pool is handed a monitor
-for its own callbacks.  All hooks run in the parent at engine level:
-the simulation hot loop, and any run without telemetry, is untouched.
+event -- cache hit, shard skip, dispatch, completion, supervision
+recoveries -- and the supervised pool is handed a monitor for its own
+callbacks.  All hooks run in the parent at engine level: the
+simulation hot loop, and any run without telemetry, is untouched.
 
 The *ambient* engine (:func:`current_engine`) is what the experiment
 runners use when no engine is passed explicitly; it defaults to serial
@@ -40,9 +40,8 @@ uncached execution, and :func:`use_engine` swaps it for a scope (the
 CLI wraps each ``run`` invocation).  The ambient slot is
 **thread-local**: the experiment service runs several jobs on
 concurrent threads, each under its own ``use_engine``, and a global
-slot would cross-wire their caches, journals and telemetry.  Every
-thread starts with the default serial engine until something scopes
-one in.
+slot would cross-wire their caches and telemetry.  Every thread starts
+with the default serial engine until something scopes one in.
 """
 
 from __future__ import annotations
@@ -80,7 +79,6 @@ class EngineCounters:
     cache_hits: int = 0        #: trials answered from the cache
     cache_misses: int = 0      #: trials that had to compute
     uncacheable: int = 0       #: computed trials whose params defeat caching
-    resumed: int = 0           #: trials answered from the sweep journal
     shard_skipped: int = 0     #: trials owned by other shards (not computed)
     retries: int = 0           #: trial executions re-queued by supervision
     timeouts: int = 0          #: workers killed for exceeding the trial timeout
@@ -130,7 +128,7 @@ class ShardValue(float):
     item access, so exhibit runners can fold it into series without
     special-casing.  Artifacts containing shard placeholders are never
     emitted -- the CLI suppresses saving in shard mode; the real values
-    come from the merge run (``--resume`` over the union of shards).
+    come from the merge run (a plain rerun over the shards' cache).
     """
 
     def __new__(cls):
@@ -145,13 +143,11 @@ class ShardValue(float):
 
 
 class Engine:
-    """Runs batches of :class:`TrialTask` with caching, supervision and
-    crash-safe journaling."""
+    """Runs batches of :class:`TrialTask` with caching and supervision."""
 
     def __init__(self, jobs: int = 1, cache: TrialCache | None = None,
-                 journal=None, policy: RetryPolicy | None = None,
-                 faults=None, shard: tuple[int, int] | None = None,
-                 telemetry=None):
+                 policy: RetryPolicy | None = None, faults=None,
+                 shard: tuple[int, int] | None = None, telemetry=None):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         if shard is not None:
@@ -161,7 +157,6 @@ class Engine:
                                  f"got {shard}")
         self.jobs = jobs
         self.cache = cache
-        self.journal = journal
         self.policy = policy
         self.faults = faults
         self.shard = shard
@@ -215,22 +210,11 @@ class Engine:
             identity = task.cache_text()
             plan_index = self._planned
             self._planned += 1
-            if self.journal is not None and identity is not None:
-                self.journal.plan(identity)
-                hit, value = self.journal.lookup(identity)
-                if hit:
-                    self.counters.resumed += 1
-                    values[i] = value
-                    if tele is not None:
-                        tele.trial_resumed(identity, plan_index)
-                    continue
             if self.cache is not None:
                 hit, value = self.cache.get(task)
                 if hit:
                     self.counters.cache_hits += 1
                     values[i] = value
-                    if self.journal is not None and identity is not None:
-                        self.journal.record(identity, value)
                     if tele is not None:
                         tele.trial_cache_hit(identity, plan_index)
                     continue
@@ -264,9 +248,6 @@ class Engine:
                         self.cache.put(task, outcome.value)
                 else:
                     self.counters.cache_misses += 1
-                if self.journal is not None and identity is not None:
-                    self.journal.record(identity, outcome.value,
-                                        busy_ns=outcome.busy_ns)
                 if monitor is not None:
                     monitor.complete(pos, outcome.attempts, outcome.busy_ns)
 
@@ -303,8 +284,6 @@ class Engine:
         text = (f"engine: {c.trials} trials, {c.cache_hits} cache hits, "
                 f"{c.cache_misses} computed, jobs={self.jobs}, "
                 f"utilization={self.utilization():.0%}, cache={cached}")
-        if c.resumed:
-            text += f", resumed={c.resumed}"
         if c.shard_skipped:
             k, n = self.shard
             text += f", shard {k}/{n} skipped={c.shard_skipped}"

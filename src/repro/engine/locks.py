@@ -1,9 +1,9 @@
-"""Advisory file locks for multi-process cache and journal writes.
+"""Advisory file locks for multi-process trial-cache writes.
 
 Concurrent ``repro run`` invocations (and CI shards) may point
 ``$REPRO_TRIAL_CACHE`` at one directory; every mutation of shared state
--- a cache store, a quarantine rename, a journal append -- happens under
-a :class:`FileLock` so two processes never interleave partial writes.
+-- a cache store, a quarantine rename -- happens under a
+:class:`FileLock` so two processes never interleave partial writes.
 
 On POSIX the lock is ``fcntl.flock`` on a sidecar ``.lock`` file
 (released automatically by the kernel if the holder dies, so a killed

@@ -12,10 +12,9 @@ answers all three.  Every ``repro run ... --out`` (and ``repro profile
   be matched against cache entries and against the tree that wrote it;
 * the Python version and host wall time;
 * the engine counters, **aggregated across pool workers**: trials,
-  dedup/cache tallies, journal/resume and shard tallies, the
-  supervision record (retries, timeouts, worker deaths, respawns,
-  quarantined cache entries) and the per-worker busy nanoseconds
-  folded into a pid-free sorted list.  Because the engine merges
+  dedup/cache and shard tallies, the supervision record (retries,
+  timeouts, worker deaths, respawns, quarantined cache entries) and
+  the per-worker busy nanoseconds folded into a pid-free sorted list.  Because the engine merges
   worker outcomes in the parent, a ``--jobs N`` manifest's counter
   totals are equal to the serial run's -- a property the tests gate
   on; under a seeded :class:`~repro.faults.workers.WorkerFaultPlan`
@@ -39,6 +38,11 @@ parity surface: its deterministic counters must equal a ``repro run``
 of the same (exhibit, params) exactly, which the serve test suite
 gates on.
 
+Schema 5 dropped the sweep journal: the ``engine`` block lost its
+``resumed`` counter and ``params`` lost ``journal`` and ``resume``, since
+a rerun now replays finished trials from the trial cache and counts
+them as ``cache_hits``.
+
 Documents are written with sorted keys and a trailing newline; the
 ``host`` block (wall time, python, busy lists) is informational, while
 the rest is deterministic given the tree and CLI invocation.
@@ -51,7 +55,7 @@ import pathlib
 import platform
 
 #: bump when the manifest layout changes
-MANIFEST_SCHEMA = 4
+MANIFEST_SCHEMA = 5
 
 #: filename written next to artifacts
 MANIFEST_NAME = "manifest.json"

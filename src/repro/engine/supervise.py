@@ -29,9 +29,9 @@ same value as an undisturbed one, so supervision cannot change
 artifacts -- only whether the sweep survives to produce them.
 
 Outcomes stream to the caller's ``on_outcome`` callback as they
-complete (the engine persists each to the cache and sweep journal
-immediately), so a crash of the *parent* loses at most the in-flight
-trials -- the property ``repro run --resume`` builds on.
+complete (the engine persists each to the trial cache immediately), so
+a crash of the *parent* loses at most the in-flight trials -- the
+property a rerun of the same ``repro run`` builds on.
 """
 
 from __future__ import annotations

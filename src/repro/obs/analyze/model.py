@@ -23,6 +23,7 @@ import json
 import pathlib
 from dataclasses import dataclass, field
 
+from repro.obs.export import closed_spans
 from repro.obs.tracer import TRACK_PIDS
 
 #: Chrome trace-event phases the exporter may emit (M = metadata,
@@ -127,21 +128,14 @@ class TraceModel:
 # construction
 # ----------------------------------------------------------------------
 def from_tracer(tracer) -> TraceModel:
-    """Normalize a live tracer (open spans auto-close at the final time)."""
+    """Normalize a live tracer (open spans auto-close at the final time,
+    by :func:`repro.obs.export.closed_spans`)."""
     tracks = [Track(t.tid, t.kind, t.label) for t in tracer.tracks()]
-    spans: list[Span] = []
-    now = tracer.sched.now
-    for tid, name, cat, start, dur, args in tracer.spans:
-        spans.append(Span(tid, name, cat, start, dur, args, len(spans)))
-    for tid, stack in tracer.open_spans().items():
-        for name, cat, start, args in stack:
-            spans.append(Span(tid, name, cat, start, now - start,
-                              {**(args or {}), "auto_closed": True},
-                              len(spans)))
+    spans = [Span(*span, i) for i, span in enumerate(closed_spans(tracer))]
     instants = [Instant(tid, name, cat, ts, args, i)
                 for i, (tid, name, cat, ts, args) in enumerate(tracer.instants)]
     return TraceModel(tracks=tracks, spans=spans, instants=instants,
-                      virtual_time_ns=now)
+                      virtual_time_ns=tracer.sched.now)
 
 
 def _ns(us: float) -> int:

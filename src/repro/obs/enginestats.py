@@ -1,14 +1,15 @@
 """Engine counters surfaced in the observability subsystem's formats.
 
 The experiment engine keeps SPC-style counters (trials, cache hits and
-misses, journal resumes, shard skips, supervision retries/timeouts/
-respawns, quarantined cache entries, per-worker busy time).  This module renders them the same way
-:class:`~repro.obs.metrics.MetricsRegistry` renders the simulator's
-counters -- a stable-column CSV plus a compact human summary -- so the
-two surfaces read alike.  Unlike the simulator's counters some of these
-are *host-level*: wall-clock, busy time and utilization vary run to
-run, which is why they are written next to the artifacts
-(``engine.metrics.csv``) rather than into them.
+misses, shard skips, supervision retries/timeouts/respawns, quarantined
+cache entries, per-worker busy time).  This module renders them the
+same way :class:`~repro.obs.metrics.MetricsRegistry` renders the
+simulator's counters -- a stable-column CSV -- so the two surfaces read
+alike; :meth:`~repro.engine.engine.Engine.summary` is the compact human
+line.  Unlike the simulator's counters some of these are *host-level*:
+wall-clock, busy time and utilization vary run to run, which is why
+they are written next to the artifacts (``engine.metrics.csv``) rather
+than into them.
 """
 
 from __future__ import annotations
@@ -33,11 +34,6 @@ def engine_csv(engine) -> str:
     header = ",".join(row)
     cells = ",".join(_cell(value) for value in row.values())
     return f"{header}\n{cells}\n"
-
-
-def engine_summary(engine) -> str:
-    """Compact human-readable summary (what the CLI prints)."""
-    return engine.summary()
 
 
 def _cell(value) -> str:

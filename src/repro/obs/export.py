@@ -45,7 +45,7 @@ def trace_events(tracer: Tracer) -> list[dict]:
         return by_tid[tid].pid
 
     timed: list[tuple] = []
-    for tid, name, cat, start, dur, args in _closed_spans(tracer):
+    for tid, name, cat, start, dur, args in closed_spans(tracer):
         ev = {"ph": "X", "name": name, "cat": cat or "span",
               "pid": pid_of(tid), "tid": tid, "ts": _us(start), "dur": _us(dur)}
         if args:
@@ -66,8 +66,15 @@ def trace_events(tracer: Tracer) -> list[dict]:
     return events
 
 
-def _closed_spans(tracer: Tracer) -> list[tuple]:
-    """All spans, auto-closing any still open at the final virtual time."""
+def closed_spans(tracer: Tracer) -> list[tuple]:
+    """All spans, auto-closing any still open at the final virtual time.
+
+    Each is a ``(tid, name, cat, start, dur, args)`` tuple; a span that
+    never closed ends at the scheduler's final time and carries
+    ``auto_closed: True`` in its args.  The exporter, the text report
+    and the analyzer's :func:`~repro.obs.analyze.model.from_tracer` all
+    read spans through this one rule.
+    """
     spans = list(tracer.spans)
     now = tracer.sched.now
     for tid, stack in tracer.open_spans().items():
@@ -111,7 +118,7 @@ def span_totals(tracer: Tracer, cat: str | None = None) -> dict[str, dict]:
     """
     totals: dict[str, dict] = {}
     tracks = {t.tid: t for t in tracer.tracks()}
-    for tid, name, scat, _start, dur, _args in _closed_spans(tracer):
+    for tid, name, scat, _start, dur, _args in closed_spans(tracer):
         if cat is not None and scat != cat:
             continue
         if scat == "hold":
@@ -132,7 +139,7 @@ def lock_wait_totals(tracer: Tracer) -> dict[str, int]:
     to serial progress.
     """
     out: dict[str, int] = {}
-    for _tid, _name, cat, _start, dur, args in _closed_spans(tracer):
+    for _tid, _name, cat, _start, dur, args in closed_spans(tracer):
         if cat != "lock-wait":
             continue
         lock = (args or {}).get("lock", "?")

@@ -2,11 +2,11 @@
 
 Every supervised sweep narrates itself into an append-only JSONL file:
 one record per engine-level event (sweep start/finish, trial dispatch /
-complete / cache-hit / resume-replay, retry / timeout, worker death /
+complete / cache-hit / shard-skip, retry / timeout, worker death /
 respawn, cache quarantine, postmortem).  Records carry three causality
 keys -- a monotonic ``seq``, the sweep's ``run`` id, and the trial
 fingerprint ``k`` (a sha256 prefix of the task's canonical identity, so
-an event can be joined against the trial cache and sweep journal) --
+an event can be joined against the trial cache) --
 which is what lets ``repro top``, the postmortem bundle and external
 scrapers reconstruct *what happened in which order* without any
 protocol beyond "read the file".
@@ -23,7 +23,7 @@ per-file; a serial run's file is byte-identical after stripping.
 The writer is single-process by design (only the sweep's parent emits;
 workers report through their pipes), so appends need no lock: each line
 is written and flushed whole, and the reader tolerates a torn final
-line exactly like the sweep journal does.
+line (the signature of a crash mid-append).
 
 Readers may also run **while the writer is still appending** -- the
 experiment service streams a job's events to SSE subscribers as the
@@ -55,7 +55,6 @@ EVENT_KINDS = frozenset({
     "trial.dispatch",     #: a trial was handed to a worker (or run inline)
     "trial.complete",     #: a trial's value arrived and was persisted
     "trial.cache_hit",    #: a trial was answered from the trial cache
-    "trial.resume",       #: a trial was replayed from the sweep journal
     "trial.shard_skip",   #: a trial owned by another shard was skipped
     "trial.retry",        #: a failed trial was requeued with backoff
     "trial.timeout",      #: a worker was killed for exceeding the trial budget
@@ -73,7 +72,7 @@ def trial_digest(identity: str | None, plan_index: int) -> str:
     """The event log's trial fingerprint for one planned trial.
 
     A sha256 prefix of the task's canonical identity (the same string
-    the cache and journal key on), so events join against both; tasks
+    the cache keys on), so events join against cache entries; tasks
     with uncacheable params get a positional stand-in instead.
     """
     if identity is None:
@@ -205,9 +204,9 @@ class RunEventLog:
 
     Opening truncates any previous log: one file holds exactly one
     session's stream (``seq`` contiguous from 0), so rerunning into the
-    same ``--out`` -- the normal ``--resume`` workflow -- starts fresh
-    instead of interleaving two runs.  The durable history lives in the
-    sweep journal; the event log is this run's narration.
+    same ``--out`` -- the normal way to finish an interrupted sweep --
+    starts fresh instead of interleaving two runs.  The durable history
+    lives in the trial cache; the event log is this run's narration.
     """
 
     def __init__(self, path, run_id: str, ring_size: int = 256):

@@ -10,8 +10,6 @@ lost terminal.  The recorder's memory is the event log's bounded ring
   time, the final status snapshot, and what the bundle contains;
 * ``ring.jsonl`` -- the event ring, oldest first (the last N things
   the engine did, with causality keys intact);
-* ``journal_tail.jsonl`` -- the last lines of the sweep journal, so
-  the crash site can be matched against durable plan/done records;
 * ``traceback.txt`` -- the formatted exception, when one caused this.
 
 Everything in the bundle is copied from state that already existed --
@@ -28,29 +26,23 @@ import pathlib
 import time
 import traceback
 
-from repro.util.atomicio import tail_lines
-
 #: bump when the bundle layout changes
 POSTMORTEM_SCHEMA = 1
 
 #: directory name of the bundle inside a telemetry directory
 POSTMORTEM_DIR = "postmortem"
 
-#: how many journal lines a bundle preserves
-JOURNAL_TAIL_LINES = 200
-
 
 class FlightRecorder:
     """Dumps the in-memory event ring as an on-disk postmortem bundle.
 
     Construction is free: the recorder only holds references (the event
-    log whose ring it will copy, an optional journal path to tail, and
-    a callable returning the latest status snapshot).
+    log whose ring it will copy and a callable returning the latest
+    status snapshot).
     """
 
-    def __init__(self, log, journal_path=None, snapshot=None):
+    def __init__(self, log, snapshot=None):
         self.log = log
-        self.journal_path = journal_path
         self.snapshot = snapshot
         self.dumps: list[pathlib.Path] = []
 
@@ -75,11 +67,6 @@ class FlightRecorder:
             "".join(json.dumps(r, sort_keys=True) + "\n" for r in ring))
 
         contents = ["postmortem.json", "ring.jsonl"]
-        if self.journal_path is not None:
-            tail = tail_lines(self.journal_path, JOURNAL_TAIL_LINES)
-            (bundle / "journal_tail.jsonl").write_text(
-                "".join(line + "\n" for line in tail))
-            contents.append("journal_tail.jsonl")
         if exc is not None:
             (bundle / "traceback.txt").write_text("".join(
                 traceback.format_exception(type(exc), exc,

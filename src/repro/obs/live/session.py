@@ -87,9 +87,12 @@ class PoolMonitor:
 class LiveTelemetry:
     """One sweep's live telemetry session (see module docs).
 
-    ``run_id`` should be deterministic for the sweep (the CLI reuses
-    the sweep-journal id), so event *contents* are reproducible; host
-    identity lives in the heartbeat's ``pid``/``ts`` fields instead.
+    ``run_id`` should be deterministic for the sweep (the CLI uses
+    :func:`repro.cli.sweep_id`), so event *contents* are reproducible;
+    host identity lives in the heartbeat's ``pid``/``ts`` fields
+    instead.  The ETA extrapolates from this session's own computed
+    trials only: a rerun over a warm cache starts with no cost sample,
+    exactly like a fresh run.
     """
 
     def __init__(self, out_dir, run_id: str, experiments=(), params=None,
@@ -118,13 +121,9 @@ class LiveTelemetry:
 
     # -- wiring ---------------------------------------------------------
     def attach(self, engine) -> None:
-        """Bind the engine whose counters/journal the heartbeat reads."""
+        """Bind the engine whose counters the heartbeat reads."""
         self.engine = engine
         self.jobs = engine.jobs
-        journal = getattr(engine, "journal", None)
-        if journal is not None:
-            self.recorder.journal_path = journal.path
-            self.costs_ns.extend(journal.costs_ns)
 
     def pool_monitor(self, keys) -> PoolMonitor:
         """Callbacks for one pool run over ``(identity, plan_index)``s."""
@@ -161,12 +160,6 @@ class LiveTelemetry:
         """A trial was answered from the content-addressed cache."""
         self.done += 1
         self.log.emit("trial.cache_hit", k=trial_digest(identity, plan_index))
-        self.heartbeat()
-
-    def trial_resumed(self, identity: str | None, plan_index: int) -> None:
-        """A trial was replayed from the sweep journal."""
-        self.done += 1
-        self.log.emit("trial.resume", k=trial_digest(identity, plan_index))
         self.heartbeat()
 
     def trial_shard_skip(self, identity: str | None, plan_index: int) -> None:
@@ -254,7 +247,6 @@ class LiveTelemetry:
             progress["computed"] = (counters["cache_misses"]
                                     + counters["uncacheable"])
             progress["cache_hits"] = counters["cache_hits"]
-            progress["resumed"] = counters["resumed"]
             progress["shard_skipped"] = counters["shard_skipped"]
         if self.planned:
             progress["pct"] = round(100.0 * self.done / self.planned, 1)

@@ -2,19 +2,19 @@
 
 While a sweep runs, the supervisor rewrites one small JSON document on
 a cadence: overall progress (planned / done / computed / cached /
-resumed), an ETA derived from completed-trial costs, the per-worker
-table (which trial each worker is busy on, for how long, on which
-attempt), the engine's aggregated counters, and the tail of the event
-stream.  The write is atomic (:func:`repro.util.atomicio.
+shard-skipped), an ETA derived from completed-trial costs, the
+per-worker table (which trial each worker is busy on, for how long, on
+which attempt), the engine's aggregated counters, and the tail of the
+event stream.  The write is atomic (:func:`repro.util.atomicio.
 atomic_write_text`), so ``repro top``, a shell ``watch cat``, or a
 metrics scraper can poll the file at any instant and always parse a
 complete document -- including the instant a ``kill -9`` lands.
 
 Unlike the artifacts, everything here is *host* truth: wall-clock
 seconds, pids, ETAs.  That is the point -- the deterministic story
-lives in the journal and the artifacts; the heartbeat exists to answer
-"is it alive and how far along is it" while they are still being
-written.
+lives in the trial cache and the artifacts; the heartbeat exists to
+answer "is it alive and how far along is it" while they are still
+being written.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import time
 from repro.util.atomicio import atomic_write_text
 
 #: bump when the document layout changes (checked by tools/lint_events.py)
-STATUS_SCHEMA = 1
+STATUS_SCHEMA = 2
 
 #: the filename every telemetry directory uses for the heartbeat
 STATUS_NAME = "status.json"
@@ -38,10 +38,10 @@ STATUS_STATES = ("running", "finished", "failed", "killed")
 def eta_seconds(remaining: int, costs_ns: list[int], jobs: int) -> float | None:
     """Naive ETA: mean completed-trial cost times trials left per worker.
 
-    ``costs_ns`` are host nanoseconds of completed computations -- from
-    this run's outcomes plus whatever the sweep journal recorded before
-    a resume.  With no completed cost yet there is nothing to
-    extrapolate from and the ETA is None (rendered as unknown).
+    ``costs_ns`` are host nanoseconds of this run's completed
+    computations (cache hits cost nothing and add no sample).  With no
+    completed cost yet there is nothing to extrapolate from and the ETA
+    is None (rendered as unknown).
     """
     if remaining <= 0:
         return 0.0

@@ -100,7 +100,7 @@ def render_frame(doc: dict | None, now: float | None = None) -> str:
                  f"  eta {fmt_eta(doc.get('eta_s'))}"
                  f"  elapsed {doc.get('elapsed_s', 0.0):.1f}s")
     detail = []
-    for field in ("computed", "cache_hits", "resumed", "shard_skipped"):
+    for field in ("computed", "cache_hits", "shard_skipped"):
         if progress.get(field):
             detail.append(f"{field}={progress[field]}")
     if detail:

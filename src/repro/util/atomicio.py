@@ -1,4 +1,4 @@
-"""Atomic file primitives behind the live-telemetry surfaces.
+"""The atomic file write behind the live-telemetry surfaces.
 
 A heartbeat file that external monitors poll (``status.json``,
 ``metrics.prom``) must never be observable half-written: a reader that
@@ -6,20 +6,12 @@ races the writer should see either the previous complete document or
 the new one, nothing in between.  POSIX gives exactly that guarantee
 for ``rename(2)`` within one filesystem, so :func:`atomic_write_text`
 writes to a sibling temporary file and ``os.replace``-s it into place.
-
-:func:`tail_lines` is the companion read primitive for append-only
-JSONL files (the run-event log, the sweep journal): it returns the last
-``n`` complete lines without loading an unbounded file, tolerating a
-torn final line the same way the journal loader does.
 """
 
 from __future__ import annotations
 
 import os
 import pathlib
-
-#: how many bytes per requested line :func:`tail_lines` reads at most
-_TAIL_BYTES_PER_LINE = 4096
 
 
 def atomic_write_text(path, text: str) -> pathlib.Path:
@@ -43,30 +35,3 @@ def atomic_write_text(path, text: str) -> pathlib.Path:
             raise
     return path
 
-
-def tail_lines(path, n: int) -> list[str]:
-    """The last ``n`` complete lines of a text file (oldest first).
-
-    Reads only a bounded window from the end of the file, so tailing a
-    long-running sweep's journal stays cheap.  A final line without a
-    trailing newline (the signature of a crash mid-append) is still
-    returned -- callers that parse it decide whether it is torn.
-    Missing files yield an empty list.
-    """
-    if n <= 0:
-        return []
-    path = pathlib.Path(path)
-    try:
-        size = path.stat().st_size
-    except OSError:
-        return []
-    window = min(size, n * _TAIL_BYTES_PER_LINE)
-    with open(path, "rb") as handle:
-        handle.seek(size - window)
-        blob = handle.read(window)
-    text = blob.decode("utf-8", errors="replace")
-    lines = text.splitlines()
-    # the first line of a mid-file window is almost surely partial
-    if window < size and lines:
-        lines = lines[1:]
-    return lines[-n:]

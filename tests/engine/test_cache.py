@@ -30,6 +30,33 @@ def test_miss_then_hit_roundtrip(tmp_path):
     assert cache.entry_count() == 1
 
 
+def test_put_fsyncs_the_entry_before_renaming_it(tmp_path, monkeypatch):
+    # a trial counted as computed must survive an OS crash: its bytes
+    # reach the disk before the rename makes the entry visible
+    calls = []
+    fsync, replace = cache_mod.os.fsync, cache_mod.os.replace
+
+    def spy_fsync(fd):
+        stat = cache_mod.os.fstat(fd)
+        calls.append(("fsync", stat.st_ino, stat.st_size))
+        fsync(fd)
+
+    def spy_replace(src, dst):
+        calls.append(("replace", cache_mod.os.stat(src).st_ino))
+        replace(src, dst)
+
+    monkeypatch.setattr(cache_mod.os, "fsync", spy_fsync)
+    monkeypatch.setattr(cache_mod.os, "replace", spy_replace)
+    cache = TrialCache(tmp_path)
+    task = _task()
+    cache.put(task, 9.0)
+    [entry] = tmp_path.glob("*/*.json")
+    stat = entry.stat()
+    assert calls == [("fsync", stat.st_ino, stat.st_size),
+                     ("replace", stat.st_ino)]
+    assert cache.get(task) == (True, 9.0)
+
+
 def test_distinct_tasks_distinct_entries(tmp_path):
     cache = TrialCache(tmp_path)
     for task in (_task(x=1), _task(x=3), _task(seed=8), _task(scale=2)):

@@ -69,7 +69,7 @@ def test_manifest_schema_records_telemetry_block():
                          telemetry={"dir": "telemetry", "events_total": 4,
                                     "events": {"sweep.start": 1},
                                     "postmortem": None})
-    assert doc["schema"] == MANIFEST_SCHEMA == 4
+    assert doc["schema"] == MANIFEST_SCHEMA == 5
     assert doc["telemetry"]["events_total"] == 4
     assert "telemetry" not in build_manifest(command=["x"], experiments=["e"])
 
@@ -77,7 +77,7 @@ def test_manifest_schema_records_telemetry_block():
 def test_manifest_schema_4_records_served_block():
     served = {"requests": 7, "dedup_hits": 6, "cold_runs": 1}
     doc = build_manifest(command=["x"], experiments=["e"], served=served)
-    assert doc["schema"] == MANIFEST_SCHEMA == 4
+    assert doc["schema"] == MANIFEST_SCHEMA == 5
     assert doc["served"] == served
     assert "served" not in build_manifest(command=["x"], experiments=["e"])
 

@@ -1,5 +1,8 @@
-"""Crash-and-resume: journaled runs replay to byte-identical artifacts."""
+"""Crash and rerun: finished trials replay from the trial cache, so a
+rerun of an interrupted sweep gives byte-identical artifacts."""
 
+import filecmp
+import json
 import os
 import pathlib
 import signal
@@ -7,13 +10,13 @@ import subprocess
 import sys
 import time
 
-from repro.engine import Engine, SweepJournal, TrialCache, TrialSpec, TrialTask, trial
+from repro.engine import Engine, TrialCache, TrialSpec, TrialTask, trial
 from repro.obs.live import EVENTS_NAME, read_events
 
 
 @trial("resumetest.echo")
 def _echo(x, seed, *, scale=1, **_extra):
-    """Deterministic toy trial used by the resume tests."""
+    """Deterministic toy trial used by the rerun tests."""
     return float(x) * scale + seed
 
 
@@ -22,50 +25,22 @@ def _tasks(xs, seed=5, **params):
     return [TrialTask(spec, x, seed) for x in xs]
 
 
-def _journal(tmp_path, resume=False):
-    return SweepJournal.open(tmp_path / "journal", ["resumetest"],
-                             resume=resume)
-
-
-def test_resume_replays_from_journal_alone(tmp_path):
-    first = Engine(journal=_journal(tmp_path))
-    values = first.run_tasks(_tasks(range(4)))
-
-    # a "restarted" process: fresh engine, no cache, journal reopened
-    second = Engine(journal=_journal(tmp_path, resume=True))
-    assert second.run_tasks(_tasks(range(4))) == values
-    assert second.counters.resumed == 4
-    assert second.counters.cache_misses == 0
-
-
 def test_resume_computes_only_the_missing_trials(tmp_path):
-    first = Engine(journal=_journal(tmp_path))
-    first.run_tasks(_tasks([0, 1]))         # "crash" after two trials
+    # "crash" after two trials: the cache holds half of the sweep
+    Engine(cache=TrialCache(tmp_path / "cache")).run_tasks(_tasks([0, 1]))
 
-    second = Engine(journal=_journal(tmp_path, resume=True))
-    values = second.run_tasks(_tasks(range(4)))
+    rerun = Engine(cache=TrialCache(tmp_path / "cache"))
+    values = rerun.run_tasks(_tasks(range(4)))
     assert values == Engine().run_tasks(_tasks(range(4)))
-    assert second.counters.resumed == 2
-    assert second.counters.cache_misses == 2
-
-
-def test_cache_hits_are_journaled_for_later_resumes(tmp_path):
-    cache = TrialCache(tmp_path / "cache")
-    Engine(cache=cache).run_tasks(_tasks(range(3)))   # warm the cache only
-
-    warm = Engine(cache=TrialCache(tmp_path / "cache"),
-                  journal=_journal(tmp_path))
-    warm.run_tasks(_tasks(range(3)))
-    assert warm.counters.cache_hits == 3
-
-    resumed = Engine(journal=_journal(tmp_path, resume=True))
-    resumed.run_tasks(_tasks(range(3)))     # journal now answers alone
-    assert resumed.counters.resumed == 3
+    assert rerun.counters.trials == 4
+    assert rerun.counters.cache_hits == 2
+    assert rerun.counters.cache_misses == 2
 
 
 # ----------------------------------------------------------------------
-# Whole-process crash drills: kill a real `repro run` mid-sweep, then
-# `--resume` must finish with artifacts byte-identical to a clean run.
+# Whole-process crash drills: kill a real `repro run` mid-sweep, then a
+# rerun of the same command must finish with artifacts byte-identical to
+# a clean run, its missing trials computed and the rest replayed.
 
 _REPO = pathlib.Path(__file__).resolve().parents[2]
 
@@ -85,10 +60,10 @@ def _run_cli(args, env):
 
 def _clean_reference(tmp_path, env):
     out = tmp_path / "clean"
-    result = _run_cli(["run", "ext-modes", "--no-cache", "--no-journal",
+    result = _run_cli(["run", "ext-modes", "--no-cache",
                        "--out", str(out)], env)
     assert result.returncode == 0, result.stderr
-    return (out / "ext-modes.csv").read_bytes()
+    return out / "ext-modes.csv"
 
 
 def _worker_pids(out):
@@ -118,19 +93,24 @@ def _interrupt_mid_sweep(tmp_path, env, sig):
     while not _worker_pids(out) and proc.poll() is None \
             and time.monotonic() < deadline:
         time.sleep(0.05)                     # wait for the pool to start
-    time.sleep(0.3)                          # let some trials journal
+    time.sleep(0.3)                          # let some trials finish
     if proc.poll() is None:
         proc.send_signal(sig)
     proc.wait(timeout=60)
     return out
 
 
-def _assert_resume_completes(tmp_path, env, out, reference):
-    result = _run_cli(["run", "ext-modes", "--jobs", "2", "--resume",
+def _assert_rerun_completes(env, out, reference):
+    # every trial the victim reported complete was in the cache first
+    finished = sum(e["kind"] == "trial.complete"
+                   for e in read_events(out / "telemetry" / EVENTS_NAME))
+    result = _run_cli(["run", "ext-modes", "--jobs", "2",
                        "--out", str(out)], env)
     assert result.returncode == 0, result.stderr
-    assert (out / "ext-modes.csv").read_bytes() == reference
-    assert (out / "manifest.json").exists()
+    assert filecmp.cmp(out / "ext-modes.csv", reference, shallow=False)
+    engine = json.loads((out / "manifest.json").read_text())["engine"]
+    assert engine["cache_hits"] + engine["cache_misses"] == engine["trials"]
+    assert engine["cache_hits"] >= finished
 
 
 def test_sigkill_mid_sweep_then_resume_byte_identical(tmp_path):
@@ -145,19 +125,19 @@ def test_sigkill_mid_sweep_then_resume_byte_identical(tmp_path):
             and time.monotonic() < deadline:
         time.sleep(0.1)
     assert [pid for pid in workers if not _exited(pid)] == []
-    _assert_resume_completes(tmp_path, env, out, reference)
+    _assert_rerun_completes(env, out, reference)
 
 
 def test_sigint_mid_sweep_then_resume_byte_identical(tmp_path):
     env = _cli_env(tmp_path)
     reference = _clean_reference(tmp_path, env)
     out = _interrupt_mid_sweep(tmp_path, env, signal.SIGINT)
-    _assert_resume_completes(tmp_path, env, out, reference)
+    _assert_rerun_completes(env, out, reference)
 
 
 def test_concurrent_runs_share_one_cache(tmp_path):
     # two simultaneous invocations on one $REPRO_TRIAL_CACHE: the locked
-    # cache/journal writes must not corrupt either run's artifacts
+    # cache writes must not corrupt either run's artifacts
     env = _cli_env(tmp_path)
     reference = _clean_reference(tmp_path, env)
     outs = [tmp_path / "a", tmp_path / "b"]
@@ -169,4 +149,4 @@ def test_concurrent_runs_share_one_cache(tmp_path):
     for proc in procs:
         assert proc.wait(timeout=300) == 0
     for out in outs:
-        assert (out / "ext-modes.csv").read_bytes() == reference
+        assert filecmp.cmp(out / "ext-modes.csv", reference, shallow=False)

@@ -5,7 +5,6 @@ import pytest
 from repro.engine import (
     Engine,
     ShardValue,
-    SweepJournal,
     TrialCache,
     TrialSpec,
     TrialTask,
@@ -25,15 +24,12 @@ def _tasks(xs, seed=5, **params):
 
 
 def _shard_engine(tmp_path, shard):
-    journal = SweepJournal.open(tmp_path / "journal", ["shardtest"],
-                                resume=True)     # shards always compose
-    return Engine(cache=TrialCache(tmp_path / "cache"), journal=journal,
-                  shard=shard)
+    return Engine(cache=TrialCache(tmp_path / "cache"), shard=shard)
 
 
 def test_shards_partition_the_planned_trials(tmp_path):
-    # isolated roots: sharing a journal would let shard 2 resume shard
-    # 1's completions instead of skipping them (which is the merge path)
+    # isolated roots: sharing a cache would let shard 2 hit shard 1's
+    # completions instead of skipping them (which is the merge path)
     owned = {}
     for k in (1, 2):
         engine = _shard_engine(tmp_path / f"shard{k}", (k, 2))
@@ -49,11 +45,11 @@ def test_shards_partition_the_planned_trials(tmp_path):
 def test_merge_run_resumes_to_serial_values(tmp_path):
     for k in (1, 2, 3):
         _shard_engine(tmp_path, (k, 3)).run_tasks(_tasks(range(7)))
-    merge = Engine(journal=SweepJournal.open(
-        tmp_path / "journal", ["shardtest"], resume=True))
+    # the merge is a plain engine over the shards' cache
+    merge = Engine(cache=TrialCache(tmp_path / "cache"))
     values = merge.run_tasks(_tasks(range(7)))
     assert values == Engine().run_tasks(_tasks(range(7)))
-    assert merge.counters.resumed == 7       # nothing recomputed
+    assert merge.counters.cache_hits == 7    # nothing recomputed
     assert merge.counters.cache_misses == 0
     assert not any(isinstance(v, ShardValue) for v in values)
 

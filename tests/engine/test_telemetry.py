@@ -1,8 +1,8 @@
-"""Engine-level telemetry: event emission, determinism, journal costs."""
+"""Engine-level telemetry: event emission, determinism, ETA costs."""
 
 import collections
 
-from repro.engine import Engine, SweepJournal, TrialCache, TrialSpec, TrialTask, trial
+from repro.engine import Engine, TrialCache, TrialSpec, TrialTask, trial
 from repro.obs.live import (LiveTelemetry, canonical_line, load_status,
                             read_events, trial_digest)
 
@@ -44,7 +44,7 @@ def test_serial_run_emits_dispatch_and_complete_per_trial(tmp_path):
     assert tele.planned == 3 and tele.done == 3
 
 
-def test_cache_hits_and_resume_emit_their_own_kinds(tmp_path):
+def test_cache_hits_emit_their_own_kind(tmp_path):
     cache = TrialCache(tmp_path / "cache")
     cold = _session(tmp_path, "cold")
     Engine(cache=cache, telemetry=cold).run_tasks(_tasks([1, 2]))
@@ -56,17 +56,6 @@ def test_cache_hits_and_resume_emit_their_own_kinds(tmp_path):
     warm.close()
     warm_kinds = collections.Counter(r["kind"] for r in _events(warm))
     assert warm_kinds == {"trial.cache_hit": 2}
-
-    journal = SweepJournal(tmp_path / "sweep.jsonl")
-    Engine(journal=journal).run_tasks(_tasks([1, 2]))
-    resumed_journal = SweepJournal(tmp_path / "sweep.jsonl")
-    resumed_journal.load()
-    resumed = _session(tmp_path, "resumed")
-    Engine(journal=resumed_journal,
-           telemetry=resumed).run_tasks(_tasks([1, 2]))
-    resumed.close()
-    kinds = collections.Counter(r["kind"] for r in _events(resumed))
-    assert kinds == {"trial.resume": 2}
 
 
 def test_shard_skip_events_carry_the_shared_fingerprint(tmp_path):
@@ -133,20 +122,19 @@ def test_final_status_reflects_engine_counters(tmp_path):
     assert doc["events"]["total"] == len(_events(tele))
 
 
-def test_journal_records_costs_and_seeds_resumed_eta(tmp_path):
-    journal = SweepJournal(tmp_path / "sweep.jsonl")
-    Engine(journal=journal).run_tasks(_tasks([1, 2]))
-    assert len(journal.costs_ns) == 2
-    assert all(isinstance(ns, int) and ns > 0 for ns in journal.costs_ns)
-
-    reopened = SweepJournal(tmp_path / "sweep.jsonl")
-    reopened.load()
-    assert sorted(reopened.costs_ns) == sorted(journal.costs_ns)
+def test_rerun_eta_comes_from_its_own_computed_trials(tmp_path):
+    Engine(cache=TrialCache(tmp_path / "cache")).run_tasks(_tasks([1, 2]))
 
     tele = _session(tmp_path)
-    Engine(journal=reopened, telemetry=tele)   # attach seeds the ETA costs
-    assert sorted(tele.costs_ns) == sorted(journal.costs_ns)
+    engine = Engine(cache=TrialCache(tmp_path / "cache"), telemetry=tele)
+    assert tele.costs_ns == []          # nothing seeded from earlier runs
+    engine.run_tasks(_tasks([1, 2, 3]))
     tele.close()
+    assert engine.counters.cache_hits == 2
+    # one cost sample: the one trial this run computed
+    assert len(tele.costs_ns) == 1 and tele.costs_ns[0] > 0
+    completes = [r for r in _events(tele) if r["kind"] == "trial.complete"]
+    assert [r["ns"] for r in completes] == tele.costs_ns
 
 
 def test_engine_without_telemetry_unchanged(tmp_path):

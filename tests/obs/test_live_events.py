@@ -87,8 +87,9 @@ def test_every_kind_is_emittable(tmp_path):
 
 
 def test_reopening_truncates_the_previous_runs_log(tmp_path):
-    # rerunning into the same --out (the --resume workflow) must start a
-    # fresh stream -- interleaving two runs would break seq contiguity
+    # rerunning into the same --out (how an interrupted sweep finishes)
+    # must start a fresh stream -- interleaving two runs would break seq
+    # contiguity
     first = _log(tmp_path)
     first.emit("sweep.start")
     first.emit("sweep.finish", ok=True)

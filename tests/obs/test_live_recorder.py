@@ -15,11 +15,7 @@ def _log(tmp_path, n=5, ring_size=3):
 
 def test_bundle_holds_ring_manifest_and_tail(tmp_path):
     log = _log(tmp_path)
-    journal = tmp_path / "sweep.jsonl"
-    journal.write_text('{"t": "plan", "i": 0, "k": "a"}\n'
-                       '{"t": "done", "k": "a", "v": 1.5}\n')
-    recorder = FlightRecorder(log, journal_path=journal,
-                              snapshot=lambda: {"state": "running"})
+    recorder = FlightRecorder(log, snapshot=lambda: {"state": "running"})
     bundle = recorder.dump(tmp_path, "retry-exhaustion",
                            exc=RuntimeError("boom"))
 
@@ -29,16 +25,14 @@ def test_bundle_holds_ring_manifest_and_tail(tmp_path):
     assert manifest["run"] == "runX"
     assert manifest["error"] == "RuntimeError('boom')"
     assert manifest["status"] == {"state": "running"}
-    assert manifest["contents"] == sorted(
-        ["postmortem.json", "ring.jsonl", "journal_tail.jsonl",
-         "traceback.txt"])
+    assert manifest["contents"] == ["postmortem.json", "ring.jsonl",
+                                    "traceback.txt"]
     # the ring is bounded: only the newest ring_size events survive
     ring = [json.loads(line)
             for line in (bundle / "ring.jsonl").read_text().splitlines()]
     assert len(ring) == 3 and manifest["ring_events"] == 3
     assert manifest["events_total"] == 5
     assert ring[-1]["kind"] == "trial.dispatch"
-    assert "done" in (bundle / "journal_tail.jsonl").read_text()
     assert "RuntimeError: boom" in (bundle / "traceback.txt").read_text()
 
 
@@ -55,7 +49,7 @@ def test_bundles_are_numbered_not_overwritten(tmp_path):
     assert recorder.dumps == [first, second]
 
 
-def test_dump_without_journal_exc_or_snapshot(tmp_path):
+def test_dump_without_exc_or_snapshot(tmp_path):
     recorder = FlightRecorder(_log(tmp_path, n=2))
     bundle = recorder.dump(tmp_path, "sigterm")
     manifest = json.loads((bundle / "postmortem.json").read_text())

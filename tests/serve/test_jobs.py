@@ -48,7 +48,7 @@ def test_done_job_has_artifacts_and_served_manifest(index):
     assert {"table1.csv", "table1.svg", "table1.txt",
             "manifest.json"} <= set(names)
     manifest = json.loads((job.dir / "manifest.json").read_text())
-    assert manifest["schema"] == 4
+    assert manifest["schema"] == 5
     assert manifest["served"] == {"requests": 1, "dedup_hits": 0,
                                   "cold_runs": 1}
     assert manifest["experiments"] == ["table1"]

@@ -63,7 +63,7 @@ def test_served_artifacts_are_byte_identical_to_repro_run(
 
     out = tmp_path / "cli-out"
     assert main(["run", "table1", "--out", str(out),
-                 "--no-telemetry", "--no-journal"]) == 0
+                 "--no-telemetry"]) == 0
     capsys.readouterr()
     for name in ("table1.csv", "table1.svg", "table1.txt"):
         served = client.artifact(job_id, name)
@@ -91,7 +91,7 @@ def test_served_manifest_engine_counters_match_the_cli_run(
     # the request arrived
     assert deterministic(served["engine"]) == deterministic(cli["engine"])
     assert served["engine"]["trials"] > 0
-    assert served["schema"] == cli["schema"] == 4
+    assert served["schema"] == cli["schema"] == 5
     assert "served" in served and "served" not in cli
 
 

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from repro.cli import main
+from repro.cli import main, sweep_id
 
 
 def test_list_prints_all_experiments(capsys):
@@ -113,9 +113,14 @@ def test_run_chaos_with_drop_rate(tmp_path, capsys, monkeypatch):
         assert f"chaos,concurrent, 10 CRIs,{x}" in csv
 
 
-def test_drop_rate_rejected_for_other_experiments(capsys):
-    assert main(["run", "fig3a", "--drop-rate", "0.1"]) == 2
-    assert "only applies to the 'chaos'" in capsys.readouterr().err
+def test_drop_rate_rejected_for_other_experiments(tmp_path, capsys):
+    # rejected before telemetry starts: no half-written status.json
+    for exp in ("fig3a", "all"):
+        out = tmp_path / exp
+        assert main(["run", exp, "--drop-rate", "0.1",
+                     "--out", str(out)]) == 2
+        assert "only applies to the 'chaos'" in capsys.readouterr().err
+        assert not (out / "telemetry").exists()
 
 
 def test_out_of_range_drop_rate_rejected(capsys):
@@ -185,16 +190,15 @@ def test_non_positive_jobs_rejected(capsys):
     assert "positive" in capsys.readouterr().err
 
 
-def test_run_resume_replays_the_journal(tmp_path, capsys, monkeypatch):
+def test_rerun_replays_the_cache(tmp_path, capsys, monkeypatch):
     import repro.experiments.extensions as ext
     monkeypatch.setattr(ext, "MODE_PAIRS_AXIS", (1, 2))
 
     assert main(["run", "ext-modes", "--out", str(tmp_path / "a")]) == 0
     assert "0 cache hits" in capsys.readouterr().out
-    assert main(["run", "ext-modes", "--resume",
-                 "--out", str(tmp_path / "b")]) == 0
+    assert main(["run", "ext-modes", "--out", str(tmp_path / "b")]) == 0
     out = capsys.readouterr().out
-    assert "0 computed" in out and "resumed=" in out
+    assert "0 computed" in out and "6 cache hits" in out
     assert ((tmp_path / "b" / "ext-modes.csv").read_bytes()
             == (tmp_path / "a" / "ext-modes.csv").read_bytes())
 
@@ -216,17 +220,17 @@ def test_run_shards_suppress_artifacts_and_merge(tmp_path, capsys,
         printed = capsys.readouterr().out
         assert "artifacts suppressed" in printed
         if k == 1:
-            assert "shard 1/2 skipped=" in printed
+            assert "shard 1/2 skipped=3" in printed
         else:
-            # sequential shards share the journal, so shard 2 resumes
-            # shard 1's completions instead of skipping them
-            assert "resumed=3" in printed
+            # sequential shards share the cache, so shard 2 hits shard
+            # 1's completions instead of skipping them
+            assert "3 cache hits, 3 computed" in printed
         assert not (shard_out / "ext-modes.csv").exists()
         assert (shard_out / "engine.metrics.csv").exists()
 
     merged = tmp_path / "merged"
-    assert main(["run", "ext-modes", "--resume", "--out", str(merged)]) == 0
-    assert "0 computed" in capsys.readouterr().out
+    assert main(["run", "ext-modes", "--out", str(merged)]) == 0
+    assert "6 cache hits, 0 computed" in capsys.readouterr().out
     assert ((merged / "ext-modes.csv").read_bytes()
             == (tmp_path / "ref" / "ext-modes.csv").read_bytes())
 
@@ -251,16 +255,10 @@ def test_run_flaky_workers_byte_identical(tmp_path, capsys, monkeypatch):
     assert engine["retries"] > 0
 
 
-def test_resume_requires_cache_and_journal(capsys):
-    assert main(["run", "ext-modes", "--resume", "--no-cache"]) == 2
-    assert "--resume" in capsys.readouterr().err
-    assert main(["run", "ext-modes", "--resume", "--no-journal"]) == 2
-    assert "--resume" in capsys.readouterr().err
-
-
 def test_shard_requires_cache(capsys):
     assert main(["run", "ext-modes", "--shard", "1/2", "--no-cache"]) == 2
-    assert "--shard" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--shard" in err and "rerun without --shard" in err
 
 
 def test_flaky_workers_requires_parallel_jobs(capsys):
@@ -283,11 +281,22 @@ def test_run_manifest_records_crash_safety_params(tmp_path, monkeypatch):
     monkeypatch.setattr(ext, "MODE_PAIRS_AXIS", (1,))
     assert main(["run", "ext-modes", "--out", str(tmp_path)]) == 0
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert manifest["params"]["journal"] is True
-    assert manifest["params"]["resume"] is False
-    assert manifest["params"]["retries"] == 2
+    assert manifest["params"] == {"quick": True, "jobs": 1, "cache": True,
+                                  "retries": 2}
     assert manifest["engine"]["shard"] is None
-    assert manifest["engine"]["resumed"] == 0
+    assert "resumed" not in manifest["engine"]
+
+
+def test_sweep_id_depends_on_sweep_identity(monkeypatch):
+    from repro.engine import fingerprint as fingerprint_mod
+
+    base = sweep_id(["a", "b"], {"quick": True})
+    assert sweep_id(["b", "a"], {"quick": True}) == base  # order-free
+    assert sweep_id(["a"], {"quick": True}) != base
+    assert sweep_id(["a", "b"], {"quick": False}) != base
+    monkeypatch.setattr(fingerprint_mod, "core_fingerprint",
+                        lambda: "after-an-edit")
+    assert sweep_id(["a", "b"], {"quick": True}) != base  # edited tree
 
 
 def test_analyze_experiment_prints_report(capsys):
@@ -466,7 +475,7 @@ def test_run_with_out_writes_live_telemetry(tmp_path, capsys, monkeypatch):
     assert status["state"] == "finished"
     assert status["progress"]["done"] == status["progress"]["planned"] > 0
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert manifest["schema"] == 4
+    assert manifest["schema"] == 5
     assert manifest["telemetry"]["dir"] == "telemetry"
     assert manifest["telemetry"]["events"]["sweep.finish"] == 1
     assert "telemetry:" in capsys.readouterr().out
