@@ -7,7 +7,6 @@ Examples::
     python -m repro run fig3a
     python -m repro run fig6 --full --out results/
     python -m repro run all --jobs 8 --out results/
-    python -m repro run fig3b --metrics-interval 100000 --out results/
     python -m repro run chaos --drop-rate 0.02
     python -m repro run fig5 --jobs 4 --no-cache
     python -m repro run fig6 --shard 1/4 --out results/
@@ -15,6 +14,7 @@ Examples::
     python -m repro top results/          # watch a run from another terminal
     python -m repro top results/ --once --json
     python -m repro trace fig3a --out trace.json
+    python -m repro trace fig3b --out trace.json --metrics-interval 100000
     python -m repro trace chaos --out chaos.json
     python -m repro analyze fig3a
     python -m repro analyze trace.json --out results/analysis
@@ -50,16 +50,18 @@ directory (``<out>/telemetry``, or ``--telemetry DIR``) receives an
 append-only structured event log (``events.jsonl``), an atomically
 rewritten heartbeat (``status.json``) with progress/ETA/worker state, a
 Prometheus textfile (``metrics.prom``), and -- on retry exhaustion, a
-crash, or SIGTERM -- a ``postmortem/`` flight-recorder bundle.  ``top``
-renders that heartbeat as a live terminal dashboard from any other
-terminal (``--once`` for one frame, ``--json`` for scripting);
+crash, SIGTERM or Ctrl-C -- a ``postmortem/`` flight-recorder bundle.
+``top`` renders that heartbeat as a live terminal dashboard from any
+other terminal (``--once`` for one frame, ``--json`` for scripting);
 ``--no-telemetry`` turns the whole layer off.
 
 ``trace`` records one representative simulation of the experiment with
 the virtual-time tracer attached and writes Chrome trace-event JSON --
 open it at https://ui.perfetto.dev (or ``chrome://tracing``) to see one
 track per simulated thread plus one per lock/CRI/queue.  Traces are
-byte-identical across runs with the same seed.
+byte-identical across runs with the same seed.  ``--metrics-interval
+NS`` also samples the same run's SPC time-series every NS of virtual
+time into ``<out-stem>.metrics.csv`` and prints its queue depths.
 
 ``analyze`` is the offline counterpart (:mod:`repro.obs.analyze`): it
 takes either a traceable experiment id (re-running its seeded
@@ -159,11 +161,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="paper-density parameters (slow)")
     run.add_argument("--out", type=pathlib.Path, default=None,
                      help="also save ASCII + CSV under this directory")
-    run.add_argument("--metrics-interval", type=_interval, default=None, metavar="NS",
-                     help="also sample the SPC time-series every NS of virtual "
-                          "time on a representative run of the experiment; "
-                          "writes <exp>.metrics.csv under --out (or prints a "
-                          "summary)")
     run.add_argument("--drop-rate", type=_drop_rate, default=None, metavar="R",
                      help="chaos only: sweep [0, R] as the packet drop axis "
                           "instead of the built-in axis (fraction in [0, 1])")
@@ -340,30 +337,6 @@ def _emit(result, out_dir) -> None:
             save_figure(fig, out_dir)
 
 
-def _emit_metrics(exp_id: str, interval_ns: int, out_dir) -> None:
-    """Time-series CSV for one experiment's representative run."""
-    from repro.obs.scenarios import traced_run
-
-    try:
-        run = traced_run(exp_id, metrics_interval_ns=interval_ns, trace=False)
-    except KeyError:
-        print(f"({exp_id}: no representative scenario; metrics skipped)")
-        return
-    csv = run.metrics.to_csv()
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / f"{exp_id}.metrics.csv"
-        path.write_text(csv)
-        print(f"metrics time-series: {path} ({len(run.metrics.rows)} samples)")
-    else:
-        print(f"metrics time-series ({len(run.metrics.rows)} samples, "
-              f"every {interval_ns} ns):")
-        lines = csv.splitlines()
-        for line in lines[:2] + (["..."] if len(lines) > 3 else []) + lines[-1:]:
-            print(f"  {line}")
-    print(f"queue depths: {run.metrics.depth_summary()}")
-
-
 def _cmd_trace(args) -> int:
     from repro.obs.export import save_trace, top_report
     from repro.obs.scenarios import traced_run
@@ -381,6 +354,7 @@ def _cmd_trace(args) -> int:
         mpath = path.with_suffix(".metrics.csv")
         mpath.write_text(run.metrics.to_csv())
         print(f"metrics time-series: {mpath} ({len(run.metrics.rows)} samples)")
+        print(f"queue depths: {run.metrics.depth_summary()}")
     print()
     print(top_report(run.tracer, n=args.top))
     return 0
@@ -637,8 +611,6 @@ def _write_run_manifest(args, engine, experiments, started: float,
         params["flaky_seed"] = args.flaky_seed
     if args.drop_rate is not None:
         params["drop_rate"] = args.drop_rate
-    if args.metrics_interval is not None:
-        params["metrics_interval_ns"] = args.metrics_interval
     manifest = build_manifest(
         command=["repro", "run", args.experiment],
         experiments=experiments,
@@ -687,9 +659,6 @@ def _cmd_run(args) -> int:
                         result = run_experiment(exp_id, quick=quick)
                         if not sharded:
                             _emit(result, args.out)
-                            if args.metrics_interval is not None:
-                                _emit_metrics(exp_id, args.metrics_interval,
-                                              args.out)
                 elif args.drop_rate is not None:
                     from repro.experiments.chaos import run_chaos
 
@@ -712,6 +681,10 @@ def _cmd_run(args) -> int:
                     telemetry.sweep_finish(False)
                     print(f"postmortem: {bundle}", file=sys.stderr)
                 return 3
+            except KeyboardInterrupt as exc:
+                if telemetry is not None:
+                    telemetry.postmortem("sigint", exc)
+                raise
             except Exception as exc:
                 if telemetry is not None:
                     telemetry.postmortem("crash", exc)
@@ -719,9 +692,6 @@ def _cmd_run(args) -> int:
                 raise
             if args.experiment != "all" and not sharded:
                 _emit(result, args.out)
-                if args.metrics_interval is not None:
-                    _emit_metrics(args.experiment, args.metrics_interval,
-                                  args.out)
             if sharded:
                 k, n = args.shard
                 print(f"shard {k}/{n}: artifacts suppressed (trial cache "

@@ -13,7 +13,9 @@ re-imports the experiment modules.
 
 Each worker reports its pid and per-task busy time so the engine can
 derive worker-utilization counters.  Those timings are host wall-clock
--- they feed observability and ``BENCH_engine.json``, never artifacts.
+-- they feed the engine's host counters (``engine.metrics.csv``,
+``status.json``, the manifest), never artifacts and never the
+deterministic ``BENCH_*.json`` baselines.
 """
 
 from __future__ import annotations

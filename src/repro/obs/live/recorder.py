@@ -1,10 +1,10 @@
 """The flight recorder: a postmortem bundle for sweeps that die.
 
 A sweep that exhausts a trial's retry budget, crashes the supervisor,
-or catches a SIGTERM should leave more behind than a stack trace on a
-lost terminal.  The recorder's memory is the event log's bounded ring
-(the most recent records, already in RAM); dumping writes a
-``postmortem/`` directory next to the telemetry files:
+or catches a SIGTERM or SIGINT should leave more behind than a stack
+trace on a lost terminal.  The recorder's memory is the event log's
+bounded ring (the most recent records, already in RAM); dumping writes
+a ``postmortem/`` directory next to the telemetry files:
 
 * ``postmortem.json`` -- the bundle manifest: reason, run id, host
   time, the final status snapshot, and what the bundle contains;
@@ -51,8 +51,8 @@ class FlightRecorder:
         """Write one bundle under ``out_dir``; returns the bundle path.
 
         ``reason`` is a short machine-readable cause
-        (``retry-exhaustion``, ``crash``, ``sigterm``); ``exc`` adds a
-        formatted ``traceback.txt`` when present.
+        (``retry-exhaustion``, ``crash``, ``sigterm``, ``sigint``);
+        ``exc`` adds a formatted ``traceback.txt`` when present.
         """
         out_dir = pathlib.Path(out_dir)
         bundle = out_dir / POSTMORTEM_DIR

@@ -13,7 +13,7 @@ telemetry directory and fans each hook out to the three surfaces:
   (:mod:`~repro.obs.live.prom`), rewritten on a cadence;
 * the event ring backs the flight recorder
   (:mod:`~repro.obs.live.recorder`), dumped on retry exhaustion,
-  supervisor crash, or SIGTERM.
+  supervisor crash, SIGTERM or SIGINT (Ctrl-C).
 
 Layering: the session lives at engine level, *above* the simulation --
 no telemetry code runs inside the simcore loop, so the PR-8 fast path
@@ -280,7 +280,8 @@ class LiveTelemetry:
         bundle = self.recorder.dump(self.dir, reason, exc)
         self.postmortems.append(bundle)
         self.log.emit("postmortem", reason=reason, bundle=bundle.name)
-        self.state = "killed" if reason == "sigterm" else "failed"
+        self.state = ("killed" if reason in ("sigterm", "sigint")
+                      else "failed")
         self.heartbeat(force=True)
         return bundle
 

@@ -157,8 +157,7 @@ def representative_run(exp_id: str, seed: int = 1, instrument=None,
 
 
 def traced_run(exp_id: str, seed: int = 1,
-               metrics_interval_ns: int | None = None,
-               trace: bool = True) -> TracedRun:
+               metrics_interval_ns: int | None = None) -> TracedRun:
     """Run ``exp_id``'s representative simulation with instrumentation.
 
     Returns the :class:`TracedRun`; the tracer's export is byte-identical
@@ -167,8 +166,7 @@ def traced_run(exp_id: str, seed: int = 1,
     captured: dict = {}
 
     def instrument(sched, world):
-        if trace:
-            captured["tracer"] = Tracer(sched)
+        captured["tracer"] = Tracer(sched)
         if metrics_interval_ns is not None:
             captured["metrics"] = MetricsRegistry(
                 world, interval_ns=metrics_interval_ns)
@@ -179,8 +177,7 @@ def traced_run(exp_id: str, seed: int = 1,
     metrics = captured.get("metrics")
     if metrics is not None:
         metrics.finalize()
-    tracer = captured.get("tracer")
-    if tracer is not None:
-        tracer.detach()
+    tracer = captured["tracer"]
+    tracer.detach()
     return TracedRun(exp_id=exp_id, tracer=tracer, metrics=metrics,
                      result=result, elapsed_ns=elapsed)

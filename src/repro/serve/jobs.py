@@ -21,7 +21,7 @@ content-addressed :class:`~repro.engine.cache.TrialCache`, so even
 ``events.jsonl`` the SSE layer tails.  Artifacts are written inside
 the job thunk -- before the handle flips to ``done`` -- so a reader
 that observes ``done`` can never see a torn artifact; the manifest
-(schema 4, with the ``served`` accounting block) is written by the
+(schema 5, with the ``served`` accounting block) is written by the
 handle's completion callback, before any waiter wakes.
 
 The engine may itself be parallel (``engine_jobs >= 2`` forks a

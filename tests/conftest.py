@@ -13,8 +13,12 @@ from repro.simthread import Scheduler
 def _isolated_trial_cache(tmp_path, monkeypatch):
     """Point the CLI's trial cache at a per-test directory.
 
-    Keeps test runs from writing cache entries into the repository's
-    ``results/.cache`` (and from seeing each other's warm entries).
+    Keeps CLI runs inside tests from writing cache entries into the
+    repository's ``results/.cache`` (and from seeing each other's warm
+    entries).  The one deliberate user of ``results/.cache`` is the
+    exhibit pin (``tests/experiments/conftest.py``), which builds its
+    engine's cache explicitly, the way ``repro run all --out results/``
+    does.
     """
     monkeypatch.setenv("REPRO_TRIAL_CACHE", str(tmp_path / "trial-cache"))
 

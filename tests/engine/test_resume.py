@@ -11,7 +11,7 @@ import sys
 import time
 
 from repro.engine import Engine, TrialCache, TrialSpec, TrialTask, trial
-from repro.obs.live import EVENTS_NAME, read_events
+from repro.obs.live import EVENTS_NAME, STATUS_NAME, read_events
 
 
 @trial("resumetest.echo")
@@ -83,27 +83,37 @@ def _exited(pid):
     return stat.rsplit(")", 1)[1].split()[0] == "Z"
 
 
+def _completed(out):
+    """How many ``trial.complete`` events a run has logged so far."""
+    return sum(e["kind"] == "trial.complete"
+               for e in read_events(out / "telemetry" / EVENTS_NAME))
+
+
+def _status(out):
+    return json.loads((out / "telemetry" / STATUS_NAME).read_text())
+
+
 def _interrupt_mid_sweep(tmp_path, env, sig):
+    """Send ``sig`` to a ``--jobs 2`` run on its first ``trial.complete``
+    and check that it died of the signal before finishing its sweep."""
     out = tmp_path / "victim"
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "run", "ext-modes",
          "--jobs", "2", "--out", str(out)],
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     deadline = time.monotonic() + 60
-    while not _worker_pids(out) and proc.poll() is None \
+    while not _completed(out) and proc.poll() is None \
             and time.monotonic() < deadline:
-        time.sleep(0.05)                     # wait for the pool to start
-    time.sleep(0.3)                          # let some trials finish
-    if proc.poll() is None:
-        proc.send_signal(sig)
-    proc.wait(timeout=60)
+        time.sleep(0.01)
+    proc.send_signal(sig)
+    assert proc.wait(timeout=60) == -sig
+    assert _status(out)["state"] != "finished"
     return out
 
 
 def _assert_rerun_completes(env, out, reference):
     # every trial the victim reported complete was in the cache first
-    finished = sum(e["kind"] == "trial.complete"
-                   for e in read_events(out / "telemetry" / EVENTS_NAME))
+    finished = _completed(out)
     result = _run_cli(["run", "ext-modes", "--jobs", "2",
                        "--out", str(out)], env)
     assert result.returncode == 0, result.stderr
@@ -111,6 +121,7 @@ def _assert_rerun_completes(env, out, reference):
     engine = json.loads((out / "manifest.json").read_text())["engine"]
     assert engine["cache_hits"] + engine["cache_misses"] == engine["trials"]
     assert engine["cache_hits"] >= finished
+    assert engine["cache_misses"] >= 1      # the victim left work undone
 
 
 def test_sigkill_mid_sweep_then_resume_byte_identical(tmp_path):
@@ -132,6 +143,12 @@ def test_sigint_mid_sweep_then_resume_byte_identical(tmp_path):
     env = _cli_env(tmp_path)
     reference = _clean_reference(tmp_path, env)
     out = _interrupt_mid_sweep(tmp_path, env, signal.SIGINT)
+    # Ctrl-C narrates itself like SIGTERM: killed, with a postmortem
+    assert _status(out)["state"] == "killed"
+    bundle = out / "telemetry" / "postmortem"
+    assert json.loads((bundle / "postmortem.json").read_text())["reason"] \
+        == "sigint"
+    assert (bundle / "ring.jsonl").is_file()
     _assert_rerun_completes(env, out, reference)
 
 

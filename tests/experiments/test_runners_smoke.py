@@ -1,8 +1,7 @@
 """Smoke tests: every experiment runner produces well-formed results.
 
 These use tiny custom parameters so the whole file stays fast; the
-paper-shape assertions on realistic sizes live in test_shapes.py (marked
-slow).
+paper-shape assertions on the committed exhibits live in test_shapes.py.
 """
 
 import pytest

@@ -1,32 +1,25 @@
-"""Paper-shape acceptance tests (slow).
+"""Paper-shape acceptance tests.
 
 Each test asserts the *qualitative* claim a paper exhibit makes -- who
-wins, by roughly what factor, where behaviour changes -- on the quick
-experiment configurations.  Absolute rates are never asserted (our
-substrate is a simulator, not the authors' clusters); EXPERIMENTS.md
-records the measured numbers next to the paper's.
+wins, by roughly what factor, where behaviour changes -- on the
+committed quick exhibits, read from the session's regeneration (the
+``exhibits`` fixture, which ``test_exhibits.py`` pins to ``results/``).
+Absolute rates are never asserted (our substrate is a simulator, not
+the authors' clusters); EXPERIMENTS.md records the measured numbers
+next to the paper's.
 """
 
 import pytest
 
-from repro.experiments.figure3 import run_figure3
-from repro.experiments.figure4 import run_figure4
-from repro.experiments.figure5 import run_figure5
-from repro.experiments.figure6 import run_figure6
-from repro.experiments.figure7 import run_figure7
-from repro.experiments.table2 import run_table2
 
-pytestmark = pytest.mark.slow
+@pytest.fixture(scope="module")
+def fig3(exhibits):
+    return {panel: exhibits.figures[f"fig3{panel}"] for panel in "abc"}
 
 
 @pytest.fixture(scope="module")
-def fig3():
-    return {panel: run_figure3(panel, quick=True, trials=1) for panel in "abc"}
-
-
-@pytest.fixture(scope="module")
-def fig4():
-    return {panel: run_figure4(panel, quick=True, trials=1) for panel in "abc"}
+def fig4(exhibits):
+    return {panel: exhibits.figures[f"fig4{panel}"] for panel in "abc"}
 
 
 def last_x(series):
@@ -84,8 +77,8 @@ class TestFigure3c:
 
 class TestTable2:
     @pytest.fixture(scope="class")
-    def table(self):
-        return run_table2(quick=True, pairs=20)
+    def table(self, exhibits):
+        return exhibits.figures["table2"]
 
     def test_out_of_sequence_dominates_shared_comm(self, table):
         for strategy in ("Serial Progress", "Concurrent Progress"):
@@ -139,8 +132,8 @@ class TestFigure4:
 
 class TestFigure5:
     @pytest.fixture(scope="class")
-    def fig(self):
-        return run_figure5(quick=True, trials=1)
+    def fig(self, exhibits):
+        return exhibits.figures["fig5"]
 
     def test_process_mode_scales_thread_mode_does_not(self, fig):
         for impl in ("OMPI", "IMPI", "MPICH"):
@@ -169,9 +162,8 @@ class TestFigure5:
 
 class TestFigure6:
     @pytest.fixture(scope="class")
-    def figs(self):
-        return {f.fig_id: f for f in run_figure6(quick=True, trials=1,
-                                                 sizes=(1, 16384))}
+    def figs(self, exhibits):
+        return exhibits.figures
 
     def test_dedicated_scales_nearly_perfectly_small_messages(self, figs):
         ded = figs["fig6-1B"].get("dedicated/serial")
@@ -206,11 +198,9 @@ class TestFigure6:
 
 
 class TestFigure7:
-    def test_knl_slower_per_thread_but_still_scales(self):
-        figs = {f.fig_id: f for f in run_figure7(quick=True, trials=1, sizes=(1,))}
-        ded = figs["fig7-1B"].get("dedicated/serial")
-        haswell = {f.fig_id: f for f in run_figure6(quick=True, trials=1, sizes=(1,))}
-        hded = haswell["fig6-1B"].get("dedicated/serial")
+    def test_knl_slower_per_thread_but_still_scales(self, exhibits):
+        ded = exhibits.figures["fig7-1B"].get("dedicated/serial")
+        hded = exhibits.figures["fig6-1B"].get("dedicated/serial")
         assert ded.at(1).mean < hded.at(1).mean        # slower cores
         assert ded.points[-1].x == 64                  # deeper thread sweep
         assert ded.points[-1].mean > 10 * ded.at(1).mean  # still scales

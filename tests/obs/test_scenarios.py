@@ -53,12 +53,6 @@ def test_trace_and_metrics_are_deterministic():
     assert len(a.metrics.rows) >= 2
 
 
-def test_trace_false_skips_tracer():
-    run = traced_run("fig6", metrics_interval_ns=100_000, trace=False)
-    assert run.tracer is None
-    assert run.metrics is not None and run.metrics.rows
-
-
 def test_chaos_scenario_records_fault_instants():
     run = traced_run("chaos")
     assert run.result.faults is not None

@@ -69,6 +69,7 @@ def test_trace_with_metrics_interval(tmp_path, capsys):
     csv = (tmp_path / "t.metrics.csv").read_text()
     assert csv.startswith("t_ns,")
     assert len(csv.splitlines()) >= 2
+    assert "queue depths" in capsys.readouterr().out
 
 
 def test_trace_unknown_experiment(capsys):
@@ -80,22 +81,6 @@ def test_non_positive_metrics_interval_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["trace", "fig6", "--metrics-interval", "0"])
     assert "positive" in capsys.readouterr().err
-
-
-def test_run_with_metrics_interval(tmp_path, capsys, monkeypatch):
-    import repro.experiments.figure3 as f3
-    monkeypatch.setattr(f3, "QUICK_PAIRS", (1,))
-    assert main(["run", "fig3a", "--out", str(tmp_path),
-                 "--metrics-interval", "100000"]) == 0
-    assert (tmp_path / "fig3a.metrics.csv").read_text().startswith("t_ns,")
-    assert "queue depths" in capsys.readouterr().out
-
-
-def test_run_metrics_interval_without_scenario(capsys, monkeypatch):
-    import repro.experiments.figure5 as f5
-    monkeypatch.setattr(f5, "QUICK_PAIRS", (1,))
-    assert main(["run", "fig5", "--metrics-interval", "100000"]) == 0
-    assert "metrics skipped" in capsys.readouterr().out
 
 
 def test_run_chaos_with_drop_rate(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,4 @@
-"""Every example script runs to completion (slow: real sweeps inside)."""
+"""Every example script runs to completion."""
 
 import pathlib
 import subprocess
@@ -7,8 +7,6 @@ import sys
 import pytest
 
 EXAMPLES_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples"
-
-pytestmark = pytest.mark.slow
 
 
 @pytest.mark.parametrize("script", sorted(p.name for p in EXAMPLES_DIR.glob("*.py")))
