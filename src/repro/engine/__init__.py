@@ -34,9 +34,6 @@ Layers (each in its own module):
 * :mod:`~repro.engine.engine` -- :class:`Engine` orchestrating cache
   + pool (and ``--shard k/N`` partitions) and keeping SPC-style
   counters (hits, misses, retries, utilization);
-* :mod:`~repro.engine.handle` -- :class:`JobHandle`, the lifecycle
-  wrapper the experiment service schedules sweeps through (state
-  machine, waiters, telemetry callbacks over one engine);
 * :mod:`~repro.engine.manifest` -- run-provenance ``manifest.json``
   documents (seed, params, code fingerprint, aggregated counters)
   written next to every ``--out`` artifact set.
@@ -56,7 +53,6 @@ from repro.engine.engine import (
     set_engine,
     use_engine,
 )
-from repro.engine.handle import JOB_STATES, JobHandle
 from repro.engine.locks import FileLock, LockTimeout
 from repro.engine.manifest import (
     build_manifest,
@@ -73,8 +69,6 @@ __all__ = [
     "Engine",
     "EngineCounters",
     "FileLock",
-    "JOB_STATES",
-    "JobHandle",
     "LockTimeout",
     "RetryPolicy",
     "ShardValue",

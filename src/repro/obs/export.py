@@ -8,6 +8,8 @@ fixed decimals, so exports are byte-identical across same-seed runs.
 
 ``top_report`` renders the aggregate view the paper's tables are made
 of: cumulative time per span kind and per lock (held/wait), top-N.
+Its contended-wait section reads each live
+:class:`~repro.simthread.sync.SimLock`'s ``wait_time_ns``.
 """
 
 from __future__ import annotations
@@ -131,22 +133,6 @@ def span_totals(tracer: Tracer, cat: str | None = None) -> dict[str, dict]:
     return totals
 
 
-def lock_wait_totals(tracer: Tracer) -> dict[str, int]:
-    """Cumulative contended wait time (ns) per lock name.
-
-    This is the quantity behind the paper's Table II story: under
-    concurrent progress the matching lock's wait time explodes relative
-    to serial progress.
-    """
-    out: dict[str, int] = {}
-    for _tid, _name, cat, _start, dur, args in closed_spans(tracer):
-        if cat != "lock-wait":
-            continue
-        lock = (args or {}).get("lock", "?")
-        out[lock] = out.get(lock, 0) + dur
-    return out
-
-
 def top_report(tracer: Tracer, n: int = 12) -> str:
     """Plain-text top-N: where virtual time went, by span and by lock."""
     lines = [f"trace report: {tracer.sched.now} ns virtual, "
@@ -157,7 +143,8 @@ def top_report(tracer: Tracer, n: int = 12) -> str:
     for name, b in totals[:n]:
         lines.append(f"{name:<32} {b['count']:>8} {b['total_ns'] / 1e6:>10.3f} "
                      f"{b['mean_ns'] / 1e3:>9.2f}")
-    waits = sorted(lock_wait_totals(tracer).items(),
+    waits = sorted(((lock.name, lock.wait_time_ns)
+                    for lock in tracer.sched.locks if lock.wait_time_ns),
                    key=lambda kv: (-kv[1], kv[0]))
     if waits:
         lines.append("")

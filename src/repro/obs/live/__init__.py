@@ -16,8 +16,7 @@ from repro.obs.live.events import (EVENT_KINDS, EVENTS_NAME, EVENTS_SCHEMA,
                                    HOST_FIELDS, EventTail, RunEventLog,
                                    canonical_line, complete_lines,
                                    read_events, trial_digest)
-from repro.obs.live.prom import (PROM_NAME, metric_name, pvars_to_prom,
-                                 render_prom)
+from repro.obs.live.prom import PROM_NAME, metric_name, render_prom
 from repro.obs.live.recorder import (POSTMORTEM_DIR, POSTMORTEM_SCHEMA,
                                      FlightRecorder)
 from repro.obs.live.session import LiveTelemetry, PoolMonitor
@@ -29,7 +28,7 @@ __all__ = [
     "EVENT_KINDS", "EVENTS_NAME", "EVENTS_SCHEMA", "EventTail",
     "HOST_FIELDS", "RunEventLog", "canonical_line", "complete_lines",
     "read_events", "trial_digest",
-    "PROM_NAME", "metric_name", "pvars_to_prom", "render_prom",
+    "PROM_NAME", "metric_name", "render_prom",
     "POSTMORTEM_DIR", "POSTMORTEM_SCHEMA", "FlightRecorder",
     "LiveTelemetry", "PoolMonitor",
     "STATUS_NAME", "STATUS_SCHEMA", "STATUS_STATES", "StatusWriter",

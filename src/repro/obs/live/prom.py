@@ -7,15 +7,8 @@ update -- is the established way to publish metrics without running a
 server, so the telemetry session derives ``metrics.prom`` from the same
 snapshot that feeds ``status.json``.
 
-Two renderers live here:
-
-* :func:`render_prom` -- the engine-level surface: progress, engine
-  counters, per-worker busy gauges, and the run-id info metric;
-* :func:`pvars_to_prom` -- the simulation-level surface: any mapping of
-  MPI_T pvar / SPC counter names to numbers (what
-  :meth:`repro.mpi.mpit.PvarSession.read_all` returns) rendered under
-  the ``repro_spc_`` prefix, so per-trial counters publish through the
-  identical convention when a caller wants them.
+:func:`render_prom` renders the engine-level surface: progress, engine
+counters, per-worker busy gauges, and the run-id info metric.
 
 Metric names follow Prometheus rules (``[a-z_][a-z0-9_]*``); anything
 else in a counter name is folded to ``_``.
@@ -34,10 +27,10 @@ PREFIX = "repro"
 _NAME_OK = re.compile(r"[^a-z0-9_]+")
 
 
-def metric_name(raw: str, prefix: str = PREFIX) -> str:
-    """A Prometheus-legal metric name for ``raw`` under ``prefix``."""
+def metric_name(raw: str) -> str:
+    """A Prometheus-legal metric name for ``raw`` under :data:`PREFIX`."""
     clean = _NAME_OK.sub("_", raw.lower()).strip("_")
-    return f"{prefix}_{clean}"
+    return f"{PREFIX}_{clean}"
 
 
 def _sample(name: str, value, help_text: str, kind: str = "gauge",
@@ -88,29 +81,3 @@ def render_prom(snapshot: dict) -> str:
                       "current trial", f"# TYPE {name} gauge"]
         lines.append(f'{name}{{slot="{slot}"}} {busy}')
     return "\n".join(lines) + "\n"
-
-
-def pvars_to_prom(pvars: dict, prefix: str = f"{PREFIX}_spc") -> str:
-    """Render an MPI_T pvar / SPC mapping as Prometheus text.
-
-    ``pvars`` maps counter names to numbers (nested mappings -- e.g.
-    per-rank reads -- are flattened with a ``rank`` label).  Non-numeric
-    values are skipped, so the output always parses.
-    """
-    lines: list[str] = []
-    for raw, value in sorted(pvars.items()):
-        if isinstance(value, dict):
-            name = metric_name(raw, prefix)
-            series = [(k, v) for k, v in sorted(value.items())
-                      if isinstance(v, (int, float))
-                      and not isinstance(v, bool)]
-            if not series:
-                continue
-            lines += [f"# HELP {name} MPI_T pvar {raw} (per rank)",
-                      f"# TYPE {name} counter"]
-            lines += [f'{name}{{rank="{k}"}} {v}' for k, v in series]
-        elif isinstance(value, (int, float)) and not isinstance(value, bool):
-            name = metric_name(raw, prefix)
-            lines += _sample(name, value, f"MPI_T pvar {raw}",
-                             kind="counter")
-    return "\n".join(lines) + "\n" if lines else ""

@@ -10,9 +10,8 @@ once and the interesting properties hold under contention:
   encoding and content-addressed (:mod:`~repro.serve.dedup`), so N
   identical requests cost exactly one simulation;
 * **job lifecycle** -- a bounded queue fans submissions out to worker
-  threads, each running one :class:`~repro.engine.handle.JobHandle`
-  over its own engine + live-telemetry session
-  (:mod:`~repro.serve.jobs`);
+  threads, each running one :class:`~repro.serve.jobs.ServeJob` over
+  its own engine + live-telemetry session (:mod:`~repro.serve.jobs`);
 * **streaming** -- subscribers tail a running job's ``events.jsonl``
   over Server-Sent Events with replay-from-seq
   (:mod:`~repro.serve.sse`);

@@ -12,17 +12,17 @@ records and enforces the service's two load-shaping contracts:
   when it is full the submission is refused with :class:`QueueFull`
   (HTTP 503) instead of letting memory and latency grow without bound.
 
-Worker threads drain the queue.  Each job runs under its own
-:class:`~repro.engine.handle.JobHandle`: a private
+Worker threads drain the queue.  A :class:`ServeJob` is the one record
+of a served job: it holds a private
 :class:`~repro.engine.engine.Engine` (sharing the service-wide
 content-addressed :class:`~repro.engine.cache.TrialCache`, so even
 *distinct* requests reuse overlapping trials) plus a per-job
 :class:`~repro.obs.live.session.LiveTelemetry` session whose
-``events.jsonl`` the SSE layer tails.  Artifacts are written inside
-the job thunk -- before the handle flips to ``done`` -- so a reader
-that observes ``done`` can never see a torn artifact; the manifest
-(schema 5, with the ``served`` accounting block) is written by the
-handle's completion callback, before any waiter wakes.
+``events.jsonl`` the SSE layer tails, and :meth:`ServeJob.run` takes
+it through one ordering: artifacts, then the manifest (schema 5, with
+the ``served`` accounting block), then ``done`` and the waiters.  A
+reader that observes ``done`` can therefore never see a torn artifact
+or a missing manifest.
 
 The engine may itself be parallel (``engine_jobs >= 2`` forks a
 supervised pool per job) and chaos-testable: a seeded
@@ -39,8 +39,7 @@ import threading
 import time
 
 from repro.engine.cache import TrialCache
-from repro.engine.engine import Engine
-from repro.engine.handle import JobHandle
+from repro.engine.engine import Engine, use_engine
 from repro.engine.supervise import supervision
 from repro.serve.dedup import RequestKey, request_key
 
@@ -53,19 +52,33 @@ class QueueFull(RuntimeError):
 
 
 class ServeJob:
-    """One deduplicated unit of served work: key, handle, paths, counts.
+    """One deduplicated unit of served work, from submission to manifest.
 
-    ``requests`` counts every submission that mapped here (the first,
-    cold one included); it is only ever mutated under the index lock.
+    ``engine`` is the private :class:`~repro.engine.engine.Engine` the
+    job's trials run through and ``telemetry`` the live-telemetry
+    session already attached to it.  :meth:`run` moves the job
+    ``queued -> running -> done | failed`` exactly once; ``state``,
+    ``error``, ``started_at`` and ``finished_at`` change under the
+    job's lock, and :meth:`wait` blocks on a one-shot event set after
+    the last of them.  ``requests`` counts every submission that
+    mapped here (the first, cold one included); it is only ever
+    mutated under the index lock.
     """
 
     def __init__(self, key: RequestKey, job_dir: pathlib.Path,
-                 handle: JobHandle):
+                 engine: Engine, telemetry):
         self.key = key
         self.dir = job_dir
-        self.handle = handle
+        self.engine = engine
+        self.telemetry = telemetry
         self.requests = 0
         self.created_at = time.time()
+        self.state = "queued"
+        self.error: str | None = None
+        self.started_at: float | None = None
+        self.finished_at: float | None = None
+        self._finished = threading.Event()
+        self._lock = threading.Lock()
 
     @property
     def id(self) -> str:
@@ -73,23 +86,71 @@ class ServeJob:
         return self.key.digest
 
     @property
-    def state(self) -> str:
-        """The job's lifecycle state (queued/running/done/failed).
-
-        The handle turns terminal before its completion callback writes
-        the manifest; the job reads ``running`` until that callback has
-        returned, so a reader that sees ``done`` finds every artifact.
-        """
-        state = self.handle.state
-        if state in ("done", "failed") and not self.handle.finished:
-            return "running"
-        return state
-
-    @property
     def telemetry_dir(self) -> pathlib.Path:
         """Where this job's live telemetry (events.jsonl, ...) lands."""
         return self.dir / "telemetry"
 
+    # -- execution ------------------------------------------------------
+    def run(self) -> None:
+        """Run the job on the calling thread; a second call raises.
+
+        Runs the exhibit under the job's engine and writes its
+        artifacts, stamps ``finished_at``, narrates ``sweep.finish``,
+        writes the served manifest, and only then turns ``done`` and
+        wakes waiters.  Any exception turns the job ``failed`` (the
+        error kept as ``"Type: message"``, no manifest written), wakes
+        waiters and is re-raised.
+        """
+        with self._lock:
+            if self.state != "queued":
+                raise RuntimeError(
+                    f"job {self.id} already {self.state}; jobs run once")
+            self.state = "running"
+            self.started_at = time.time()
+        exhibit, params = self.key.exhibit, self.key.params_dict()
+        telemetry = self.telemetry
+        try:
+            from repro.engine.manifest import build_manifest, write_manifest
+            from repro.experiments.artifacts import save_result
+            from repro.experiments.registry import run_experiment
+
+            telemetry.sweep_start()
+            with use_engine(self.engine):
+                save_result(run_experiment(exhibit, quick=params["quick"]),
+                            self.dir)
+            with self._lock:
+                self.finished_at = time.time()
+            telemetry.sweep_finish(True)
+            telemetry.close()
+            write_manifest(self.dir, build_manifest(
+                command=["repro", "serve", exhibit],
+                experiments=[exhibit], params=params, engine=self.engine,
+                wall_s=self.finished_at - self.started_at,
+                telemetry=telemetry.summary(), served=self.served_block()))
+            with self._lock:
+                self.state = "done"
+        except BaseException as exc:
+            with self._lock:
+                self.error = f"{type(exc).__name__}: {exc}"
+                self.state = "failed"
+                self.finished_at = time.time()
+            if telemetry.state == "running":  # sweep.finish not yet written
+                telemetry.sweep_finish(False)
+            telemetry.close()
+            raise
+        finally:
+            self._finished.set()
+
+    def wait(self, timeout: float | None = None) -> bool:
+        """Block until the job finished; False if ``timeout`` elapsed."""
+        return self._finished.wait(timeout)
+
+    @property
+    def finished(self) -> bool:
+        """Whether the job reached a terminal state (done or failed)."""
+        return self._finished.is_set()
+
+    # -- reads ----------------------------------------------------------
     def served_block(self) -> dict:
         """The manifest's ``served`` accounting block for this job."""
         return {"requests": self.requests,
@@ -104,10 +165,18 @@ class ServeJob:
 
     def snapshot(self) -> dict:
         """The JSON status document ``GET /experiments/<id>`` returns."""
-        state = self.state  # first: the handle snapshot can only be newer
-        doc = self.handle.snapshot()
+        with self._lock:
+            doc = {
+                "id": self.id,
+                "state": self.state,
+                "error": self.error,
+                "started_at": self.started_at,
+                "finished_at": self.finished_at,
+            }
+        state = doc["state"]
+        if state in ("done", "failed"):
+            doc["counters"] = self.engine.counters.as_row()
         doc.update({
-            "state": state,
             "exhibit": self.key.exhibit,
             "params": self.key.params_dict(),
             "requests": self.requests,
@@ -188,7 +257,7 @@ class JobIndex:
             return job, True
 
     def _create(self, key: RequestKey) -> ServeJob:
-        """Build the job record + handle (caller holds the index lock)."""
+        """Build the job record (caller holds the index lock)."""
         job_dir = self.root / JOBS_DIR / key.digest
         policy, faults = supervision(self.retries, self.trial_timeout,
                                      self.flaky_workers, self.flaky_seed)
@@ -202,42 +271,9 @@ class JobIndex:
             jobs=self.engine_jobs,
             cache=TrialCache(self.root / ".cache"),
             policy=policy, faults=faults, telemetry=telemetry)
-        handle = JobHandle(key.digest, self._thunk(key, job_dir),
-                           engine=engine, telemetry=telemetry,
-                           on_finish=self._on_finish)
-        job = ServeJob(key, job_dir, handle)
+        job = ServeJob(key, job_dir, engine, telemetry)
         self.jobs[key.digest] = job
         return job
-
-    def _thunk(self, key: RequestKey, job_dir: pathlib.Path):
-        """The job body: run the exhibit, write its artifacts."""
-        def run():
-            from repro.experiments.artifacts import save_result
-            from repro.experiments.registry import run_experiment
-
-            result = run_experiment(key.exhibit,
-                                    quick=key.params_dict()["quick"])
-            save_result(result, job_dir)
-            return result
-        return run
-
-    def _on_finish(self, handle: JobHandle) -> None:
-        """Handle completion callback: persist the served manifest."""
-        job = self.jobs.get(handle.id)
-        if job is None or handle.state != "done":  # pragma: no cover
-            return
-        from repro.engine.manifest import build_manifest, write_manifest
-
-        telemetry = handle.telemetry
-        manifest = build_manifest(
-            command=["repro", "serve", job.key.exhibit],
-            experiments=[job.key.exhibit],
-            params=job.key.params_dict(),
-            engine=handle.engine,
-            wall_s=(handle.finished_at or 0) - (handle.started_at or 0),
-            telemetry=telemetry.summary() if telemetry is not None else None,
-            served=job.served_block())
-        write_manifest(job.dir, manifest)
 
     # -- execution ------------------------------------------------------
     def _worker_loop(self) -> None:
@@ -247,9 +283,9 @@ class JobIndex:
             if job is None:
                 return
             try:
-                job.handle.execute()
+                job.run()
             except BaseException:
-                pass  # recorded on the handle; served as state=failed
+                pass  # recorded on the job; served as state=failed
 
     # -- reads ----------------------------------------------------------
     def get(self, job_id: str) -> ServeJob | None:

@@ -186,7 +186,7 @@ class ServeHandler(BaseHTTPRequestHandler):
             return self._error(404, f"no such artifact set {job_id!r}")
         if job.state == "failed":
             return self._error(410, f"job {job_id} failed: "
-                                    f"{job.handle.error}")
+                                    f"{job.error}")
         if job.state != "done":
             return self._json(409, {"error": f"job {job_id} is "
                                              f"{job.state}; artifacts "

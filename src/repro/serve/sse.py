@@ -47,7 +47,7 @@ def job_event_stream(job, from_seq: int = 0, poll_s: float = 0.05,
     writer forever.
     """
     tail = EventTail(job.telemetry_dir / EVENTS_NAME, min_seq=from_seq)
-    for record in tail.follow(lambda: job.handle.finished,
+    for record in tail.follow(lambda: job.finished,
                               poll_s=poll_s, timeout_s=timeout_s):
         yield format_event(record)
     yield end_frame(job.state)

@@ -1,5 +1,7 @@
 """Engine orchestration: dedup, counters, caching, ambient scoping."""
 
+import threading
+
 import pytest
 
 from repro.engine import (
@@ -100,6 +102,29 @@ def test_ambient_engine_scoping():
         assert active is scoped
         assert current_engine() is scoped
     assert current_engine() is default
+
+
+def test_use_engine_is_thread_local():
+    # two threads scope different engines at once; neither sees the other's
+    engines = {name: Engine(jobs=1) for name in ("a", "b")}
+    seen = {}
+    inside = threading.Barrier(2, timeout=30)
+
+    def body(name):
+        with use_engine(engines[name]):
+            inside.wait()                      # both threads scoped in
+            seen[name] = current_engine()
+            inside.wait()
+
+    threads = [threading.Thread(target=body, args=(name,))
+               for name in engines]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+        assert not t.is_alive()
+    assert seen["a"] is engines["a"] and seen["b"] is engines["b"]
+    assert all(current_engine() is not e for e in engines.values())
 
 
 def test_set_engine_returns_previous():

@@ -1,8 +1,8 @@
-"""Prometheus textfile rendering: names, typing, SPC bridging."""
+"""Prometheus textfile rendering: names and typing."""
 
 import re
 
-from repro.obs.live import metric_name, pvars_to_prom, render_prom
+from repro.obs.live import metric_name, render_prom
 
 _SAMPLE = re.compile(r"^[a-z_][a-z0-9_]*(\{[^{}]*\})? \S+$")
 
@@ -47,17 +47,4 @@ def test_counter_vs_gauge_typing():
 
 def test_metric_name_folds_illegal_characters():
     assert metric_name("rq_wait.max-ns") == "repro_rq_wait_max_ns"
-    assert metric_name("Weird  Name!", prefix="x") == "x_weird_name"
-
-
-def test_pvars_flat_and_per_rank():
-    text = pvars_to_prom({"posted_recvq_length": 7,
-                          "unexpected": {"0": 3, "1": 4},
-                          "label": "skipped"})
-    assert "repro_spc_posted_recvq_length 7" in text
-    assert 'repro_spc_unexpected{rank="0"} 3' in text
-    assert 'repro_spc_unexpected{rank="1"} 4' in text
-    assert "label" not in text
-    for line in _samples(text):
-        assert _SAMPLE.match(line), line
-    assert pvars_to_prom({}) == ""
+    assert metric_name("Weird  Name!") == "repro_weird_name"

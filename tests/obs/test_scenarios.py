@@ -4,13 +4,13 @@ import json
 
 import pytest
 
-from repro.obs.export import lock_wait_totals, to_chrome_json
+from repro.obs.export import to_chrome_json
 from repro.obs.scenarios import traceable_ids, traced_run
 
 
 def match_lock_wait(tracer) -> int:
-    return sum(total for name, total in lock_wait_totals(tracer).items()
-               if "/match-c" in name)
+    return sum(lock.wait_time_ns for lock in tracer.sched.locks
+               if "/match-c" in lock.name)
 
 
 def test_traceable_ids_cover_both_workloads():

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.obs.export import (lock_wait_totals, span_totals, to_chrome_json,
+from repro.obs.export import (closed_spans, span_totals, to_chrome_json,
                               trace_events, top_report)
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
 from repro.simthread import Delay, LockCosts, Scheduler, SimLock
@@ -112,8 +112,11 @@ class TestLockInstrumentation:
 
     def test_wait_span_matches_lock_accounting(self):
         trc, lock = self._contended_run()
-        waits = lock_wait_totals(trc)
-        assert waits == {"m-lock": lock.wait_time_ns}
+        waits = [(args["lock"], dur)
+                 for _, _, cat, _, dur, args in closed_spans(trc)
+                 if cat == "lock-wait"]
+        assert {name for name, _ in waits} == {"m-lock"}
+        assert sum(dur for _, dur in waits) == lock.wait_time_ns
         assert lock.wait_time_ns > 0
 
     def test_tryfail_and_migration_instants(self):
