@@ -685,11 +685,6 @@ def _cmd_run(args) -> int:
                 if telemetry is not None:
                     telemetry.postmortem("sigint", exc)
                 raise
-            except Exception as exc:
-                if telemetry is not None:
-                    telemetry.postmortem("crash", exc)
-                    telemetry.sweep_finish(False)
-                raise
             if args.experiment != "all" and not sharded:
                 _emit(result, args.out)
             if sharded:
@@ -703,6 +698,16 @@ def _cmd_run(args) -> int:
             if args.out is not None:
                 _write_run_manifest(args, engine, experiments, started,
                                     telemetry)
+    except Exception as exc:
+        # A crash is narrated as a postmortem, followed by a failed
+        # sweep.finish if none was written yet; after an ok sweep.finish
+        # (say, a failed manifest write) the postmortem is the last word.
+        if telemetry is not None:
+            running = telemetry.state == "running"
+            telemetry.postmortem("crash", exc)
+            if running:
+                telemetry.sweep_finish(False)
+        raise
     finally:
         if telemetry is not None:
             telemetry.restore_sigterm()

@@ -1,8 +1,8 @@
 """An MPI-like message-passing library on simulated threads and networks.
 
 This is the substrate the paper's designs are implemented *in*: a faithful
-(if reduced) model of Open MPI's OB1 point-to-point stack plus the MPI-3.1
-one-sided interface:
+(if reduced) model of Open MPI's OB1 point-to-point stack plus the part of
+the MPI-3.1 one-sided interface RMA-MT drives:
 
 * communicators with per-(peer, communicator) send sequence numbers;
 * a matching engine per (process, communicator) -- posted-receive and
@@ -10,9 +10,9 @@ one-sided interface:
   buffering, ``MPI_ANY_SOURCE`` / ``MPI_ANY_TAG`` wildcards, and the
   ``mpi_assert_allow_overtaking`` info key;
 * blocking and nonblocking two-sided operations driven by the progress
-  engines from :mod:`repro.core`;
-* one-sided windows with put/get/accumulate and passive-target
-  (lock/flush) plus fence synchronization;
+  engines from :mod:`repro.core`, plus a linear ``allreduce``;
+* one-sided windows with put/get/accumulate completed by ``flush``
+  inside a ``win_lock_all`` epoch;
 * software performance counters (SPCs) mirroring the Open MPI counters
   the paper reads: messages sent/received, unexpected and out-of-sequence
   counts, total match time.
@@ -22,16 +22,7 @@ workload generators against per-thread :class:`~repro.mpi.env.MpiThreadEnv`
 handles.
 """
 
-from repro.mpi.constants import (
-    ANY_SOURCE,
-    ANY_TAG,
-    PROC_NULL,
-    THREAD_FUNNELED,
-    THREAD_MULTIPLE,
-    THREAD_SERIALIZED,
-    THREAD_SINGLE,
-)
-from repro.mpi.datatypes import BYTE, DOUBLE, FLOAT, INT, Datatype
+from repro.mpi.constants import ANY_SOURCE, ANY_TAG
 from repro.mpi.errors import (
     CommunicatorError,
     EpochError,
@@ -50,29 +41,19 @@ from repro.mpi.env import MpiThreadEnv
 __all__ = [
     "ANY_SOURCE",
     "ANY_TAG",
-    "BYTE",
     "Communicator",
     "CommunicatorError",
-    "DOUBLE",
-    "Datatype",
     "EpochError",
-    "FLOAT",
-    "INT",
     "Info",
     "MpiError",
     "MpiThreadEnv",
     "MpiWorld",
-    "PROC_NULL",
     "RankError",
     "RecvRequest",
     "Request",
     "SPC",
     "SendRequest",
     "Status",
-    "THREAD_FUNNELED",
-    "THREAD_MULTIPLE",
-    "THREAD_SERIALIZED",
-    "THREAD_SINGLE",
     "TagError",
     "TruncationError",
 ]

@@ -1,15 +1,8 @@
 """Collective operations built on the two-sided point-to-point layer.
 
-Two algorithm families:
-
-* **linear** (root-centric) -- the default: simple, and for reductions it
-  guarantees combination in ascending rank order (what non-commutative
-  operators need);
-* **binomial / dissemination** -- logarithmic trees for bcast/reduce and
-  the dissemination barrier; O(log P) rounds instead of O(P) messages at
-  the root.  Binomial reduce combines contiguous virtual-rank ranges, so
-  it requires an associative operator (commutative not needed when the
-  root is ``ranks[0]``).
+``allreduce`` is a linear (root-centric) reduce to ``ranks[0]`` followed
+by a linear broadcast of the result.  The reduction combines in
+ascending rank order, which is what non-commutative operators need.
 
 Tags come from the internal tag space above ``TAG_UB`` and advance with a
 per-(process, communicator) collective sequence number; because MPI
@@ -42,7 +35,7 @@ _TAGS_PER_COLLECTIVE = 4
 
 def _next_tag(env, comm) -> int:
     state = env.process.comm_state(comm)
-    seq = getattr(state, "coll_seq", 0)
+    seq = state.coll_seq
     state.coll_seq = seq + 1
     return INTERNAL_TAG_BASE + (seq % (2 ** 16)) * _TAGS_PER_COLLECTIVE
 
@@ -57,67 +50,9 @@ def _op_fn(op):
                          f"use one of {sorted(_OPS)} or a callable") from None
 
 
-LINEAR = "linear"
-BINOMIAL = "binomial"
-DISSEMINATION = "dissemination"
-
-
-def _check_algorithm(algorithm, allowed):
-    if algorithm not in allowed:
-        raise ValueError(f"algorithm must be one of {allowed}, got {algorithm!r}")
-
-
-def barrier(env, comm, algorithm: str = LINEAR):
-    """Generator: barrier; 'linear' (gather+release) or 'dissemination'."""
-    _check_algorithm(algorithm, (LINEAR, DISSEMINATION))
-    if algorithm == DISSEMINATION:
-        yield from _barrier_dissemination(env, comm)
-        return
-    tag = _next_tag(env, comm)
-    root = comm.ranks[0]
-    me = env.rank
-    if me == root:
-        for r in comm.ranks:
-            if r != root:
-                yield from env._recv(comm, src=r, tag=tag)
-        reqs = []
-        for r in comm.ranks:
-            if r != root:
-                req = yield from env._isend(comm, r, tag + 1, 0, None)
-                reqs.append(req)
-        yield from env.waitall(reqs)
-    else:
-        req = yield from env._isend(comm, root, tag, 0, None)
-        yield from env.wait(req)
-        yield from env._recv(comm, src=root, tag=tag + 1)
-
-
-def _barrier_dissemination(env, comm):
-    """Generator: dissemination barrier: ceil(log2 P) rounds, each rank
-    signals (rank + 2^k) and awaits (rank - 2^k), all mod P."""
-    tag = _next_tag(env, comm)
-    size = comm.size
-    me_local = comm.local_rank(env.rank)
-    distance = 1
-    while distance < size:
-        # Distinct rounds use distinct partners, so one tag suffices:
-        # (source, tag) disambiguates every signal.
-        to = comm.world_rank((me_local + distance) % size)
-        frm = comm.world_rank((me_local - distance) % size)
-        req = yield from env._isend(comm, to, tag, 0, None)
-        yield from env._recv(comm, src=frm, tag=tag)
-        yield from env.wait(req)
-        distance <<= 1
-
-
-def bcast(env, comm, root: int, payload=None, nbytes: int = 0,
-          algorithm: str = LINEAR):
+def bcast(env, comm, root: int, payload=None, nbytes: int = 0):
     """Generator: broadcast ``payload`` from root; returns the payload."""
     comm.check_member(root, "root")
-    _check_algorithm(algorithm, (LINEAR, BINOMIAL))
-    if algorithm == BINOMIAL:
-        value = yield from _bcast_binomial(env, comm, root, payload, nbytes)
-        return value
     tag = _next_tag(env, comm)
     if env.rank == root:
         reqs = []
@@ -131,80 +66,14 @@ def bcast(env, comm, root: int, payload=None, nbytes: int = 0,
     return data
 
 
-def _bcast_binomial(env, comm, root: int, payload, nbytes: int):
-    """Generator: binomial-tree broadcast (recursive doubling).
-
-    Round k: virtual ranks [0, 2^k) send to [2^k, 2^(k+1)).  Every
-    non-root rank receives exactly once.
-    """
-    tag = _next_tag(env, comm)
-    size = comm.size
-    root_local = comm.local_rank(root)
-    vrank = (comm.local_rank(env.rank) - root_local) % size
-
-    def world_of(v):
-        return comm.world_rank((v + root_local) % size)
-
-    value = payload
-    mask = 1
-    while mask < size:
-        if vrank < mask:
-            partner = vrank + mask
-            if partner < size:
-                req = yield from env._isend(comm, world_of(partner), tag,
-                                            nbytes, value)
-                yield from env.wait(req)
-        elif vrank < 2 * mask:
-            value, _ = yield from env._recv(comm, src=world_of(vrank - mask),
-                                            tag=tag)
-        mask <<= 1
-    return value
-
-
-def _reduce_binomial(env, comm, root: int, value, fn, nbytes: int):
-    """Generator: binomial-tree reduction.
-
-    Each accumulator covers a contiguous virtual-rank range, so an
-    associative operator is combined in virtual-rank order.
-    """
-    tag = _next_tag(env, comm)
-    size = comm.size
-    root_local = comm.local_rank(root)
-    vrank = (comm.local_rank(env.rank) - root_local) % size
-
-    def world_of(v):
-        return comm.world_rank((v + root_local) % size)
-
-    acc = value
-    mask = 1
-    while mask < size:
-        if vrank & mask:
-            req = yield from env._isend(comm, world_of(vrank - mask), tag,
-                                        nbytes, acc)
-            yield from env.wait(req)
-            return None
-        partner = vrank + mask
-        if partner < size:
-            other, _ = yield from env._recv(comm, src=world_of(partner), tag=tag)
-            acc = fn(acc, other)
-        mask <<= 1
-    return acc if vrank == 0 else None
-
-
-def reduce(env, comm, root: int, value, op=SUM, nbytes: int = 0,
-           algorithm: str = LINEAR):
+def reduce(env, comm, root: int, value, op=SUM, nbytes: int = 0):
     """Generator: reduce to root; returns the result at root, None elsewhere.
 
-    The linear algorithm combines in ascending rank order (safe for
-    non-commutative callables); the binomial algorithm combines
-    contiguous virtual-rank ranges and needs an associative operator.
+    Combines in ascending rank order, so non-commutative callables are
+    safe.
     """
     comm.check_member(root, "root")
-    _check_algorithm(algorithm, (LINEAR, BINOMIAL))
     fn = _op_fn(op)
-    if algorithm == BINOMIAL:
-        result = yield from _reduce_binomial(env, comm, root, value, fn, nbytes)
-        return result
     tag = _next_tag(env, comm)
     if env.rank == root:
         contributions = {root: value}
@@ -221,92 +90,9 @@ def reduce(env, comm, root: int, value, op=SUM, nbytes: int = 0,
     return None
 
 
-def allreduce(env, comm, value, op=SUM, nbytes: int = 0,
-              algorithm: str = LINEAR):
+def allreduce(env, comm, value, op=SUM, nbytes: int = 0):
     """Generator: reduce to ranks[0] then broadcast the result."""
     root = comm.ranks[0]
-    result = yield from reduce(env, comm, root, value, op, nbytes, algorithm)
-    result = yield from bcast(env, comm, root, result, nbytes, algorithm)
+    result = yield from reduce(env, comm, root, value, op, nbytes)
+    result = yield from bcast(env, comm, root, result, nbytes)
     return result
-
-
-def scatter(env, comm, root: int, values=None, nbytes: int = 0):
-    """Generator: root distributes ``values[i]`` to communicator rank i.
-
-    Returns this rank's element.
-    """
-    comm.check_member(root, "root")
-    tag = _next_tag(env, comm)
-    if env.rank == root:
-        if values is None or len(values) != comm.size:
-            raise ValueError(
-                f"scatter root needs exactly {comm.size} values, "
-                f"got {None if values is None else len(values)}")
-        mine = None
-        reqs = []
-        for i, r in enumerate(comm.ranks):
-            if r == root:
-                mine = values[i]
-            else:
-                req = yield from env._isend(comm, r, tag, nbytes, values[i])
-                reqs.append(req)
-        yield from env.waitall(reqs)
-        return mine
-    data, _ = yield from env._recv(comm, src=root, tag=tag)
-    return data
-
-
-def allgather(env, comm, value, nbytes: int = 0):
-    """Generator: every rank ends with [value_0, ..., value_{P-1}]
-    ordered by communicator rank (gather to ranks[0], then broadcast)."""
-    root = comm.ranks[0]
-    collected = yield from gather(env, comm, root, value, nbytes)
-    collected = yield from bcast(env, comm, root, collected, nbytes * comm.size)
-    return collected
-
-
-def alltoall(env, comm, values, nbytes: int = 0):
-    """Generator: personalized all-to-all.
-
-    ``values[i]`` goes to communicator rank i; returns the list received
-    from every rank, ordered by communicator rank.  All sends and
-    receives are posted before any wait, so the exchange cannot deadlock.
-    """
-    if len(values) != comm.size:
-        raise ValueError(f"alltoall needs exactly {comm.size} values, "
-                         f"got {len(values)}")
-    tag = _next_tag(env, comm)
-    me_local = comm.local_rank(env.rank)
-    send_reqs = []
-    recv_reqs = {}
-    for i, r in enumerate(comm.ranks):
-        if r == env.rank:
-            continue
-        req = yield from env._isend(comm, r, tag, nbytes, values[i])
-        send_reqs.append(req)
-        recv_reqs[r] = yield from env._irecv(comm, r, tag, 0)
-    yield from env.waitall(send_reqs)
-    yield from env.waitall(recv_reqs.values())
-    out = []
-    for i, r in enumerate(comm.ranks):
-        out.append(values[me_local] if r == env.rank else recv_reqs[r].data)
-    return out
-
-
-def gather(env, comm, root: int, value, nbytes: int = 0):
-    """Generator: gather values to root, ordered by communicator rank.
-
-    Returns the list at root, None elsewhere.
-    """
-    comm.check_member(root, "root")
-    tag = _next_tag(env, comm)
-    if env.rank == root:
-        collected = {root: value}
-        for r in comm.ranks:
-            if r != root:
-                data, status = yield from env._recv(comm, src=r, tag=tag)
-                collected[status.source] = data
-        return [collected[r] for r in comm.ranks]
-    req = yield from env._isend(comm, root, tag, nbytes, value)
-    yield from env.wait(req)
-    return None

@@ -83,31 +83,5 @@ class Communicator:
             raise RankError(f"local rank {local} out of range for {self.name}")
         return self.ranks[local]
 
-    # ------------------------------------------------------------------
-    def dup(self, info: Info | None = None) -> "Communicator":
-        """MPI_Comm_dup: same group, new matching scope (new id)."""
-        return self.world.create_comm(self.ranks, info=info or self.info.copy(),
-                                      name=f"{self.name}.dup")
-
-    def split(self, colors: dict[int, int]) -> dict[int, "Communicator"]:
-        """MPI_Comm_split: partition members by color.
-
-        ``colors`` maps every member world rank to a color; returns one
-        new communicator per color (members ordered by world rank, which
-        stands in for the key argument).
-        """
-        missing = self._rank_set - set(colors)
-        if missing:
-            raise CommunicatorError(f"split colors missing for ranks {sorted(missing)}")
-        groups: dict[int, list[int]] = {}
-        for rank in self.ranks:
-            groups.setdefault(colors[rank], []).append(rank)
-        return {
-            color: self.world.create_comm(tuple(sorted(members)),
-                                          info=self.info.copy(),
-                                          name=f"{self.name}.split{color}")
-            for color, members in groups.items()
-        }
-
     def __repr__(self):  # pragma: no cover - debug aid
         return f"<Communicator {self.name} id={self.id} size={self.size}>"

@@ -1,18 +1,8 @@
-"""MPI constants: wildcards, thread levels, internal tag space."""
+"""MPI constants: wildcards and the internal tag space."""
 
 # Matching wildcards (match MPI's negative sentinel convention).
 ANY_SOURCE = -1
 ANY_TAG = -1
-PROC_NULL = -2
-
-# Thread support levels (MPI-3.1 section 12.4).  Only THREAD_MULTIPLE
-# allows true thread concurrency; it is the subject of the paper.
-THREAD_SINGLE = 0
-THREAD_FUNNELED = 1
-THREAD_SERIALIZED = 2
-THREAD_MULTIPLE = 3
-
-THREAD_LEVELS = (THREAD_SINGLE, THREAD_FUNNELED, THREAD_SERIALIZED, THREAD_MULTIPLE)
 
 # Highest tag available to applications; collectives use tags above it so
 # internal traffic can never match user receives.

@@ -43,10 +43,6 @@ class Info:
         """The mpi_assert_allow_overtaking hint (section IV-B)."""
         return self.get_bool(ALLOW_OVERTAKING)
 
-    def keys(self):
-        """View of the stored hint keys."""
-        return self._entries.keys()
-
     def __contains__(self, key: str) -> bool:
         return key in self._entries
 

@@ -186,41 +186,6 @@ class MatchingEngine:
                 trc.end(tid, {"outcome": "posted"})
             self._trace_depths(trc)
 
-    def probe_unexpected(self, src: int, tag: int, remove: bool = False):
-        """Generator: look for an unexpected message matching (src, tag).
-
-        ``remove=False`` is MPI_Iprobe (the message stays queued);
-        ``remove=True`` is MPI_Improbe (the message is extracted and can
-        only be received through the returned handle).  Returns the
-        envelope or ``None``.
-        """
-        costs = self.costs
-        yield from self.lock.acquire()
-        if remove:
-            m = self.unexpected.match(src, tag)
-        else:
-            m = self.unexpected.peek(src, tag)
-        work = costs.match_base_ns // 4
-        env = None
-        if m is not None:
-            env, scanned = m
-            work += scanned * costs.match_search_per_elem_ns
-        yield Delay(work)
-        yield from self.lock.release()
-        return env
-
-    def cancel_posted(self, req) -> "object":
-        """Generator: remove a pending posted receive (MPI_Cancel).
-
-        Returns True if the receive was still queued and is now cancelled;
-        False if it had already matched (cancellation failed, per MPI).
-        """
-        yield from self.lock.acquire()
-        removed = self.posted.remove(req.src, req.tag, req)
-        yield Delay(self.costs.match_base_ns // 4)
-        yield from self.lock.release()
-        return removed
-
     def handle_arrival(self, env):
         """Generator: process one incoming message; returns completions."""
         costs = self.costs

@@ -105,35 +105,6 @@ class MatchQueue:
         self.matched += 1
         return item, scan_depth
 
-    def peek(self, src: int, tag: int):
-        """Like :meth:`match` but non-destructive.
-
-        Returns ``(item, scan_depth)`` or ``None``; the entry stays live.
-        """
-        best_bucket = None
-        best_id = None
-        for bucket in self._candidate_buckets(src, tag):
-            head_id = bucket[0][0]
-            if best_id is None or head_id < best_id:
-                best_id = head_id
-                best_bucket = bucket
-        if best_bucket is None:
-            return None
-        entry_id, item = best_bucket[0]
-        return item, self._live.count_before(entry_id) + 1
-
-    def remove(self, src: int, tag: int, item) -> bool:
-        """Remove a specific entry (e.g. request cancellation)."""
-        bucket = self._buckets.get((src, tag))
-        if not bucket:
-            return False
-        for i, (entry_id, stored) in enumerate(bucket):
-            if stored is item:
-                del bucket[i]
-                self._live.add(entry_id, -1)
-                return True
-        return False
-
     def items(self) -> list:
         """All live entries in insertion order (diagnostics/tests)."""
         everything = []

@@ -20,12 +20,7 @@ from repro.mpi.rendezvous import RendezvousManager
 from repro.mpi.errors import ERRORS_RETURN, TransportError
 from repro.mpi.request import Status
 from repro.mpi.spc import OBS_GAUGES, SPC
-from repro.netsim.cq import (
-    RecvArrival,
-    RmaCompletion,
-    SendCompletion,
-    TransportFailure,
-)
+from repro.netsim.cq import RecvArrival, SendCompletion, TransportFailure
 from repro.netsim.message import CTS, DATA
 from repro.simthread.scheduler import Delay
 from repro.util.latency import LatencyHistogram
@@ -94,11 +89,10 @@ class MpiProcess:
     def obs_counters(self) -> dict:
         """Lock/progress gauges derived from live structures.
 
-        The observability layer (``repro.obs``) and the MPI_T pvar
-        surface both read contention through this one accessor: match-
-        lock and CRI-lock cumulative wait/hold time, try-lock failures,
-        and progress-engine call/denial counts, keyed by
-        :data:`~repro.mpi.spc.OBS_GAUGES`.
+        The observability layer (``repro.obs``) reads contention through
+        this one accessor: match-lock and CRI-lock cumulative wait/hold
+        time, try-lock failures, and progress-engine call/denial counts,
+        keyed by :data:`~repro.mpi.spc.OBS_GAUGES`.
         """
         match_wait = match_hold = 0
         for state in self._comm_states.values():
@@ -117,15 +111,6 @@ class MpiProcess:
                         (match_wait, match_hold, cri_wait, cri_hold,
                          cri_tryfails, engine.calls, engine.denied,
                          progress_wait), strict=True))
-
-    def obs_locks(self) -> list:
-        """Every lock this process owns (match + CRI + progress global)."""
-        locks = [state.matching.lock for state in self._comm_states.values()]
-        locks.extend(cri.lock for cri in self.pool.instances)
-        progress_lock = getattr(self.progress_engine, "global_lock", None)
-        if progress_lock is not None:
-            locks.append(progress_lock)
-        return locks
 
     # ------------------------------------------------------------------
     def host_reserve(self) -> int:
@@ -176,14 +161,6 @@ class MpiProcess:
             return count
         if type(event) is SendCompletion:
             event.request._complete(self.sched._now)
-            yield self._req_complete_delay
-            return 1
-        if type(event) is RmaCompletion:
-            op = event.op
-            op.mark_completed(self.sched._now)
-            notify = getattr(op, "on_completed", None)
-            if notify is not None:
-                notify()
             yield self._req_complete_delay
             return 1
         if type(event) is TransportFailure:

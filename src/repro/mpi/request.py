@@ -33,10 +33,6 @@ class Request:
         self.completed = True
         self.completed_at = now
 
-    def test(self) -> bool:
-        """Nonblocking completion check (MPI_Test, sans progress)."""
-        return self.completed
-
 
 class SendRequest(Request):
     """Handle for an isend.
@@ -60,89 +56,13 @@ class SendRequest(Request):
 class RecvRequest(Request):
     """Handle for an irecv; completes when matched and delivered."""
 
-    __slots__ = ("src", "tag", "capacity", "data", "status", "cancelled",
-                 "comm_id")
+    __slots__ = ("src", "tag", "capacity", "data", "status")
 
-    def __init__(self, src: int, tag: int, capacity: int,
-                 comm_id: int | None = None):
+    def __init__(self, src: int, tag: int, capacity: int):
         super().__init__()
         self.src = src
         self.tag = tag
         self.capacity = capacity
         self.data = None
         self.status: Status | None = None
-        self.cancelled = False
-        self.comm_id = comm_id
 
-    def _cancel(self, now: int | None = None) -> None:
-        self.cancelled = True
-        self._complete(now)
-
-
-class PersistentRequest(Request):
-    """A persistent communication request (MPI_Send_init / MPI_Recv_init).
-
-    Created inactive; each :meth:`MpiThreadEnv.start` activates one
-    communication using the frozen argument set, and completion returns
-    the request to the inactive state so it can be started again.  The
-    per-iteration setup cost this avoids is the draw of persistent
-    requests for lightweight-thread runtimes (Grant et al., ExaMPI'15,
-    cited by the paper).
-    """
-
-    __slots__ = ("kind", "args", "active", "inner", "starts")
-
-    SEND = "send"
-    RECV = "recv"
-
-    def __init__(self, kind: str, args: dict):
-        super().__init__()
-        if kind not in (self.SEND, self.RECV):
-            raise ValueError(f"persistent kind must be send or recv, got {kind!r}")
-        self.kind = kind
-        self.args = dict(args)
-        self.active = False
-        self.inner: Request | None = None
-        self.starts = 0
-
-    @property
-    def completed(self):  # type: ignore[override]
-        """True when inactive, or when the current started op finished.
-
-        Inactive requests behave as completed (MPI semantics: waiting on
-        an inactive persistent request returns immediately).
-        """
-        if not self.active:
-            return True
-        return self.inner is not None and self.inner.completed
-
-    @completed.setter
-    def completed(self, value):  # pragma: no cover - Request.__init__ hook
-        """Ignore writes; completion is derived from the inner request."""
-
-    @property
-    def error(self):  # type: ignore[override]
-        """The current started op's transport error, if any."""
-        return self.inner.error if self.inner is not None else None
-
-    @error.setter
-    def error(self, value):  # pragma: no cover - Request.__init__ hook
-        """Ignore writes; errors are derived from the inner request."""
-
-    @property
-    def data(self):
-        """Payload delivered by the current started op (recv side)."""
-        return getattr(self.inner, "data", None)
-
-    @property
-    def status(self):
-        """Status object of the current started op, if any."""
-        return getattr(self.inner, "status", None)
-
-    def _activate(self, inner: Request) -> None:
-        self.inner = inner
-        self.active = True
-        self.starts += 1
-
-    def _deactivate(self) -> None:
-        self.active = False

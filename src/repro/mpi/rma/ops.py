@@ -164,46 +164,15 @@ def flush(env, win, target: int | None = None):
         raise errors[0]
 
 
-def win_lock(env, win, target: int, exclusive: bool = False):
-    """Generator: open a passive-target access epoch to ``target``."""
-    win.comm.check_member(target, "target")
-    win.open_epoch(env.rank, target)
-    yield Delay(env.costs.lock_acquire_ns)
-
-
-def win_unlock(env, win, target: int):
-    """Generator: flush ops to ``target``, then close the epoch."""
-    yield from flush(env, win, target)
-    win.close_epoch(env.rank, target)
-    yield Delay(env.costs.lock_release_ns)
-
-
 def win_lock_all(env, win):
     """Generator: open a shared epoch to every target at once."""
-    win.open_epoch(env.rank, "all")
+    win.open_epoch(env.rank)
     yield Delay(env.costs.lock_acquire_ns)
 
 
 def win_unlock_all(env, win):
     """Generator: flush everything, close the shared epoch."""
     yield from flush(env, win, None)
-    win.close_epoch(env.rank, "all")
+    win.close_epoch(env.rank)
     yield Delay(env.costs.lock_release_ns)
 
-
-def fence(env, win):
-    """Generator: active-target fence: complete local ops, toggle the
-    fence epoch, and synchronize the window's group with a barrier."""
-    yield from flush(env, win, None)
-    if win.has_epoch(env.rank, "fence"):
-        win.close_epoch(env.rank, "fence")
-    else:
-        win.open_epoch(env.rank, "fence")
-    from repro.mpi import collectives
-
-    yield from collectives.barrier(env, win.comm)
-
-
-def win_sync(env, win):
-    """Generator: memory barrier on the window (MPI_Win_sync)."""
-    yield Delay(env.costs.atomic_rmw_ns)

@@ -4,17 +4,16 @@ Each member of the communicator exposes ``size_bytes`` of memory (a
 ``bytearray``; accumulates cast a typed ``memoryview`` of it in place).  The
 window tracks, per *initiator* process and per target, the set of
 outstanding operations -- that is what ``MPI_Win_flush`` completes -- and
-per initiator the open access epochs (passive lock / lock_all, or an active
-fence epoch).
+which initiators hold an open ``lock_all`` access epoch.
 
 Keying the outstanding sets by target keeps every count a ``len``, never
 a scan: flush polls the count on each progress round (see
 :meth:`Window.outstanding`).
 
-Passive-target exclusive locks are bookkept (epoch required before any
-op, mismatched unlocks are errors) but origin-vs-origin exclusion is not
-arbitrated across processes: the paper's workloads never contend locks,
-they use flush-only synchronization.  See DESIGN.md substitutions.
+The only epoch is the shared passive-target ``lock_all`` epoch RMA-MT
+opens: an op needs one, and a second open or an unmatched close is an
+error.  No lock is arbitrated between origins; the paper's workloads
+synchronize with flush only.  See DESIGN.md substitutions.
 """
 
 from __future__ import annotations
@@ -64,8 +63,8 @@ class Window:
             origin: {target: set() for target in comm.ranks}
             for origin in comm.ranks
         }
-        # per-initiator epoch state: set of target ranks (or "all"/"fence")
-        self._epochs: dict[int, set] = {rank: set() for rank in comm.ranks}
+        # initiators holding an open lock_all epoch
+        self._locked_all: set[int] = set()
         # per-initiator transport errors awaiting the next flush
         self._errors: dict[int, list] = {rank: [] for rank in comm.ranks}
 
@@ -87,32 +86,24 @@ class Window:
     # ------------------------------------------------------------------
     # epochs
     # ------------------------------------------------------------------
-    def open_epoch(self, origin: int, target) -> None:
-        """Record an access epoch from ``origin`` to ``target``."""
-        epochs = self._epochs[origin]
-        if target in epochs:
-            raise EpochError(f"rank {origin} already holds an epoch for {target!r}")
-        epochs.add(target)
+    def open_epoch(self, origin: int) -> None:
+        """Open ``origin``'s lock_all access epoch."""
+        if origin in self._locked_all:
+            raise EpochError(f"rank {origin} already holds a lock_all epoch")
+        self._locked_all.add(origin)
 
-    def close_epoch(self, origin: int, target) -> None:
-        """Close ``origin``'s access epoch to ``target``."""
-        epochs = self._epochs[origin]
-        if target not in epochs:
-            raise EpochError(f"rank {origin} has no open epoch for {target!r}")
-        epochs.discard(target)
+    def close_epoch(self, origin: int) -> None:
+        """Close ``origin``'s lock_all access epoch."""
+        if origin not in self._locked_all:
+            raise EpochError(f"rank {origin} has no open epoch to close")
+        self._locked_all.discard(origin)
 
     def require_epoch(self, origin: int, target: int) -> None:
-        """Raise EpochError unless an epoch covers ``origin`` -> ``target``."""
-        epochs = self._epochs[origin]
-        if target in epochs or "all" in epochs or "fence" in epochs:
-            return
-        raise EpochError(
-            f"rank {origin} issued an RMA op to {target} without an access "
-            f"epoch (win_lock / win_lock_all / fence required)")
-
-    def has_epoch(self, origin: int, target) -> bool:
-        """Whether ``origin`` currently holds an epoch for ``target``."""
-        return target in self._epochs[origin]
+        """Raise EpochError unless ``origin`` holds a lock_all epoch."""
+        if origin not in self._locked_all:
+            raise EpochError(
+                f"rank {origin} issued an RMA op to {target} without an "
+                f"access epoch (win_lock_all required)")
 
     # ------------------------------------------------------------------
     # completion tracking

@@ -41,7 +41,7 @@ OBS_GAUGES = {
 class SPC:
     """Per-process software performance counters.
 
-    The fields are the one declaration of the SPC family: MPI_T pvars,
+    The fields are the one declaration of the SPC family:
     :meth:`as_dict`, :meth:`SPCAggregate.total` and the metrics
     time-series all iterate them.
     """
@@ -74,15 +74,6 @@ class SPC:
     duplicates_dropped: int = 0
     #: dedicated-CRI assignments re-run because the instance died
     cri_migrations: int = 0
-
-    def reset(self) -> None:
-        """Zero every counter in place (MPI_T pvar reset semantics).
-
-        Counter *objects* stay shared: components hold references to
-        this SPC, so resetting must mutate rather than rebuild.
-        """
-        for f in dataclasses.fields(self):
-            setattr(self, f.name, f.default)
 
     def note_oos_depth(self, depth: int) -> None:
         """Track the out-of-sequence buffer's high-watermark depth."""
@@ -123,10 +114,6 @@ class SPCAggregate:
     def add(self, spc: SPC) -> None:
         """Register one process's SPC for aggregation."""
         self.counters.append(spc)
-
-    def clear(self) -> None:
-        """Drop every registered SPC (the counters themselves survive)."""
-        self.counters.clear()
 
     def total(self) -> SPC:
         """Element-wise fold of every registered SPC (sum, or max for

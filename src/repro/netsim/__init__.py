@@ -25,7 +25,7 @@ from repro.netsim.fabric import Fabric, FabricParams
 from repro.netsim.nic import Nic
 from repro.netsim.context import NetworkContext
 from repro.netsim.endpoint import Endpoint
-from repro.netsim.cq import CompletionQueue, RecvArrival, RmaCompletion, SendCompletion
+from repro.netsim.cq import CompletionQueue, RecvArrival, SendCompletion
 from repro.netsim.message import Envelope
 from repro.netsim.rdma import RmaOp
 from repro.netsim.ib import IB_EDR
@@ -42,7 +42,6 @@ __all__ = [
     "NetworkContext",
     "Nic",
     "RecvArrival",
-    "RmaCompletion",
     "RmaOp",
     "SendCompletion",
 ]

@@ -12,7 +12,7 @@ the caller.
 from __future__ import annotations
 
 from repro.simthread.scheduler import Delay
-from repro.netsim.cq import CompletionQueue, RecvArrival, RmaCompletion, SendCompletion
+from repro.netsim.cq import CompletionQueue, RecvArrival, SendCompletion
 
 
 class NetworkContext:

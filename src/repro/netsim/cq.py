@@ -30,15 +30,6 @@ class RecvArrival:
         self.envelope = envelope
 
 
-class RmaCompletion:
-    """An RDMA operation was acked by the target NIC."""
-
-    __slots__ = ("op",)
-
-    def __init__(self, op):
-        self.op = op
-
-
 class TransportFailure:
     """Error completion: a frame exhausted its retransmission budget.
 

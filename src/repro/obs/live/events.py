@@ -231,11 +231,13 @@ class RunEventLog:
         record = {"schema": EVENTS_SCHEMA, "seq": self.seq,
                   "run": self.run_id, "kind": kind,
                   "ts": round(time.time(), 6), **fields}
+        # Write before counting: a failed write (say, on a closed log)
+        # must leave seq, counts and the ring equal to the file.
+        self._handle.write(json.dumps(record, sort_keys=True) + "\n")
+        self._handle.flush()
         self.seq += 1
         self.counts[kind] = self.counts.get(kind, 0) + 1
         self.ring.append(record)
-        self._handle.write(json.dumps(record, sort_keys=True) + "\n")
-        self._handle.flush()
         return record
 
     @property

@@ -96,10 +96,12 @@ class ServeJob:
 
         Runs the exhibit under the job's engine and writes its
         artifacts, stamps ``finished_at``, narrates ``sweep.finish``,
-        writes the served manifest, and only then turns ``done`` and
-        wakes waiters.  Any exception turns the job ``failed`` (the
-        error kept as ``"Type: message"``, no manifest written), wakes
-        waiters and is re-raised.
+        writes the served manifest, and only then turns ``done``, closes
+        the event log and wakes waiters.  Any exception turns the job
+        ``failed`` (the error kept as ``"Type: message"``, no manifest
+        written), wakes waiters and is re-raised; one raised after
+        ``sweep.finish`` is narrated as a ``crash`` postmortem, so the
+        log's last record and ``status.json`` say ``failed`` too.
         """
         with self._lock:
             if self.state != "queued":
@@ -121,7 +123,6 @@ class ServeJob:
             with self._lock:
                 self.finished_at = time.time()
             telemetry.sweep_finish(True)
-            telemetry.close()
             write_manifest(self.dir, build_manifest(
                 command=["repro", "serve", exhibit],
                 experiments=[exhibit], params=params, engine=self.engine,
@@ -136,9 +137,11 @@ class ServeJob:
                 self.finished_at = time.time()
             if telemetry.state == "running":  # sweep.finish not yet written
                 telemetry.sweep_finish(False)
-            telemetry.close()
+            else:  # failed after sweep.finish: the log must not end "ok"
+                telemetry.postmortem("crash", exc)
             raise
         finally:
+            telemetry.close()
             self._finished.set()
 
     def wait(self, timeout: float | None = None) -> bool:

@@ -41,6 +41,10 @@ from repro.serve.sse import job_event_stream
 #: largest request body the service will read (a param doc is tiny)
 MAX_BODY = 64 * 1024
 
+#: how often the accept loop checks for a shutdown request (seconds);
+#: socketserver's default of 0.5 s is what every ``stop()`` would wait
+POLL_INTERVAL_S = 0.05
+
 #: artifact suffix -> Content-Type
 CONTENT_TYPES = {
     ".csv": "text/csv; charset=utf-8",
@@ -258,6 +262,7 @@ class ExperimentServer:
     def start(self) -> "ExperimentServer":
         """Serve on a background thread; returns self for chaining."""
         self._thread = threading.Thread(target=self.httpd.serve_forever,
+                                        args=(POLL_INTERVAL_S,),
                                         name="serve-accept", daemon=True)
         self._thread.start()
         return self
@@ -265,7 +270,7 @@ class ExperimentServer:
     def serve_forever(self) -> None:
         """Serve on the calling thread until interrupted (the CLI path)."""
         try:
-            self.httpd.serve_forever()
+            self.httpd.serve_forever(POLL_INTERVAL_S)
         except KeyboardInterrupt:   # pragma: no cover - interactive
             pass
         finally:

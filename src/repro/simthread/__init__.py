@@ -12,8 +12,9 @@ Public surface:
 
 * :class:`~repro.simthread.scheduler.Scheduler` -- the event loop.
 * :class:`~repro.simthread.thread.SimThread` -- a simulated thread handle.
-* :class:`~repro.simthread.sync.SimLock` and friends -- synchronization
-  primitives with modeled acquisition/handoff/migration costs.
+* :class:`~repro.simthread.sync.SimLock` -- mutual exclusion with modeled
+  acquisition/handoff/migration costs -- and
+  :class:`~repro.simthread.sync.SimBarrier`.
 * :class:`~repro.simthread.atomics.AtomicCounter` -- modeled atomic RMW.
 * :class:`~repro.simthread.tls.ThreadLocal` -- thread-local storage.
 
@@ -37,13 +38,7 @@ from repro.simthread.errors import DeadlockError, SimError, SimThreadError
 from repro.simthread.scheduler import SUSPEND, Delay, Scheduler, YieldNow
 from repro.simthread.stats import SchedStats
 from repro.simthread.thread import SimThread
-from repro.simthread.sync import (
-    LockCosts,
-    SimBarrier,
-    SimCondition,
-    SimLock,
-    SimSemaphore,
-)
+from repro.simthread.sync import LockCosts, SimBarrier, SimLock
 from repro.simthread.atomics import AtomicCounter, AtomicFlag
 from repro.simthread.tls import ThreadLocal
 
@@ -57,10 +52,8 @@ __all__ = [
     "SchedStats",
     "Scheduler",
     "SimBarrier",
-    "SimCondition",
     "SimError",
     "SimLock",
-    "SimSemaphore",
     "SimThread",
     "SimThreadError",
     "ThreadLocal",

@@ -117,25 +117,11 @@ class SimLock:
         if register is not None:
             register(self)
 
-    def reset_stats(self) -> None:
-        """Zero the statistics counters (the lock state is untouched)."""
-        self.acquisitions = 0
-        self.contended_acquisitions = 0
-        self.migrations = 0
-        self.tryfails = 0
-        self.wait_time_ns = 0
-        self.hold_time_ns = 0
-
     # ------------------------------------------------------------------
     @property
     def locked(self) -> bool:
         """Whether some thread currently holds the lock."""
         return self._owner is not None
-
-    @property
-    def holder(self):
-        """The owning thread, or None when free."""
-        return self._owner
 
     def _migration_cost(self, thread) -> int:
         if self.costs.migration_ns and self._last_owner is not None \
@@ -239,74 +225,6 @@ class SimLock:
     def __repr__(self):  # pragma: no cover - debug aid
         state = f"held by {self._owner.name}" if self._owner else "free"
         return f"<SimLock {self.name} {state}, {len(self._waiters)} waiting>"
-
-
-class SimSemaphore:
-    """Counting semaphore built on park/wake."""
-
-    __slots__ = ("_sched", "_count", "_waiters", "op_ns")
-
-    def __init__(self, sched, initial: int = 0, op_ns: int = 30):
-        if initial < 0:
-            raise ValueError("semaphore initial value must be >= 0")
-        self._sched = sched
-        self._count = initial
-        self._waiters: list = []
-        self.op_ns = op_ns
-
-    @property
-    def value(self) -> int:
-        """Current semaphore count."""
-        return self._count
-
-    def post(self):
-        """Generator: V operation."""
-        if self._waiters:
-            self._sched.wake(self._waiters.pop(0))
-        else:
-            self._count += 1
-        yield Delay(self.op_ns)
-
-    def wait(self):
-        """Generator: P operation; blocks while the count is zero."""
-        if self._count > 0:
-            self._count -= 1
-            yield Delay(self.op_ns)
-            return
-        self._waiters.append(self._sched.current)
-        yield SUSPEND
-        yield Delay(self.op_ns)
-
-
-class SimCondition:
-    """Condition variable: wait/notify over an external SimLock."""
-
-    __slots__ = ("_sched", "_lock", "_waiters")
-
-    def __init__(self, sched, lock: SimLock):
-        self._sched = sched
-        self._lock = lock
-        self._waiters: list = []
-
-    def wait(self):
-        """Generator: atomically release the lock and park; reacquires."""
-        me = self._sched.current
-        if self._lock.holder is not me:
-            raise SimThreadError("condition wait without holding the lock")
-        self._waiters.append(me)
-        yield from self._lock.release()
-        yield SUSPEND
-        yield from self._lock.acquire()
-
-    def notify(self, n: int = 1):
-        """Generator: wake up to ``n`` waiters (they re-contend the lock)."""
-        for _ in range(min(n, len(self._waiters))):
-            self._sched.wake(self._waiters.pop(0))
-        yield Delay(20)
-
-    def notify_all(self):
-        """Generator: wake every waiter."""
-        return self.notify(len(self._waiters))
 
 
 class SimBarrier:

@@ -104,7 +104,7 @@ def run_rmamt(cfg: RmaMtConfig,
     win = env0.win_allocate(world.comm_world, max(cfg.msg_bytes, 1) * 4)
     # The main thread opens the process's passive access epoch to every
     # target before the workers start (MPI epochs are per process).
-    win.open_epoch(0, "all")
+    win.open_epoch(0)
     for t in range(cfg.threads):
         sched.spawn(_worker(world.env(0, f"rmamt-{t}"), win, cfg), name=f"rma-{t}")
     elapsed = sched.run()

@@ -69,6 +69,6 @@ def test_lock_released_when_holder_dies(tmp_path):
     proc.start()
     proc.join(timeout=10)
     assert proc.exitcode == 0
-    # the kernel (or stale-breaking) must hand the lock to us promptly
-    with FileLock(path, timeout_s=5, stale_s=0.0):
+    # the kernel must hand the lock to us promptly
+    with FileLock(path, timeout_s=5):
         pass

@@ -69,7 +69,7 @@ def test_concurrent_accumulates_commute(seed, threads):
                      config=ThreadingConfig(num_instances=max(1, threads // 2)))
     env0 = world.env(0)
     win = env0.win_allocate(world.comm_world, 8)
-    win.open_epoch(0, "all")
+    win.open_epoch(0)
 
     def worker(env):
         for _ in range(ROUNDS):

@@ -1,8 +1,13 @@
-"""Collective operations over the p2p substrate."""
+"""Collective operations over the p2p substrate.
+
+``allreduce`` is the one collective on :class:`MpiThreadEnv`; the linear
+``reduce`` and ``bcast`` beneath it are driven through
+:mod:`repro.mpi.collectives` directly.
+"""
 
 import pytest
 
-from repro.mpi import collectives
+from repro.mpi import RankError, collectives
 from tests.conftest import make_world
 
 
@@ -13,13 +18,15 @@ def spawn_all(sched, world, body, nprocs):
 
 
 def test_barrier_releases_nobody_early(sched):
+    """allreduce synchronizes like a barrier: no rank leaves it before
+    the slowest rank has arrived."""
     world = make_world(sched, nprocs=4)
     release = []
 
     def body(env):
         from repro.simthread import Delay
         yield Delay(env.rank * 10_000)  # heavy stagger
-        yield from env.barrier(world.comm_world)
+        yield from env.allreduce(world.comm_world, value=0)
         release.append(env.sched.now)
 
     spawn_all(sched, world, body, 4)
@@ -32,7 +39,8 @@ def test_bcast_delivers_root_payload(sched):
 
     def body(env):
         payload = {"data": [1, 2, 3]} if env.rank == 2 else None
-        value = yield from env.bcast(world.comm_world, root=2, payload=payload)
+        value = yield from collectives.bcast(env, world.comm_world, root=2,
+                                             payload=payload)
         return value
 
     threads = spawn_all(sched, world, body, 5)
@@ -43,7 +51,8 @@ def test_reduce_sum_and_order(sched):
     world = make_world(sched, nprocs=4)
 
     def body(env):
-        result = yield from env.reduce(world.comm_world, root=0, value=env.rank + 1)
+        result = yield from collectives.reduce(env, world.comm_world, root=0,
+                                               value=env.rank + 1)
         return result
 
     threads = spawn_all(sched, world, body, 4)
@@ -55,8 +64,9 @@ def test_reduce_noncommutative_callable_is_rank_ordered(sched):
     world = make_world(sched, nprocs=3)
 
     def body(env):
-        result = yield from env.reduce(world.comm_world, root=0,
-                                       value=str(env.rank), op=lambda a, b: a + b)
+        result = yield from collectives.reduce(env, world.comm_world, root=0,
+                                               value=str(env.rank),
+                                               op=lambda a, b: a + b)
         return result
 
     threads = spawn_all(sched, world, body, 3)
@@ -67,8 +77,10 @@ def test_reduce_min_max(sched):
     world = make_world(sched, nprocs=3)
 
     def body(env):
-        mx = yield from env.reduce(world.comm_world, root=0, value=env.rank, op=collectives.MAX)
-        mn = yield from env.reduce(world.comm_world, root=0, value=env.rank, op=collectives.MIN)
+        mx = yield from collectives.reduce(env, world.comm_world, root=0,
+                                           value=env.rank, op=collectives.MAX)
+        mn = yield from collectives.reduce(env, world.comm_world, root=0,
+                                           value=env.rank, op=collectives.MIN)
         return mx, mn
 
     threads = spawn_all(sched, world, body, 3)
@@ -87,15 +99,18 @@ def test_allreduce_everyone_gets_result(sched):
 
 
 def test_gather_ordered_by_rank(sched):
+    """An allreduce of one-element lists under concatenation gathers
+    the values in rank order, at every rank."""
     world = make_world(sched, nprocs=4)
 
     def body(env):
-        result = yield from env.gather(world.comm_world, root=3, value=f"r{env.rank}")
+        result = yield from env.allreduce(world.comm_world,
+                                          value=[f"r{env.rank}"],
+                                          op=lambda a, b: a + b)
         return result
 
     threads = spawn_all(sched, world, body, 4)
-    assert threads[3].result == ["r0", "r1", "r2", "r3"]
-    assert threads[0].result is None
+    assert all(t.result == ["r0", "r1", "r2", "r3"] for t in threads)
 
 
 def test_collectives_on_subcommunicator(sched):
@@ -130,7 +145,7 @@ def test_unknown_reduction_op_rejected(sched):
     world = make_world(sched, nprocs=2)
 
     def body(env):
-        yield from env.reduce(world.comm_world, root=0, value=1, op="median")
+        yield from env.allreduce(world.comm_world, value=1, op="median")
 
     sched.spawn(body(world.env(0)))
     with pytest.raises(ValueError, match="unknown reduction"):
@@ -141,8 +156,8 @@ def test_invalid_root_rejected(sched):
     world = make_world(sched, nprocs=2)
 
     def body(env):
-        yield from env.bcast(world.comm_world, root=9)
+        yield from collectives.bcast(env, world.comm_world, root=9)
 
     sched.spawn(body(world.env(0)))
-    with pytest.raises(Exception):
+    with pytest.raises(RankError):
         sched.run()

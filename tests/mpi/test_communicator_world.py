@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.mpi import Communicator, CommunicatorError, Info, MpiWorld, RankError
+from repro.mpi import CommunicatorError, MpiWorld, RankError
 from repro.mpi.world import default_placement
 from repro.simthread import Scheduler
 from tests.conftest import make_world
@@ -12,6 +12,8 @@ class TestCommunicator:
     def test_membership_and_rank_translation(self, sched):
         world = make_world(sched, nprocs=4)
         comm = world.create_comm((1, 3))
+        assert comm.id != world.comm_world.id
+        assert world.comm_by_id(comm.id) is comm
         assert comm.size == 2
         assert comm.contains(3) and not comm.contains(0)
         assert comm.local_rank(3) == 1
@@ -37,29 +39,6 @@ class TestCommunicator:
         world = make_world(sched, nprocs=2)
         with pytest.raises(CommunicatorError):
             world.create_comm((0, 7))
-
-    def test_dup_gets_fresh_matching_scope(self, sched):
-        world = make_world(sched, nprocs=2)
-        dup = world.comm_world.dup()
-        assert dup.id != world.comm_world.id
-        assert dup.ranks == world.comm_world.ranks
-        assert world.comm_by_id(dup.id) is dup
-
-    def test_dup_preserves_info(self, sched):
-        world = make_world(sched, nprocs=2)
-        comm = world.create_comm((0, 1), info=Info({"mpi_assert_allow_overtaking": "true"}))
-        assert comm.dup().allow_overtaking
-
-    def test_split(self, sched):
-        world = make_world(sched, nprocs=4)
-        parts = world.comm_world.split({0: 0, 1: 1, 2: 0, 3: 1})
-        assert parts[0].ranks == (0, 2)
-        assert parts[1].ranks == (1, 3)
-
-    def test_split_missing_color_rejected(self, sched):
-        world = make_world(sched, nprocs=2)
-        with pytest.raises(CommunicatorError):
-            world.comm_world.split({0: 0})
 
 
 class TestWorld:

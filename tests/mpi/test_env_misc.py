@@ -100,10 +100,12 @@ def test_three_party_ring(sched):
         left = (env.rank - 1) % 3
         total = 0
         for i in range(N):
-            value, _ = yield from env.sendrecv(
-                world.comm_world, dst=right, sendtag=2, src=left, recvtag=2,
-                send_payload=env.rank * 100 + i)
-            total += value
+            # both started before either is waited on: no ring deadlock
+            send = yield from env.isend(world.comm_world, dst=right, tag=2,
+                                        payload=env.rank * 100 + i)
+            recv = yield from env.irecv(world.comm_world, src=left, tag=2)
+            yield from env.waitall((recv, send))
+            total += recv.data
         return total
 
     threads = [sched.spawn(node(world.env(r))) for r in range(3)]

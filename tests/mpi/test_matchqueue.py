@@ -79,15 +79,6 @@ class TestUnexpectedQueue:
         assert q.match(ANY_SOURCE, ANY_TAG)[0] == "a"
 
 
-def test_remove_specific_item():
-    q = MatchQueue(entry_wildcards=True)
-    q.insert(0, 1, "keep")
-    q.insert(0, 1, "drop")
-    assert q.remove(0, 1, "drop")
-    assert not q.remove(0, 1, "drop")
-    assert [i[3] for i in q.items()] == ["keep"]
-
-
 def test_items_in_insertion_order():
     q = MatchQueue(entry_wildcards=True)
     q.insert(0, 2, "a")

@@ -1,8 +1,8 @@
-"""Info keys, datatypes, SPC records, requests."""
+"""Info keys, SPC records, requests."""
 
 import pytest
 
-from repro.mpi import BYTE, DOUBLE, Datatype, Info, SPC
+from repro.mpi import Info, SPC
 from repro.mpi.info import ALLOW_OVERTAKING
 from repro.mpi.request import RecvRequest, SendRequest, Status
 from repro.mpi.spc import SPCAggregate
@@ -36,18 +36,6 @@ class TestInfo:
     def test_get_default(self):
         assert Info().get("missing", "fallback") == "fallback"
         assert Info().get_bool("missing", True) is True
-
-
-class TestDatatypes:
-    def test_extent(self):
-        assert BYTE.extent(10) == 10
-        assert DOUBLE.extent(3) == 24
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Datatype("void", 0)
-        with pytest.raises(ValueError):
-            BYTE.extent(-1)
 
 
 class TestSPC:
@@ -89,7 +77,6 @@ class TestRequests:
         assert not req.completed and req.error is None
         req._complete(now=123)
         assert req.completed and req.completed_at == 123
-        assert req.test()
 
     def test_recv_request_failure(self):
         req = RecvRequest(src=0, tag=1, capacity=10)

@@ -1,4 +1,4 @@
-"""One-sided communication: puts/gets/accumulates, epochs, flush, fence."""
+"""One-sided communication: puts/gets/accumulates, the lock_all epoch, flush."""
 
 from array import array
 
@@ -20,9 +20,9 @@ def test_put_writes_target_memory(sched, world):
     win = world.env(0).win_allocate(world.comm_world, 64)
 
     def body(env):
-        yield from env.win_lock(win, target=1)
+        yield from env.win_lock_all(win)
         yield from env.put(win, target=1, nbytes=8, target_offset=8, data=b"12345678")
-        yield from env.win_unlock(win, target=1)
+        yield from env.win_unlock_all(win)
 
     run_one(sched, world, body)
     assert bytes(win.buffer(1)[8:16]) == b"12345678"
@@ -152,7 +152,7 @@ def test_flush_specific_target(sched):
         pending2 = sum(not op.completed for op in to2)
         assert win.outstanding(0, target=2) == pending2
         assert win.outstanding(0) == pending2
-        yield from env.flush_all(win)
+        yield from env.flush(win)
         assert win.outstanding(0, target=2) == win.outstanding(0) == 0
         yield from env.win_unlock_all(win)
 
@@ -164,7 +164,7 @@ def test_outstanding_matches_reference_model(sched):
     threads interleave put/get/accumulate to two targets."""
     world = make_world(sched, nprocs=3)
     win = world.env(0).win_allocate(world.comm_world, 1024)
-    win.open_epoch(0, "all")
+    win.open_epoch(0)
     issued = []
     track = win.track
 
@@ -240,8 +240,8 @@ def test_epoch_errors(sched, world):
     win = world.env(0).win_allocate(world.comm_world, 8)
 
     def double_lock(env):
-        yield from env.win_lock(win, target=1)
-        yield from env.win_lock(win, target=1)
+        yield from env.win_lock_all(win)
+        yield from env.win_lock_all(win)
 
     sched.spawn(double_lock(world.env(0)))
     with pytest.raises(EpochError, match="already holds"):
@@ -252,7 +252,7 @@ def test_epoch_errors(sched, world):
     win2 = world2.env(0).win_allocate(world2.comm_world, 8)
 
     def unlock_without_lock(env):
-        yield from env.win_unlock(win2, target=1)
+        yield from env.win_unlock_all(win2)
 
     sched2.spawn(unlock_without_lock(world2.env(0)))
     with pytest.raises(EpochError, match="no open epoch"):
@@ -283,27 +283,26 @@ def test_put_target_must_be_member(sched, world):
         sched.run()
 
 
-def test_flush_and_unlock_target_must_be_member(sched, world):
-    """flush and win_unlock to a rank outside the group raise RankError,
-    as put does, and count no flush; flush_all still completes."""
+def test_flush_target_must_be_member(sched, world):
+    """flush to a rank outside the group raises RankError, as put does,
+    and counts no flush; a flush of every target still completes."""
     win = world.env(0).win_allocate(world.comm_world, 8)
     raised = []
 
     def body(env):
         yield from env.win_lock_all(win)
         yield from env.put(win, target=1, nbytes=4)
-        for call in (env.flush, env.win_unlock):
-            try:
-                yield from call(win, 99)
-            except RankError:
-                raised.append(call.__name__)
-        yield from env.flush_all(win)
+        try:
+            yield from env.flush(win, 99)
+        except RankError:
+            raised.append("flush")
+        yield from env.flush(win)
         assert win.outstanding(0) == 0
         yield from env.win_unlock_all(win)
 
     run_one(sched, world, body)
-    assert raised == ["flush", "win_unlock"]
-    assert world.processes[0].spc.rma_flushes == 2  # flush_all + unlock_all
+    assert raised == ["flush"]
+    assert world.processes[0].spc.rma_flushes == 2  # flush + unlock_all
 
 
 def test_put_data_length_must_match(sched, world):
@@ -317,35 +316,6 @@ def test_put_data_length_must_match(sched, world):
     with pytest.raises(ValueError, match="bytes"):
         sched.run()
     assert len(win.buffer(1)) == 8
-
-
-def test_fence_synchronizes_both_sides(sched, world):
-    win = world.env(0).win_allocate(world.comm_world, 16)
-    observed = {}
-
-    def origin(env):
-        yield from env.fence(win)
-        yield from env.put(win, target=1, nbytes=4, data=b"SYNC")
-        yield from env.fence(win)
-
-    def target(env):
-        yield from env.fence(win)
-        yield from env.fence(win)
-        observed["bytes"] = bytes(win.buffer(1)[:4])
-
-    sched.spawn(origin(world.env(0)))
-    sched.spawn(target(world.env(1)))
-    sched.run()
-    assert observed["bytes"] == b"SYNC"
-
-
-def test_win_sync_is_cheap_noop(sched, world):
-    win = world.env(0).win_allocate(world.comm_world, 8)
-
-    def body(env):
-        yield from env.win_sync(win)
-
-    run_one(sched, world, body)
 
 
 def test_rma_spc_counters(sched, world):

@@ -100,3 +100,17 @@ def test_reopening_truncates_the_previous_runs_log(tmp_path):
     records = read_events(second.path)
     assert [r["seq"] for r in records] == [0]
     assert [r["kind"] for r in records] == ["sweep.start"]
+
+
+def test_failed_emit_leaves_the_tallies_equal_to_the_file(tmp_path):
+    # an emit that cannot write (here: on a closed log) must not count:
+    # the manifest's telemetry block is built from these tallies
+    log = _log(tmp_path)
+    log.emit("sweep.start")
+    log.close()
+    with pytest.raises(ValueError):
+        log.emit("sweep.finish", ok=True)
+    on_disk = read_events(log.path)
+    assert log.total == len(on_disk) == 1
+    assert log.counts == {"sweep.start": 1}
+    assert list(log.ring) == on_disk

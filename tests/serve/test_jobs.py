@@ -221,8 +221,18 @@ def test_failing_manifest_write_fails_the_job_and_wakes_waiters(
     assert job.error == "OSError: disk full"
     assert job.snapshot()["artifacts"] == []
     assert not (job.dir / "manifest.json").exists()
-    # sweep.finish was narrated before the write and is not repeated
-    assert [e["kind"] for e in events(job)].count("sweep.finish") == 1
+    # sweep.finish was narrated before the write and is not repeated;
+    # the crash postmortem after it is the log's last word
+    records = events(job)
+    assert [e["kind"] for e in records].count("sweep.finish") == 1
+    assert records[-1]["kind"] == "postmortem"
+    assert records[-1]["reason"] == "crash"
+    status = json.loads((job.telemetry_dir / "status.json").read_text())
+    assert status["state"] == "failed"
+    assert job.telemetry.log._handle.closed
+    problems = []
+    assert "state=failed," in lint_dir(job.telemetry_dir, problems)
+    assert problems == []
 
 
 def test_full_queue_refuses_with_queue_full(tmp_path, gated_exhibit):

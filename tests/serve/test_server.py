@@ -7,6 +7,7 @@ serve-smoke job and ``repro submit`` use.
 
 import json
 import threading
+import time
 
 from repro.cli import main
 from repro.engine import EngineCounters
@@ -225,3 +226,13 @@ def test_health_listing_and_status_endpoints(serve_factory):
     assert final["links"]["artifacts"] == f"/artifacts/{job_id}/"
     listing = client.request("GET", "/experiments").json()
     assert [j["id"] for j in listing["jobs"]] == [job_id]
+
+
+def test_stop_returns_promptly(serve_factory):
+    # the accept loop polls for shutdown every POLL_INTERVAL_S, so a stop
+    # does not wait out socketserver's default half-second poll
+    server, client = serve_factory()
+    assert client.healthz().json()["ok"] is True
+    t0 = time.perf_counter()
+    server.stop()
+    assert time.perf_counter() - t0 < 0.25

@@ -254,29 +254,3 @@ def test_wait_and_hold_time_accounting():
     # holder held 0->110, waiter 110->release; both contribute.
     assert lock.hold_time_ns > 100
     assert lock.contended_acquisitions == 1
-
-
-def test_reset_stats_zeroes_counters_but_not_state():
-    sched = Scheduler(jitter=0.0)
-    lock = SimLock(sched, LockCosts(migration_ns=100))
-
-    def a():
-        yield from lock.acquire()
-        yield Delay(10)
-        yield from lock.release()
-
-    def b():
-        yield Delay(1)
-        ok = yield from lock.try_acquire()
-        assert not ok
-        yield from lock.acquire()
-        yield from lock.release()
-
-    sched.spawn(a())
-    sched.spawn(b())
-    sched.run()
-    assert lock.acquisitions and lock.tryfails and lock.hold_time_ns
-    lock.reset_stats()
-    assert (lock.acquisitions, lock.contended_acquisitions, lock.migrations,
-            lock.tryfails, lock.wait_time_ns, lock.hold_time_ns) == (0,) * 6
-    assert not lock.locked  # state untouched

@@ -1,152 +1,8 @@
-"""Semaphore, condition variable, barrier."""
+"""The intra-process barrier."""
 
 import pytest
 
-from repro.simthread import (
-    Delay,
-    Scheduler,
-    SimBarrier,
-    SimCondition,
-    SimLock,
-    SimSemaphore,
-    SimThreadError,
-)
-
-
-class TestSemaphore:
-    def test_initial_value_consumed_without_blocking(self):
-        sched = Scheduler(jitter=0.0)
-        sem = SimSemaphore(sched, initial=2, op_ns=10)
-        done = []
-
-        def taker(i):
-            yield from sem.wait()
-            done.append(i)
-
-        sched.spawn(taker(0))
-        sched.spawn(taker(1))
-        sched.run()
-        assert sorted(done) == [0, 1]
-        assert sem.value == 0
-
-    def test_wait_blocks_until_post(self):
-        sched = Scheduler(jitter=0.0)
-        sem = SimSemaphore(sched)
-        log = []
-
-        def waiter():
-            yield from sem.wait()
-            log.append(("woke", sched.now))
-
-        def poster():
-            yield Delay(500)
-            yield from sem.post()
-
-        sched.spawn(waiter())
-        sched.spawn(poster())
-        sched.run()
-        assert log and log[0][1] >= 500
-
-    def test_post_without_waiter_increments(self):
-        sched = Scheduler()
-        sem = SimSemaphore(sched)
-
-        def poster():
-            yield from sem.post()
-            yield from sem.post()
-
-        sched.spawn(poster())
-        sched.run()
-        assert sem.value == 2
-
-    def test_negative_initial_rejected(self):
-        with pytest.raises(ValueError):
-            SimSemaphore(Scheduler(), initial=-1)
-
-    def test_producer_consumer(self):
-        sched = Scheduler(seed=2)
-        items = SimSemaphore(sched)
-        produced, consumed = [], []
-
-        def producer():
-            for i in range(20):
-                yield Delay(100)
-                produced.append(i)
-                yield from items.post()
-
-        def consumer():
-            for _ in range(20):
-                yield from items.wait()
-                consumed.append(len(consumed))
-
-        sched.spawn(producer())
-        sched.spawn(consumer())
-        sched.run()
-        assert len(consumed) == 20
-
-
-class TestCondition:
-    def test_wait_notify(self):
-        sched = Scheduler(jitter=0.0)
-        lock = SimLock(sched)
-        cond = SimCondition(sched, lock)
-        state = {"ready": False}
-        log = []
-
-        def waiter():
-            yield from lock.acquire()
-            while not state["ready"]:
-                yield from cond.wait()
-            log.append(sched.now)
-            yield from lock.release()
-
-        def notifier():
-            yield Delay(1000)
-            yield from lock.acquire()
-            state["ready"] = True
-            yield from cond.notify()
-            yield from lock.release()
-
-        sched.spawn(waiter())
-        sched.spawn(notifier())
-        sched.run()
-        assert log and log[0] >= 1000
-
-    def test_wait_without_lock_is_error(self):
-        sched = Scheduler()
-        lock = SimLock(sched)
-        cond = SimCondition(sched, lock)
-
-        def bad():
-            yield from cond.wait()
-
-        sched.spawn(bad())
-        with pytest.raises(SimThreadError, match="without holding"):
-            sched.run()
-
-    def test_notify_all_wakes_everyone(self):
-        sched = Scheduler(seed=9)
-        lock = SimLock(sched)
-        cond = SimCondition(sched, lock)
-        woke = []
-
-        def waiter(i):
-            yield from lock.acquire()
-            yield from cond.wait()
-            woke.append(i)
-            yield from lock.release()
-
-        def broadcaster():
-            yield Delay(500)
-            yield from lock.acquire()
-            yield from cond.notify_all()
-            yield from lock.release()
-
-        for i in range(5):
-            sched.spawn(waiter(i))
-        sched.spawn(broadcaster())
-        sched.run()
-        assert sorted(woke) == list(range(5))
+from repro.simthread import Delay, Scheduler, SimBarrier
 
 
 class TestBarrier:

@@ -13,6 +13,10 @@ import pytest
 
 from repro.cli import main, sweep_id
 
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tools"))
+
+from lint_events import lint_dir  # noqa: E402
+
 
 def test_list_prints_all_experiments(capsys):
     assert main(["list"]) == 0
@@ -500,6 +504,30 @@ def test_retry_exhaustion_exits_3_with_postmortem(tmp_path, capsys,
     assert status["state"] == "failed"
     err = capsys.readouterr().err
     assert "run failed" in err and "postmortem" in err
+
+
+def test_failing_manifest_write_ends_the_log_in_a_crash_postmortem(
+        tmp_path, monkeypatch):
+    import json
+    import repro.engine.manifest as manifest_module
+    from repro.obs.live import EVENTS_NAME, read_events
+
+    def full_disk(out_dir, doc):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(manifest_module, "write_manifest", full_disk)
+    with pytest.raises(OSError, match="disk full"):
+        main(["run", "table1", "--out", str(tmp_path)])
+    telemetry = tmp_path / "telemetry"
+    records = read_events(telemetry / EVENTS_NAME)
+    assert [r["kind"] for r in records].count("sweep.finish") == 1
+    assert records[-1]["kind"] == "postmortem"
+    assert records[-1]["reason"] == "crash"
+    status = json.loads((telemetry / "status.json").read_text())
+    assert status["state"] == "failed"
+    problems = []
+    assert "state=failed," in lint_dir(telemetry, problems)
+    assert problems == []
 
 
 def test_top_once_on_a_finished_run(tmp_path, capsys, monkeypatch):

@@ -6,8 +6,8 @@ derived counters, the lock/progress gauges :data:`OBS_GAUGES`,
 :class:`SchedStats` and :class:`TransportStats`.  These tests check
 that every place a user reads those counters (``manifest.json``,
 ``engine.metrics.csv``, ``status.json``, ``metrics.prom``, the
-``sweep.finish`` event, MPI_T pvars, the metrics time-series and the
-``as_dict`` views) shows exactly the declared keys: no surface may
+``sweep.finish`` event, ``obs_counters``, the metrics time-series and
+the ``as_dict`` views) shows exactly the declared keys: no surface may
 keep a private list that drifts from the declaration.
 """
 
@@ -19,7 +19,6 @@ import sys
 
 from repro.cli import main
 from repro.engine import EngineCounters
-from repro.mpi.mpit import PvarSession
 from repro.mpi.spc import DERIVED, OBS_GAUGES, SPC, SPCAggregate
 from repro.netsim.transport import TransportStats
 from repro.obs.live import EVENTS_NAME, read_events
@@ -84,13 +83,7 @@ def test_engine_surfaces_derive_from_the_declaration(tmp_path, monkeypatch,
     assert problems == []
 
 
-def test_pvars_list_every_spc_field_derived_counter_and_gauge(sched, world):
-    declared = SPC_FIELDS + sorted(DERIVED) + sorted(OBS_GAUGES)
-    session = PvarSession(world)
-    assert [v.name for v in session.list_pvars()] == declared
-    assert sorted(session.snapshot()) == sorted(declared)
-    docs = {v.name: v.description for v in session.list_pvars()}
-    assert all(docs[name] == doc for name, doc in OBS_GAUGES.items())
+def test_obs_counters_list_every_gauge_in_declared_order(sched, world):
     assert list(world.processes[0].obs_counters()) == list(OBS_GAUGES)
     assert list(world.obs_total()) == list(OBS_GAUGES)
 

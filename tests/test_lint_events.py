@@ -4,8 +4,9 @@ Drives :mod:`tools.lint_events` against telemetry directories produced
 by a genuine :class:`~repro.obs.live.LiveTelemetry` session, then
 corrupts them one defect at a time -- broken seq, unknown kind,
 counter/event disagreement, counter keys that drift from the
-:class:`~repro.engine.engine.EngineCounters` declaration, malformed
-prometheus sample -- and asserts
+:class:`~repro.engine.engine.EngineCounters` declaration, a terminal
+state the log's last word contradicts, malformed prometheus sample --
+and asserts
 each corruption is the *only* thing the linter flags.
 """
 
@@ -169,6 +170,30 @@ def test_catches_stale_final_status_total(tmp_path):
     lint_status_file(status_path, records, problems)
     assert any("reports 3 events but the log holds 10" in p
                for p in problems)
+
+
+def test_catches_a_status_that_disagrees_with_the_logs_last_word(tmp_path):
+    # a failed run whose log still ends in an ok sweep.finish: what a
+    # manifest write failing after sweep.finish used to leave behind
+    telemetry = _finished_run(tmp_path)
+    status_path = telemetry / "status.json"
+    doc = json.loads(status_path.read_text())
+    doc["state"] = "failed"
+    status_path.write_text(json.dumps(doc))
+    problems: list[str] = []
+    records = lint_events_file(telemetry / "events.jsonl", [])
+    lint_status_file(status_path, records, problems)
+    assert problems == [f"{status_path}: state failed but the log holds "
+                        "neither a postmortem nor a sweep.finish with "
+                        "ok: false"]
+    # and the converse: a finished status after a failed finish
+    doc["state"] = "finished"
+    status_path.write_text(json.dumps(doc))
+    records[-1]["ok"] = False
+    problems = []
+    lint_status_file(status_path, records, problems)
+    assert problems == [f"{status_path}: state finished but the log's last "
+                        "sweep.finish does not say ok: true"]
 
 
 def test_catches_bad_prom_sample_and_untyped_metric(tmp_path):

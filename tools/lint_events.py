@@ -18,8 +18,10 @@ schemas in :mod:`repro.obs.live`:
 * ``status.json`` parses atomically-complete, carries the current
   schema, a legal state, internally consistent progress and (once an
   engine is attached) exactly the declared counter row plus ``jobs``
-  and ``utilization``; on a cleanly finished run its event total
-  matches the log;
+  and ``utilization``; in a terminal state its event total matches the
+  log, and the state agrees with the log's last word (``finished``: an
+  ``ok: true`` ``sweep.finish`` with no ``postmortem`` after it;
+  ``failed``/``killed``: a ``postmortem`` or an ``ok: false`` finish);
 * every ``metrics.prom`` sample line is Prometheus-parseable and typed;
 * every postmortem bundle has a valid manifest naming only files that
   exist.
@@ -166,13 +168,37 @@ def lint_status_file(path: pathlib.Path, records: list[dict],
         if doc.get("run") != run_id:
             problems.append(f"{path}: run {doc.get('run')!r} != event "
                             f"log's {run_id!r}")
-        if doc.get("state") in ("finished", "failed", "killed") and \
-                doc.get("events", {}).get("total") != len(records):
-            problems.append(
-                f"{path}: final heartbeat reports "
-                f"{doc.get('events', {}).get('total')} events but the log "
-                f"holds {len(records)}")
+        if doc.get("state") in ("finished", "failed", "killed"):
+            if doc.get("events", {}).get("total") != len(records):
+                problems.append(
+                    f"{path}: final heartbeat reports "
+                    f"{doc.get('events', {}).get('total')} events but the "
+                    f"log holds {len(records)}")
+            _check_last_word(path, doc["state"], records, problems)
     return doc
+
+
+def _check_last_word(path, state: str, records: list[dict],
+                     problems: list[str]) -> None:
+    """A terminal state must agree with how the event log ends.
+
+    ``finished`` needs a last ``sweep.finish`` with ``ok: true`` and no
+    ``postmortem`` after it; ``failed``/``killed`` need a ``postmortem``
+    or a ``sweep.finish`` with ``ok: false``.
+    """
+    kinds = [record.get("kind") for record in records]
+    finishes = [i for i, kind in enumerate(kinds) if kind == "sweep.finish"]
+    if state == "finished":
+        if not finishes or records[finishes[-1]].get("ok") is not True:
+            problems.append(f"{path}: state finished but the log's last "
+                            "sweep.finish does not say ok: true")
+        elif "postmortem" in kinds[finishes[-1]:]:
+            problems.append(f"{path}: state finished but a postmortem "
+                            "follows the last sweep.finish")
+    elif "postmortem" not in kinds and \
+            not any(records[i].get("ok") is False for i in finishes):
+        problems.append(f"{path}: state {state} but the log holds neither "
+                        "a postmortem nor a sweep.finish with ok: false")
 
 
 def lint_prom_file(path: pathlib.Path, problems: list[str]) -> int:
