@@ -43,10 +43,11 @@ class CRIPool:
                                       lock_fairness, rank))
         self._rr = AtomicCounter(sched, cost_ns=costs.atomic_rmw_ns)
         #: the cost of one ticket (:meth:`take_ticket`), yielded by the caller
-        self.ticket_delay = self._rr._cost_delay
+        self.ticket_delay = self._rr.cost_delay
         #: each thread's dedicated CRI; a live hit needs no generator
         self.tls = ThreadLocal(sched)
         self._last_used = ThreadLocal(sched)
+        self._dedicated = config.assignment == DEDICATED
         self.switches = 0
         #: owning process's SPC (set by the MPI layer; ``None`` standalone)
         self.spc = None
@@ -105,6 +106,8 @@ class CRIPool:
         and indexes ``instances[ticket % len(instances)]`` after that
         yield, on the live list a failover may have shrunk meanwhile.
         Each step of Algorithm 2's fallback scan takes one ticket too.
+        The body is :meth:`AtomicCounter.fetch_add`'s, inlined: the scan
+        takes a ticket on almost every event it runs.
         """
         rr = self._rr
         ticket = rr._value
@@ -136,6 +139,24 @@ class CRIPool:
             self.tls.set(cri)
         return cri
 
+    def warm_instance(self):
+        """The calling thread's warm CRI, or ``None``: a plain call.
+
+        A CRI is warm under dedicated assignment when it is the thread's
+        live TLS hit and also the CRI the thread used last; taking it
+        costs no virtual time, so :meth:`get_instance` would yield
+        nothing.  Callers build that generator only on a miss::
+
+            cri = pool.warm_instance()
+            if cri is None:
+                cri = yield from pool.get_instance()
+        """
+        if self._dedicated:
+            cri = self.tls.get()
+            if cri is not None and not cri.dead and self._last_used.get() is cri:
+                return cri
+        return None
+
     def get_instance(self, switch_ns: int | None = None):
         """Generator: assignment per the configured strategy, charging the
         instance-switch penalty when the thread changes instance.
@@ -145,7 +166,7 @@ class CRIPool:
         context costs far more than touching a warm one, which is much of
         why round-robin trails dedicated so badly in Figures 6 and 7).
         """
-        if self.config.assignment == DEDICATED:
+        if self._dedicated:
             cri = self.tls.get()
             if cri is None or cri.dead:  # first touch or migration
                 cri = yield from self.get_instance_dedicated()

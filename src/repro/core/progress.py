@@ -5,8 +5,9 @@ upper layer (request completion, matching).  The two designs:
 
 * :class:`SerialProgress` -- Open MPI's traditional scheme: a global
   try-lock admits a single thread; the holder sweeps every instance.
-  Threads that fail the try-lock return immediately with zero completions
-  (the caller backs off), funneling all extraction through one thread.
+  A thread that fails the try-lock ends its round at once with zero
+  completions (and backs off), funneling all extraction through one
+  thread.
 * :class:`ConcurrentProgress` -- the paper's Algorithm 2: no global lock.
   A thread first try-locks and progresses its *dedicated* instance; only
   if that produced no completion does it scan other instances via
@@ -15,6 +16,10 @@ upper layer (request completion, matching).  The two designs:
   instance, so the thread moves on -- the try-lock-as-information idiom of
   section III-C.  The fallback scan guarantees orphaned instances (dead
   threads, threads > instances) are still progressed eventually.
+
+A waiting thread spins in its engine's ``poll`` loop, which runs rounds
+until the caller's condition holds (a request completed, a flush's ops
+acked) and pauses between them; ``progress()`` is one round of it.
 
 Both engines poll *and dispatch* under the CRI lock -- completion
 callbacks chain inline from the BTL progress loop as in btl/uct -- while
@@ -31,10 +36,15 @@ from repro.simthread.sync import SimLock
 
 
 class _ProgressBase:
-    """Shared instance-progress helper.
+    """Shared instance-progress helper and the one-round entry point.
+
+    Each engine has one :meth:`poll` loop holding its one round body.
+    A thread waiting for a request or a flush parks in that loop for the
+    whole wait, so each event resumes the frames worker -> wait ->
+    ``poll`` and no generator is built per round.
 
     ``post_round`` is an optional hook run at the end of every progress
-    call (outside any progress/instance lock): an object whose
+    round (outside any progress/instance lock): an object whose
     ``pending`` is truthy while work is queued and whose ``flush()``
     generator does that work.  The MPI layer passes its rendezvous
     manager, whose queued protocol replies (CTS/DATA) cannot be sent from
@@ -50,11 +60,19 @@ class _ProgressBase:
         self.post_round = post_round
         self.calls = 0
         self.denied = 0
-        # flattened frozen costs + a reusable Delay for the (very common)
-        # empty-progress round
+        # flattened frozen costs + reusable Delays for the (very common)
+        # empty-progress round and the pause between two polling rounds
         self._cq_poll_ns = costs.cq_poll_ns
         self._cq_event_ns = costs.cq_event_ns
         self._empty_delay = Delay(costs.progress_empty_ns)
+        self._poll_delay = Delay(costs.wait_poll_ns)
+
+    def progress(self):
+        """Generator: one progress-engine call; returns its completions.
+
+        :meth:`poll` run for exactly one round.
+        """
+        return self.poll(None, None)
 
     def _progress_instance(self, cri):
         """Generator: try to progress one CRI whose CQ is not empty.
@@ -63,19 +81,21 @@ class _ProgressBase:
         try-lock was held (another thread is progressing it).
 
         The engines skip an empty CQ without calling this (no lock, no
-        generator): emptiness is a single cached load of the CQ's producer
-        index, the standard cheap "anything pending?" hint, so sweeping
-        many idle instances costs (almost) nothing.  The sweep-level cost
+        generator): ``cq.pending`` is a single load of the CQ's queue, the
+        standard cheap "anything pending?" hint, so sweeping many idle
+        instances costs (almost) nothing.  The sweep-level cost
         of an entirely idle pass is charged once by the engines.
         """
-        ok = yield from cri.lock.try_acquire()
-        if not ok:
+        lock = cri.lock
+        cmd = lock.try_acquire()
+        yield cmd
+        if cmd is lock.tryfail_delay:
             return None
         cri.progress_calls += 1
         events = cri.cq.poll()
         if not events:
             yield self._empty_delay
-            yield from cri.lock.release()
+            yield lock.release()
             return 0
         yield Delay(self._cq_poll_ns + len(events) * self._cq_event_ns)
         # Dispatch runs with the instance lock held: completion callbacks
@@ -86,7 +106,7 @@ class _ProgressBase:
         count = 0
         for ev in events:
             count += yield from self.dispatch(ev)
-        yield from cri.lock.release()
+        yield lock.release()
         return count
 
 
@@ -98,78 +118,114 @@ class SerialProgress(_ProgressBase):
         self.global_lock = SimLock(sched, costs.lock_costs(),
                                    name=f"p{pool.rank}/opal-progress")
 
-    def progress(self):
-        """Generator: one progress-engine call; returns completion count."""
-        self.calls += 1
-        trc = self.sched.tracer
+    def poll(self, done, backoff):
+        """Generator: progress rounds until ``done()`` holds.
+
+        ``done`` is a zero-argument callable, tested after each round
+        and again after each pause; the caller polls only while it is
+        false.  The pause is ``backoff`` after a round that completed
+        nothing and the ``wait_poll_ns`` delay after one that did.  With
+        ``done`` None the loop runs exactly one round (:meth:`progress`).
+        Returns the last round's completion count.
+        """
+        sched = self.sched
+        trc = sched.tracer
         traced = trc.enabled
-        ok = yield from self.global_lock.try_acquire()
-        if not ok:
-            self.denied += 1
-            if traced:
-                trc.instant(trc.thread_track(self.sched.current),
-                            "progress.denied", "progress",
-                            {"lock": self.global_lock.name})
-            return 0
-        if traced:
-            tid = trc.thread_track(self.sched.current)
-            trc.begin(tid, "progress.sweep", "progress")
-        total = 0
-        for cri in self.pool.instances:
-            r = 0 if cri.cq.empty else (yield from self._progress_instance(cri))
-            if r:
-                total += r
-        if total == 0:
-            yield self._empty_delay
-        yield from self.global_lock.release()
-        if traced:
-            trc.end(tid, {"completions": total, "mode": "serial"})
-        if self.post_round is not None and self.post_round.pending:
-            yield from self.post_round.flush()
-        return total
+        lock = self.global_lock
+        tryfail = lock.tryfail_delay
+        instances = self.pool.instances
+        progress_instance = self._progress_instance
+        empty_delay = self._empty_delay
+        poll_delay = self._poll_delay
+        post_round = self.post_round
+        while True:
+            self.calls += 1
+            cmd = lock.try_acquire()
+            yield cmd
+            total = 0
+            if cmd is tryfail:
+                self.denied += 1
+                if traced:
+                    trc.instant(trc.thread_track(sched.current),
+                                "progress.denied", "progress",
+                                {"lock": lock.name})
+            else:
+                if traced:
+                    tid = trc.thread_track(sched.current)
+                    trc.begin(tid, "progress.sweep", "progress")
+                for cri in instances:
+                    r = (yield from progress_instance(cri)) if cri.cq.pending else 0
+                    if r:
+                        total += r
+                if total == 0:
+                    yield empty_delay
+                yield lock.release()
+                if traced:
+                    trc.end(tid, {"completions": total, "mode": "serial"})
+                if post_round is not None and post_round.pending:
+                    yield from post_round.flush()
+            if done is None or done():
+                return total
+            yield backoff if total == 0 else poll_delay
+            if done():
+                return total
 
 
 class ConcurrentProgress(_ProgressBase):
     """Algorithm 2: dedicated-first, round-robin helper fallback."""
 
-    def progress(self):
-        """Generator: one progress-engine call; returns completion count."""
-        self.calls += 1
-        trc = self.sched.tracer
+    def poll(self, done, backoff):
+        """Generator: progress rounds until ``done()`` holds.
+
+        Same contract as :meth:`SerialProgress.poll`.
+        """
+        sched = self.sched
+        trc = sched.tracer
         traced = trc.enabled
-        if traced:
-            tid = trc.thread_track(self.sched.current)
-            trc.begin(tid, "progress.sweep", "progress")
         pool = self.pool
         # the live list: a CRI failover during a yield shrinks it in place
         instances = pool.instances
-        cri = pool.tls.get()
-        if cri is None or cri.dead:  # first touch or migration
-            cri = yield from pool.get_instance_dedicated()
-        count = 0 if cri.cq.empty else (yield from self._progress_instance(cri))
-        if count is None:
-            self.denied += 1
-            count = 0
-        if count == 0:
-            take_ticket = pool.take_ticket
-            ticket_delay = pool.ticket_delay
-            for _ in range(len(instances)):
-                ticket = take_ticket()
-                yield ticket_delay
-                cri = instances[ticket % len(instances)]
-                r = 0 if cri.cq.empty else (yield from self._progress_instance(cri))
-                if r is None:
-                    self.denied += 1
-                elif r:
-                    count = r
-                    break
-        if count == 0:
-            yield self._empty_delay
-        if traced:
-            trc.end(tid, {"completions": count, "mode": "concurrent"})
-        if self.post_round is not None and self.post_round.pending:
-            yield from self.post_round.flush()
-        return count
+        tls_get = pool.tls.get
+        take_ticket = pool.take_ticket
+        ticket_delay = pool.ticket_delay
+        progress_instance = self._progress_instance
+        empty_delay = self._empty_delay
+        poll_delay = self._poll_delay
+        post_round = self.post_round
+        while True:
+            self.calls += 1
+            if traced:
+                tid = trc.thread_track(sched.current)
+                trc.begin(tid, "progress.sweep", "progress")
+            cri = tls_get()
+            if cri is None or cri.dead:  # first touch or migration
+                cri = yield from pool.get_instance_dedicated()
+            count = (yield from progress_instance(cri)) if cri.cq.pending else 0
+            if count is None:
+                self.denied += 1
+                count = 0
+            if count == 0:
+                for _ in range(len(instances)):
+                    ticket = take_ticket()
+                    yield ticket_delay
+                    cri = instances[ticket % len(instances)]
+                    r = (yield from progress_instance(cri)) if cri.cq.pending else 0
+                    if r is None:
+                        self.denied += 1
+                    elif r:
+                        count = r
+                        break
+            if count == 0:
+                yield empty_delay
+            if traced:
+                trc.end(tid, {"completions": count, "mode": "concurrent"})
+            if post_round is not None and post_round.pending:
+                yield from post_round.flush()
+            if done is None or done():
+                return count
+            yield backoff if count == 0 else poll_delay
+            if done():
+                return count
 
 
 def make_progress_engine(sched, pool: CRIPool, config: ThreadingConfig,

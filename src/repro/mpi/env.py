@@ -103,7 +103,9 @@ class MpiThreadEnv:
                                            "src": self.rank, "comm": comm.id})
         # Sequence assignment happens *before* the instance lock -- the
         # race between assignment and injection is real (section II-C).
-        seq = yield from state.send_seq(dst).fetch_add()
+        counter = state.send_seq(dst)
+        seq = counter.fetch_add()
+        yield counter.cost_delay
         req.seq = seq
         if nbytes > costs.eager_limit_bytes:
             # Rendezvous: only the RTS header travels now; the payload is
@@ -117,13 +119,16 @@ class MpiThreadEnv:
             envelope = Envelope(src=self.rank, dst=dst, comm_id=comm.id,
                                 tag=tag, seq=seq, nbytes=nbytes,
                                 payload=payload, send_request=req)
-        cri = yield from process.pool.get_instance()
+        pool = process.pool
+        cri = pool.warm_instance()
+        if cri is None:
+            cri = yield from pool.get_instance()
         yield from cri.lock.acquire()
         yield Delay(process.host_reserve() + costs.send_path_ns)
         endpoint = process.endpoint_for(cri, dst)
-        yield from cri.context.post_send(endpoint, envelope)
+        yield cri.context.post_send(endpoint, envelope)
         cri.sends += 1
-        yield from cri.lock.release()
+        yield cri.lock.release()
         process.spc.messages_sent += 1
         if traced:
             trc.end(tid, {"seq": seq,
@@ -173,24 +178,32 @@ class MpiThreadEnv:
     # completion
     # ------------------------------------------------------------------
     def wait(self, request):
-        """Generator: block (spinning in the progress engine) until done."""
-        process = self.process
-        progress = process.progress_engine.progress
-        backoff = process._wait_backoff_delay
-        poll = process._wait_poll_delay
-        while not request.completed:
-            n = yield from progress()
-            if request.completed:
-                break
-            yield backoff if n == 0 else poll
+        """Generator: block (spinning in the progress engine) until done;
+        returns the request, or raises its error."""
+        if not request.completed:
+            process = self.process
+            yield from process.progress_engine.poll(
+                lambda: request.completed, process._wait_backoff_delay)
         if request.error is not None:
             raise request.error
         return request
 
     def waitall(self, requests):
-        """Generator: wait for every request in the sequence."""
+        """Generator: wait for each request in turn.
+
+        The first failed request raises its error before the ones after
+        it are waited for.  Each wait polls the progress engine directly,
+        so a waiting thread resumes worker -> ``waitall`` -> engine loop.
+        """
+        process = self.process
+        poll = process.progress_engine.poll
+        backoff = process._wait_backoff_delay
         for req in requests:
-            yield from self.wait(req)
+            if not req.completed:
+                # poll runs to completion before the loop rebinds ``req``
+                yield from poll(lambda: req.completed, backoff)
+            if req.error is not None:
+                raise req.error
 
     def progress(self):
         """Generator: one call into the progress engine; returns the

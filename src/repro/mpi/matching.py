@@ -174,7 +174,7 @@ class MatchingEngine:
             self.posted.insert(req.src, req.tag, req)
         self.spc.match_time_ns += work
         yield Delay(work)
-        yield from self.lock.release()
+        yield self.lock.release()
         if traced:
             if m is not None:
                 # Name the exact message this post delivered so the
@@ -245,7 +245,7 @@ class MatchingEngine:
         self.spc.match_time_ns += work
         # The per-process host pipeline bounds total message-handling rate.
         yield Delay(self.process.host_reserve() + work)
-        yield from self.lock.release()
+        yield self.lock.release()
         if traced:
             if outcome == "expected" and completions == 0:
                 outcome = "unexpected"

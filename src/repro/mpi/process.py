@@ -46,7 +46,6 @@ class MpiProcess:
         self._req_complete_delay = Delay(costs.request_complete_ns)
         self._rndv_handshake_delay = Delay(costs.rndv_handshake_ns)
         self._wait_backoff_delay = Delay(costs.wait_backoff_ns)
-        self._wait_poll_delay = Delay(costs.wait_poll_ns)
         self._rma_flush_backoff_delay = Delay(costs.rma_flush_backoff_ns)
         self.spc = SPC()
         self.pool = CRIPool(world.sched, nic, config, costs, lock_fairness, rank)

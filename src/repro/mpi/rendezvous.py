@@ -79,12 +79,15 @@ class RendezvousManager:
                 tid = trc.thread_track(process.sched.current)
                 trc.begin(tid, "rndv.cts" if env.kind == CTS else "rndv.data",
                           "rndv", {"dst": env.dst, "nbytes": env.nbytes})
-            cri = yield from process.pool.get_instance()
+            pool = process.pool
+            cri = pool.warm_instance()
+            if cri is None:
+                cri = yield from pool.get_instance()
             yield from cri.lock.acquire()
             yield Delay(process.costs.rndv_handshake_ns)
             endpoint = process.endpoint_for(cri, env.dst)
-            yield from cri.context.post_send(endpoint, env)
-            yield from cri.lock.release()
+            yield cri.context.post_send(endpoint, env)
+            yield cri.lock.release()
             if env.kind == CTS:
                 self.cts_sent += 1
             else:

@@ -34,7 +34,10 @@ def _post(env, win, op: WindowOp, post_cost_ns: int):
         tid = trc.thread_track(env.sched.current)
         trc.begin(tid, f"rma.{op.kind}", "rma",
                   {"target": op.target, "nbytes": op.nbytes})
-    cri = yield from process.pool.get_instance(switch_ns=env.costs.rma_instance_switch_ns)
+    pool = process.pool
+    cri = pool.warm_instance()
+    if cri is None:
+        cri = yield from pool.get_instance(switch_ns=env.costs.rma_instance_switch_ns)
     yield from cri.lock.acquire()
     # No host_reserve here: one-sided ops are NIC offload -- no matching,
     # no unexpected-buffer allocation -- so the per-process host message
@@ -42,8 +45,8 @@ def _post(env, win, op: WindowOp, post_cost_ns: int):
     yield Delay(post_cost_ns)
     endpoint = process.endpoint_for(cri, op.target)
     win.track(op)
-    yield from cri.context.post_rma(endpoint, op)
-    yield from cri.lock.release()
+    yield cri.context.post_rma(endpoint, op)
+    yield cri.lock.release()
     process.spc.rma_ops += 1
     if traced:
         trc.end(tid, {"cri": cri.index})
@@ -135,9 +138,11 @@ def flush(env, win, target: int | None = None):
     """Generator: complete this process's outstanding ops (to ``target``,
     or all targets when ``None``).
 
-    Completion of one-sided operations is a hardware counter, so the loop
-    just polls it (with a progress call folded in so concurrently pending
-    two-sided traffic still advances, as a real MPI_Win_flush would)."""
+    Completion of one-sided operations is a hardware counter, so the
+    thread just polls it, in the progress engine's own loop (a progress
+    round per poll, so concurrently pending two-sided traffic still
+    advances, as a real MPI_Win_flush would).  A transport error recorded
+    for this origin raises after the loop."""
     if target is not None:
         win.comm.check_member(target, "target")
     process = env.process
@@ -150,13 +155,10 @@ def flush(env, win, target: int | None = None):
         trc.begin(tid, "rma.flush", "rma",
                   {"outstanding": win.outstanding(rank, target)})
     yield Delay(process.costs.rma_flush_ns)
-    progress = process.progress_engine.progress
-    backoff = process._rma_flush_backoff_delay
-    poll = process._wait_poll_delay
-    while win.outstanding(rank, target):
-        n = yield from progress()
-        if win.outstanding(rank, target):
-            yield backoff if n == 0 else poll
+    if win.outstanding(rank, target):
+        yield from process.progress_engine.poll(
+            lambda: not win.outstanding(rank, target),
+            process._rma_flush_backoff_delay)
     if traced:
         trc.end(tid)
     errors = win.take_errors(rank)

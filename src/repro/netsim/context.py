@@ -64,7 +64,8 @@ class NetworkContext:
 
     # ------------------------------------------------------------------
     def post_send(self, endpoint, envelope):
-        """Generator: post a two-sided eager send on this context.
+        """Post a two-sided eager send on this context; returns the
+        doorbell cost for the caller to yield.
 
         The caller must hold whatever lock protects this context.  Charges
         only the doorbell; schedules local completion (at injection done)
@@ -86,7 +87,7 @@ class NetworkContext:
                 sched.call_at(done, self.cq.push, SendCompletion(envelope.send_request))
             deliver_at = endpoint.fifo_delivery_time(done + fabric.wire_delay())
             sched.call_at(deliver_at, endpoint.dst_ctx.deliver, envelope)
-        yield self._doorbell_delay
+        return self._doorbell_delay
 
     def deliver(self, envelope) -> None:
         """Delivery callback: the wire handed us a message."""
@@ -96,7 +97,8 @@ class NetworkContext:
 
     # ------------------------------------------------------------------
     def post_rma(self, endpoint, op):
-        """Generator: post a one-sided operation (put/get/atomic).
+        """Post a one-sided operation (put/get/atomic); returns the
+        doorbell cost for the caller to yield.
 
         No target CPU involvement: the remote side-effect happens in a
         delivery callback, and the hardware ack completes the op through
@@ -125,7 +127,7 @@ class NetworkContext:
             # paper finds "little benefit from concurrent progress" on
             # the one-sided path.
             sched.call_at(remote_at + ack_extra, self._complete_rma, op)
-        yield self._doorbell_delay
+        return self._doorbell_delay
 
     def _complete_rma(self, op) -> None:
         """Hardware-counter completion callback for a one-sided op."""

@@ -50,18 +50,21 @@ class TransportFailure:
 class CompletionQueue:
     """FIFO of completion events for one network context."""
 
-    __slots__ = ("ctx", "_events", "events_pushed", "events_polled", "high_watermark")
+    __slots__ = ("ctx", "pending", "events_pushed", "events_polled", "high_watermark")
 
     def __init__(self, ctx):
         self.ctx = ctx
-        self._events: deque = deque()
+        #: events waiting to be polled, oldest first.  Truthy while any
+        #: wait: the progress engines' "anything pending?" test is this
+        #: attribute load, not a call.
+        self.pending: deque = deque()
         self.events_pushed = 0
         self.events_polled = 0
         self.high_watermark = 0
 
     def push(self, event) -> None:
         """Enqueue a hardware completion event."""
-        events = self._events
+        events = self.pending
         events.append(event)
         self.events_pushed += 1
         if len(events) > self.high_watermark:
@@ -69,7 +72,7 @@ class CompletionQueue:
 
     def poll(self, max_events: int | None = None) -> list:
         """Drain up to ``max_events`` events (all if ``None``)."""
-        events = self._events
+        events = self.pending
         if max_events is None or max_events >= len(events):
             # common case: full drain -- one bulk copy, no per-event pops
             out = list(events)
@@ -80,9 +83,4 @@ class CompletionQueue:
         return out
 
     def __len__(self) -> int:
-        return len(self._events)
-
-    @property
-    def empty(self) -> bool:
-        """Whether no events are waiting to be polled."""
-        return not self._events
+        return len(self.pending)

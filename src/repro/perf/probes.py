@@ -226,7 +226,7 @@ def probe_simcore() -> dict:
         for _ in range(200):
             yield from lock.acquire()
             yield Delay(50)
-            yield from lock.release()
+            yield lock.release()
 
     for _ in range(8):
         lock_sched.spawn(locker())

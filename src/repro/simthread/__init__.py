@@ -19,13 +19,16 @@ Public surface:
 * :class:`~repro.simthread.tls.ThreadLocal` -- thread-local storage.
 
 A simulated thread body is a generator.  It interacts with the scheduler by
-``yield``-ing commands, usually through helpers::
+``yield``-ing commands.  A step that may park is a generator driven with
+``yield from``; a step that never parks is a plain call that returns the
+value or the command the caller yields::
 
     def worker(sched, lock, counter):
         yield Delay(100)                      # do 100 ns of work
-        yield from lock.acquire()
-        v = yield from counter.fetch_add()
-        yield from lock.release()
+        yield from lock.acquire()             # may park
+        v = counter.fetch_add()
+        yield counter.cost_delay              # the RMW latency
+        yield lock.release()
         return v
 
     sched = Scheduler(seed=1)
@@ -39,12 +42,11 @@ from repro.simthread.scheduler import SUSPEND, Delay, Scheduler, YieldNow
 from repro.simthread.stats import SchedStats
 from repro.simthread.thread import SimThread
 from repro.simthread.sync import LockCosts, SimBarrier, SimLock
-from repro.simthread.atomics import AtomicCounter, AtomicFlag
+from repro.simthread.atomics import AtomicCounter
 from repro.simthread.tls import ThreadLocal
 
 __all__ = [
     "AtomicCounter",
-    "AtomicFlag",
     "DeadlockError",
     "Delay",
     "LockCosts",

@@ -2,7 +2,7 @@
 
 Within the discrete-event model a read-modify-write executed between two
 yields is atomic by construction (threads are never preempted mid-step), so
-these classes only need to (a) charge the hardware cost of an atomic RMW and
+this class only needs to (a) charge the hardware cost of an atomic RMW and
 (b) expose the familiar fetch-and-add interface the paper's round-robin
 instance assignment relies on (Algorithm 1).
 
@@ -20,60 +20,27 @@ from repro.simthread.scheduler import Delay
 class AtomicCounter:
     """Atomic integer with fetch-and-add semantics."""
 
-    __slots__ = ("_sched", "_value", "cost_ns", "operations", "_cost_delay")
+    __slots__ = ("_sched", "_value", "cost_ns", "operations", "cost_delay")
 
     def __init__(self, sched, start: int = 0, cost_ns: int = 30):
         self._sched = sched
         self._value = start
         self.cost_ns = cost_ns
         self.operations = 0
-        # one reusable record for the constant RMW cost (hot: sequence
-        # counters and round-robin tickets hit this per message)
-        self._cost_delay = Delay(cost_ns)
+        #: the RMW latency, one reusable record the caller yields after
+        #: :meth:`fetch_add` (hot: sequence counters and round-robin
+        #: tickets hit this per message)
+        self.cost_delay = Delay(cost_ns)
 
-    @property
-    def value(self) -> int:
-        """Relaxed read (cost-free, like a plain load)."""
-        return self._value
+    def fetch_add(self, n: int = 1) -> int:
+        """Atomically add ``n``; returns the previous value.
 
-    def fetch_add(self, n: int = 1):
-        """Generator: atomically add ``n``; returns the previous value."""
+        A plain call: the caller then yields :attr:`cost_delay`::
+
+            seq = counter.fetch_add()
+            yield counter.cost_delay
+        """
         old = self._value
-        self._value += n
+        self._value = old + n
         self.operations += 1
-        yield self._cost_delay
         return old
-
-    def store(self, value: int):
-        """Generator: atomic store."""
-        self._value = value
-        self.operations += 1
-        yield self._cost_delay
-
-
-class AtomicFlag:
-    """Atomic boolean with test-and-set / clear."""
-
-    __slots__ = ("_sched", "_value", "cost_ns")
-
-    def __init__(self, sched, value: bool = False, cost_ns: int = 30):
-        self._sched = sched
-        self._value = bool(value)
-        self.cost_ns = cost_ns
-
-    @property
-    def value(self) -> bool:
-        """Current flag state (read without cost)."""
-        return self._value
-
-    def test_and_set(self):
-        """Generator: set the flag; returns the previous value."""
-        old = self._value
-        self._value = True
-        yield Delay(self.cost_ns)
-        return old
-
-    def clear(self):
-        """Generator: clear the flag."""
-        self._value = False
-        yield Delay(self.cost_ns)

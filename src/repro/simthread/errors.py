@@ -42,6 +42,6 @@ class StallError(SimError):
 class SimThreadError(SimError):
     """A simulated thread misused the substrate API.
 
-    Examples: releasing a lock it does not own, joining itself, or yielding
-    an object the scheduler does not understand.
+    Examples: releasing a lock it does not own, or yielding an object
+    the scheduler does not understand.
     """

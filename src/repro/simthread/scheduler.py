@@ -17,8 +17,8 @@ Simulated threads communicate with the scheduler by yielding *commands*:
     already queued for this instant.
 
 ``SUSPEND``
-    Park the thread.  Some other component (a lock release, a thread
-    finishing) is responsible for calling :meth:`Scheduler.wake` later.
+    Park the thread.  Some other component (a lock release, a barrier's
+    last arrival) is responsible for calling :meth:`Scheduler.wake` later.
 
 Anything more elaborate (locks, barriers, atomics) is built on top of these
 three primitives in sibling modules.
@@ -209,11 +209,6 @@ class Scheduler:
         self._push(thread, self._now, None)
         return thread
 
-    @property
-    def threads(self) -> tuple[SimThread, ...]:
-        """Every thread ever spawned, in creation order."""
-        return tuple(self._threads)
-
     # ------------------------------------------------------------------
     # event plumbing
     # ------------------------------------------------------------------
@@ -295,7 +290,8 @@ class Scheduler:
 
         Event semantics are identical to :meth:`_run_full` with every
         hook absent; the tick counter and rng are consumed in the same
-        order, keeping the schedule byte-identical.
+        order, keeping the schedule byte-identical.  The event count is
+        kept in a local and stored back when the loop exits.
         """
         ready = self._ready
         calls = self._calls
@@ -305,68 +301,71 @@ class Scheduler:
         rng_random = self.rng.random
         jitter = self.jitter
         now = self._now
-        while True:
-            if calls:
-                if ready and ready[0] < calls[0]:
+        events = self.events_processed
+        try:
+            while True:
+                if calls:
+                    if ready and ready[0] < calls[0]:
+                        when, _, item = heappop(ready)
+                    else:
+                        when, _, (fn, args) = heappop(calls)
+                        if when != now:
+                            now = when
+                            self._now = when
+                        events += 1
+                        fn(*args)
+                        continue
+                elif ready:
                     when, _, item = heappop(ready)
                 else:
-                    when, _, (fn, args) = heappop(calls)
-                    if when != now:
-                        now = when
-                        self._now = when
-                    self.events_processed += 1
-                    fn(*args)
+                    break
+                if when != now:  # batch same-instant wakeups: one store per instant
+                    now = when
+                    self._now = when
+                events += 1
+                if item.done:  # stale queue entry for an aborted thread
                     continue
-            elif ready:
-                when, _, item = heappop(ready)
-            else:
-                break
-            if when != now:  # batch same-instant wakeups: one store per instant
-                now = when
-                self._now = when
-            self.events_processed += 1
-            if item.done:  # stale queue entry for an aborted thread
-                continue
-            value = item._resume_value
-            if value is not None:
-                item._resume_value = None
-            self.current = item
-            try:
-                cmd = item._send(value)
-            except StopIteration as stop:
+                value = item._resume_value
+                if value is not None:
+                    item._resume_value = None
+                self.current = item
+                try:
+                    cmd = item._send(value)
+                except StopIteration as stop:
+                    self.current = None
+                    item._finish(stop.value)
+                    continue
+                except Exception as exc:
+                    self.current = None
+                    item._abort(exc)
+                    raise
+                except BaseException:
+                    self.current = None
+                    raise
                 self.current = None
-                item._finish(stop.value)
-                continue
-            except Exception as exc:
-                self.current = None
-                item._abort(exc)
-                raise
-            except BaseException:
-                self.current = None
-                raise
-            self.current = None
-            cls = cmd.__class__
-            if cls is Delay:  # by far the most frequent command
-                ns = cmd.ns
-                if cmd.jitter:
-                    if ns <= 0:
-                        ns = 0
-                    elif jitter:
-                        ns = int(ns * (1.0 + jitter * (2.0 * rng_random() - 1.0)))
-                        if ns < 0:
+                cls = cmd.__class__
+                if cls is Delay:  # by far the most frequent command
+                    ns = cmd.ns
+                    if cmd.jitter:
+                        if ns <= 0:
                             ns = 0
-                item._run_ns += ns
-                heappush(ready, (when + ns, tick(), item))
-            elif cmd is SUSPEND:
-                item._parked = True
-                self._nparked += 1
-            elif cls is YieldNow:
-                heappush(ready, (when, tick(), item))
-            else:
-                exc = SimThreadError(
-                    f"thread {item.name} yielded unknown command {cmd!r}")
-                item._abort(exc)
-                raise exc
+                        elif jitter:
+                            ns = int(ns * (1.0 + jitter * (2.0 * rng_random() - 1.0)))
+                            if ns < 0:
+                                ns = 0
+                    heappush(ready, (when + ns, tick(), item))
+                elif cmd is SUSPEND:
+                    item._parked = True
+                    self._nparked += 1
+                elif cls is YieldNow:
+                    heappush(ready, (when, tick(), item))
+                else:
+                    exc = SimThreadError(
+                        f"thread {item.name} yielded unknown command {cmd!r}")
+                    item._abort(exc)
+                    raise exc
+        finally:
+            self.events_processed = events
 
     def _run_full(self, max_time: int | None, max_events: int | None) -> None:
         """Instrumented loop body: sampler/watchdog/stats hooks + bounds.
@@ -429,7 +428,6 @@ class Scheduler:
         cls = cmd.__class__
         if cls is Delay:
             ns = self.jittered(cmd.ns) if cmd.jitter else cmd.ns
-            thread._run_ns += ns
             if stats is not None:
                 stats.events_delay += 1
             self._push(thread, self._now + ns, None)

@@ -7,7 +7,8 @@ designs hinge on:
   pays ``acquire_ns``; a thread granted the lock after waiting pays the
   larger ``contended_ns`` (handoff + cache-line transfer).
 * **try-lock semantics** (paper section III-C) -- ``try_acquire`` never
-  blocks; a failed attempt costs ``tryfail_ns`` and returns ``False``.
+  blocks; a failed attempt costs ``tryfail_ns`` and is told apart by the
+  command it returns (:attr:`SimLock.tryfail_delay`).
 * **unfair grant order** -- real pthread mutexes do not hand the lock to
   waiters FIFO; barging and wakeup races make the grant order effectively
   random.  This unfairness is what reorders sender threads between sequence
@@ -50,33 +51,21 @@ class LockCosts:
     migration_ns: int = 0
     contended_per_waiter_ns: int = 0
 
-    def scaled(self, factor: float) -> "LockCosts":
-        """Return a copy with every cost multiplied by ``factor``.
-
-        Used by testbed presets to derate slow cores (e.g. KNL).
-        """
-        return LockCosts(
-            acquire_ns=int(self.acquire_ns * factor),
-            contended_ns=int(self.contended_ns * factor),
-            release_ns=int(self.release_ns * factor),
-            tryfail_ns=int(self.tryfail_ns * factor),
-            migration_ns=int(self.migration_ns * factor),
-            contended_per_waiter_ns=int(self.contended_per_waiter_ns * factor),
-        )
-
 
 class SimLock:
     """Mutual-exclusion lock for simulated threads.
 
-    All methods that can consume virtual time are generators and must be
-    driven with ``yield from``.
+    :meth:`acquire` may park, so it is a generator driven with ``yield
+    from``.  :meth:`try_acquire` and :meth:`release` never park: each is
+    a plain call that does its work and returns the one command the
+    caller then yields (``yield lock.release()``).
     """
 
     __slots__ = ("_sched", "costs", "name", "fairness", "_owner", "_last_owner",
                  "_waiters", "acquisitions", "contended_acquisitions", "migrations",
                  "tryfails", "_handoff_queue_depth", "wait_time_ns", "hold_time_ns",
                  "_held_since", "_acquire_delay", "_contended_delay",
-                 "_tryfail_delay", "_release_delay", "_simple")
+                 "tryfail_delay", "_release_delay", "_simple")
 
     def __init__(self, sched, costs: LockCosts | None = None, name: str = "lock",
                  fairness: str = "unfair"):
@@ -95,7 +84,8 @@ class SimLock:
         c = self.costs
         self._acquire_delay = Delay(c.acquire_ns)
         self._contended_delay = Delay(c.contended_ns)
-        self._tryfail_delay = Delay(c.tryfail_ns)
+        #: the command a failed :meth:`try_acquire` returns, and only it
+        self.tryfail_delay = Delay(c.tryfail_ns)
         self._release_delay = Delay(c.release_ns)
         self._simple = not (c.migration_ns or c.contended_per_waiter_ns)
         self._owner = None
@@ -118,11 +108,6 @@ class SimLock:
             register(self)
 
     # ------------------------------------------------------------------
-    @property
-    def locked(self) -> bool:
-        """Whether some thread currently holds the lock."""
-        return self._owner is not None
-
     def _migration_cost(self, thread) -> int:
         if self.costs.migration_ns and self._last_owner is not None \
                 and self._last_owner is not thread:
@@ -170,7 +155,16 @@ class SimLock:
             yield Delay(self.costs.contended_ns + convoy + self._migration_cost(me))
 
     def try_acquire(self):
-        """Generator: attempt the lock without blocking; returns bool."""
+        """Attempt the lock without blocking; returns the command to yield.
+
+        Success takes the lock now and returns its acquire cost; failure
+        returns :attr:`tryfail_delay`, which the caller tests by identity::
+
+            cmd = lock.try_acquire()
+            yield cmd
+            if cmd is lock.tryfail_delay:
+                ...  # another thread holds it
+        """
         sched = self._sched
         me = sched.current
         if self._owner is None:
@@ -181,19 +175,17 @@ class SimLock:
             if trc.enabled:
                 trc.lock_acquired(self, me, contended=False)
             if self._simple:
-                yield self._acquire_delay
-            else:
-                yield Delay(self.costs.acquire_ns + self._migration_cost(me))
-            return True
+                return self._acquire_delay
+            return Delay(self.costs.acquire_ns + self._migration_cost(me))
         self.tryfails += 1
         trc = sched.tracer
         if trc.enabled:
             trc.lock_tryfail(self, me)
-        yield self._tryfail_delay
-        return False
+        return self.tryfail_delay
 
     def release(self):
-        """Generator: release; grants directly to one waiter if any."""
+        """Release, granting directly to one waiter if any; returns the
+        release cost for the caller to yield."""
         sched = self._sched
         me = sched.current
         if self._owner is not me:
@@ -220,7 +212,7 @@ class SimLock:
             sched.wake(winner)
         else:
             self._owner = None
-        yield self._release_delay
+        return self._release_delay
 
     def __repr__(self):  # pragma: no cover - debug aid
         state = f"held by {self._owner.name}" if self._owner else "free"

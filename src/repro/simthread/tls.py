@@ -42,11 +42,3 @@ class ThreadLocal:
     def set(self, value) -> None:
         """Bind ``value`` to the calling thread."""
         self._values[self._me()] = value
-
-    def is_set(self) -> bool:
-        """Whether the calling thread has an explicit value."""
-        return self._me() in self._values
-
-    def clear(self) -> None:
-        """Remove the calling thread's value (back to the default)."""
-        self._values.pop(self._me(), None)

@@ -18,7 +18,7 @@ from repro.netsim.fabric import FabricParams
 from repro.simthread.scheduler import Scheduler
 
 _OPS = ("put", "get")
-_SYNCS = ("flush", "flush_per_window", "lock")
+_SYNCS = ("flush", "flush_per_window")
 
 
 @dataclass(frozen=True)

@@ -138,7 +138,7 @@ def test_progress_skips_locked_instance(sched):
         # Take instance 0's lock and sit on it.
         yield from pool.instances[0].lock.acquire()
         yield Delay(50_000)
-        yield from pool.instances[0].lock.release()
+        yield pool.instances[0].lock.release()
 
     def progressor():
         yield Delay(100)

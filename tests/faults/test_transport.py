@@ -31,7 +31,7 @@ def make_wire(plan, seed=3):
 
 def post(sched, ctx, endpoint, envelope):
     def thread():
-        yield from ctx.post_send(endpoint, envelope)
+        yield ctx.post_send(endpoint, envelope)
 
     sched.spawn(thread())
 
@@ -160,7 +160,7 @@ def test_rma_op_completes_at_ack_and_exhausts_to_failure():
     op = RmaOp("put", 64, remote_fn=lambda o: applied.append(sched.now))
 
     def thread():
-        yield from src.post_rma(ep, op)
+        yield src.post_rma(ep, op)
 
     sched.spawn(thread())
     sched.run()
@@ -172,7 +172,7 @@ def test_rma_op_completes_at_ack_and_exhausts_to_failure():
     op = RmaOp("put", 64, remote_fn=lambda o: None)
 
     def thread2():
-        yield from src.post_rma(ep, op)
+        yield src.post_rma(ep, op)
 
     sched.spawn(thread2())
     sched.run()

@@ -21,7 +21,7 @@ def send_n(sched, src_ctx, dst_ctx, n, request=None, start_seq=0):
         for i in range(n):
             env = Envelope(src=0, dst=1, comm_id=0, tag=1, seq=start_seq + i,
                            nbytes=0, send_request=request)
-            yield from src_ctx.post_send(ep, env)
+            yield src_ctx.post_send(ep, env)
 
     sched.spawn(sender())
 
@@ -50,7 +50,7 @@ def test_cross_connection_reordering_happens():
     def sender(ctx, seqs):
         ep = ctx.endpoint_to(dst)
         for s in seqs:
-            yield from ctx.post_send(ep, Envelope(0, 1, 0, 1, s, 0))
+            yield ctx.post_send(ep, Envelope(0, 1, 0, 1, s, 0))
 
     for i, ctx in enumerate(ctxs0):
         sched.spawn(sender(ctx, range(i * 10, i * 10 + 10)))
@@ -100,7 +100,7 @@ def test_cq_poll_batches_and_watermark():
     first = c1.cq.poll(max_events=4)
     assert len(first) == 4 and len(c1.cq) == 6
     rest = c1.cq.poll()
-    assert len(rest) == 6 and c1.cq.empty
+    assert len(rest) == 6 and not c1.cq.pending
     assert c1.cq.events_polled == 10
 
 
@@ -112,7 +112,7 @@ def test_doorbell_cost_charged_to_caller():
     def one_send():
         env = Envelope(0, 1, 0, 1, 99, 0)
         before = sched.now
-        yield from c0.post_send(ep, env)
+        yield c0.post_send(ep, env)
         assert sched.now - before == 90
 
     sched.spawn(one_send())

@@ -48,7 +48,7 @@ def test_nic_counts_multiple_contexts_independently():
     def sender(ctx, n):
         ep = ctx.endpoint_to(dst)
         for i in range(n):
-            yield from ctx.post_send(ep, Envelope(0, 1, 0, 0, i, 0))
+            yield ctx.post_send(ep, Envelope(0, 1, 0, 0, i, 0))
 
     sched.spawn(sender(a, 3))
     sched.spawn(sender(b, 5))

@@ -34,7 +34,7 @@ def test_put_applies_remotely_then_completes():
 
     def issuer():
         ep = c0.endpoint_to(c1)
-        yield from c0.post_rma(ep, op)
+        yield c0.post_rma(ep, op)
         stamps["posted"] = sched.now
 
     sched.spawn(issuer())
@@ -50,7 +50,7 @@ def test_completion_is_hardware_counter_not_cq_event():
     op = RmaOp("put", 4)
 
     def issuer():
-        yield from c0.post_rma(c0.endpoint_to(c1), op)
+        yield c0.post_rma(c0.endpoint_to(c1), op)
 
     sched.spawn(issuer())
     sched.run()
@@ -74,8 +74,8 @@ def test_get_returns_data_and_pays_return_bandwidth():
 
     def issuer():
         ep = c0.endpoint_to(c1)
-        yield from c0.post_rma(ep, small)
-        yield from c0.post_rma(ep, big)
+        yield c0.post_rma(ep, small)
+        yield c0.post_rma(ep, big)
 
     sched.spawn(issuer())
     sched.run()
@@ -97,7 +97,7 @@ def test_on_completed_notification():
     op.on_completed = lambda: fired.append(sched.now)
 
     def issuer():
-        yield from c0.post_rma(c0.endpoint_to(c1), op)
+        yield c0.post_rma(c0.endpoint_to(c1), op)
 
     sched.spawn(issuer())
     sched.run()
@@ -111,7 +111,7 @@ def test_ordering_of_many_puts_completions_monotone():
     def issuer():
         ep = c0.endpoint_to(c1)
         for op in ops:
-            yield from c0.post_rma(ep, op)
+            yield c0.post_rma(ep, op)
 
     sched.spawn(issuer())
     sched.run()

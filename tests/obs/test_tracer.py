@@ -89,14 +89,16 @@ class TestLockInstrumentation:
         def holder():
             yield from lock.acquire()
             yield Delay(100)
-            yield from lock.release()
+            yield lock.release()
 
         def waiter():
             yield Delay(5)
-            ok = yield from lock.try_acquire()
+            cmd = lock.try_acquire()
+            yield cmd
+            ok = cmd is not lock.tryfail_delay
             assert not ok
             yield from lock.acquire()
-            yield from lock.release()
+            yield lock.release()
 
         sched.spawn(holder(), name="holder")
         sched.spawn(waiter(), name="waiter")
@@ -141,7 +143,7 @@ class TestExport:
             for _ in range(3):
                 yield from lock.acquire()
                 yield Delay(50)
-                yield from lock.release()
+                yield lock.release()
             trc.end(tid)
 
         for i in range(4):

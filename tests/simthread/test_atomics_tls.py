@@ -1,8 +1,8 @@
-"""Atomic counters/flags and thread-local storage."""
+"""Atomic counters and thread-local storage."""
 
 import pytest
 
-from repro.simthread import AtomicCounter, AtomicFlag, Delay, Scheduler, ThreadLocal
+from repro.simthread import AtomicCounter, Delay, Scheduler, ThreadLocal
 from repro.simthread.errors import SimThreadError
 
 
@@ -14,7 +14,8 @@ class TestAtomicCounter:
 
         def worker():
             for _ in range(25):
-                v = yield from ctr.fetch_add()
+                v = ctr.fetch_add()
+                yield ctr.cost_delay
                 seen.append(v)
                 yield Delay(10)
 
@@ -22,59 +23,25 @@ class TestAtomicCounter:
             sched.spawn(worker())
         sched.run()
         assert sorted(seen) == list(range(100))  # unique, gap-free
-        assert ctr.value == 100
         assert ctr.operations == 100
+        assert ctr.fetch_add() == 100
 
     def test_fetch_add_charges_cost(self):
         sched = Scheduler(jitter=0.0)
         ctr = AtomicCounter(sched, cost_ns=123)
 
         def body():
-            yield from ctr.fetch_add()
+            ctr.fetch_add()
+            yield ctr.cost_delay
 
         sched.spawn(body())
         assert sched.run() == 123
 
-    def test_custom_increment_and_store(self):
-        sched = Scheduler()
-        ctr = AtomicCounter(sched, start=5)
-
-        def body():
-            old = yield from ctr.fetch_add(10)
-            assert old == 5
-            yield from ctr.store(99)
-
-        sched.spawn(body())
-        sched.run()
-        assert ctr.value == 99
-
-
-class TestAtomicFlag:
-    def test_test_and_set(self):
-        sched = Scheduler()
-        flag = AtomicFlag(sched)
-        results = []
-
-        def racer():
-            was = yield from flag.test_and_set()
-            results.append(was)
-
-        sched.spawn(racer())
-        sched.spawn(racer())
-        sched.run()
-        assert sorted(results) == [False, True]  # exactly one winner
-        assert flag.value
-
-    def test_clear(self):
-        sched = Scheduler()
-        flag = AtomicFlag(sched, value=True)
-
-        def body():
-            yield from flag.clear()
-
-        sched.spawn(body())
-        sched.run()
-        assert not flag.value
+    def test_custom_increment(self):
+        ctr = AtomicCounter(Scheduler(), start=5)
+        assert ctr.fetch_add(10) == 5
+        assert ctr.fetch_add() == 15
+        assert ctr.operations == 2
 
 
 class TestThreadLocal:
@@ -85,7 +52,6 @@ class TestThreadLocal:
 
         def worker(i):
             assert tls.get() == "unset"
-            assert not tls.is_set()
             tls.set(i)
             yield Delay(100)  # give others a chance to clobber (they can't)
             observed[i] = tls.get()
@@ -94,20 +60,6 @@ class TestThreadLocal:
             sched.spawn(worker(i))
         sched.run()
         assert observed == {i: i for i in range(6)}
-
-    def test_clear(self):
-        sched = Scheduler()
-        tls = ThreadLocal(sched, default=None)
-
-        def body():
-            tls.set("x")
-            tls.clear()
-            assert tls.get() is None
-            if False:
-                yield
-
-        sched.spawn(body())
-        sched.run()
 
     def test_access_outside_thread_is_error(self):
         tls = ThreadLocal(Scheduler())

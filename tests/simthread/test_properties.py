@@ -61,7 +61,7 @@ def test_lock_critical_sections_never_overlap(nthreads, ncrit, seed, fairness):
             start = sched.now
             yield Delay(100)
             intervals.append((start, sched.now))
-            yield from lock.release()
+            yield lock.release()
 
     for _ in range(nthreads):
         sched.spawn(worker())
@@ -85,7 +85,7 @@ def test_determinism_property(seed):
                 yield from lock.acquire()
                 log.append((i, sched.now))
                 yield Delay(37)
-                yield from lock.release()
+                yield lock.release()
 
         for i in range(5):
             sched.spawn(worker(i))

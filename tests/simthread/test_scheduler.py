@@ -310,29 +310,3 @@ def test_now_is_read_only():
     assert sched.now == 40
     with pytest.raises(AttributeError):
         sched.now = 0
-
-
-def test_thread_run_time_counts_delay_not_blocking():
-    sched = Scheduler(jitter=0.0)
-
-    def busy():
-        yield Delay(100)
-        yield Delay(50)
-
-    def parked():
-        yield Delay(10)
-        yield SUSPEND
-
-    b = sched.spawn(busy())
-    p = sched.spawn(parked(), name="p")
-
-    def waker():
-        yield Delay(500)
-        sched.wake(p)
-
-    sched.spawn(waker())
-    sched.run()
-    assert b.run_time_ns == 150
-    assert p.run_time_ns == 10   # parked time is not on-CPU time
-    with pytest.raises(AttributeError):
-        b.run_time_ns = 0

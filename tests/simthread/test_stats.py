@@ -88,7 +88,7 @@ def test_counting_does_not_change_the_schedule():
         def body():
             yield from lock.acquire()
             yield Delay(100)
-            yield from lock.release()
+            yield lock.release()
 
         sched.spawn(body())
         sched.spawn(body())
@@ -116,7 +116,7 @@ def test_lock_rows_read_the_lock_counters():
     def body():
         yield from lock.acquire()
         yield Delay(10)
-        yield from lock.release()
+        yield lock.release()
 
     sched.spawn(body())
     sched.spawn(body())

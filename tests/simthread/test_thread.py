@@ -1,77 +1,6 @@
-"""SimThread lifecycle: join, results, errors."""
+"""SimThread lifecycle: names and timestamps."""
 
-import pytest
-
-from repro.simthread import Delay, Scheduler, SimThreadError
-
-
-def test_join_returns_result():
-    sched = Scheduler(jitter=0.0)
-
-    def worker():
-        yield Delay(100)
-        return 42
-
-    w = sched.spawn(worker())
-
-    def joiner():
-        value = yield from w.join()
-        return value
-
-    j = sched.spawn(joiner())
-    sched.run()
-    assert j.result == 42
-    assert j.finished_at >= 100
-
-
-def test_join_already_finished_thread_is_immediate():
-    sched = Scheduler(jitter=0.0)
-
-    def worker():
-        yield Delay(10)
-        return "early"
-
-    w = sched.spawn(worker())
-
-    def late_joiner():
-        yield Delay(500)
-        value = yield from w.join()
-        return value
-
-    j = sched.spawn(late_joiner())
-    sched.run()
-    assert j.result == "early"
-
-
-def test_multiple_joiners_all_wake():
-    sched = Scheduler(jitter=0.0)
-
-    def worker():
-        yield Delay(100)
-        return "x"
-
-    w = sched.spawn(worker())
-    joiners = []
-    for i in range(5):
-        def joiner():
-            value = yield from w.join()
-            return value
-        joiners.append(sched.spawn(joiner()))
-    sched.run()
-    assert all(j.result == "x" for j in joiners)
-
-
-def test_self_join_is_an_error():
-    sched = Scheduler()
-
-    def narcissist(handle):
-        yield from handle[0].join()
-
-    handle = []
-    t = sched.spawn(narcissist(handle))
-    handle.append(t)
-    with pytest.raises(SimThreadError, match="join itself"):
-        sched.run()
+from repro.simthread import Delay, Scheduler
 
 
 def test_thread_names_default_and_custom():
@@ -85,22 +14,21 @@ def test_thread_names_default_and_custom():
     b = sched.spawn(noop(), name="bob")
     assert a.name.startswith("thread-")
     assert b.name == "bob"
-    assert a in sched.threads and b in sched.threads
 
 
 def test_started_and_finished_timestamps():
     sched = Scheduler(jitter=0.0)
+    spawned = []
 
     def spawner():
         yield Delay(100)
-        inner = sched.spawn(late())
-        yield from inner.join()
+        spawned.append(sched.spawn(late()))
 
     def late():
         yield Delay(50)
 
     sched.spawn(spawner())
     sched.run()
-    late_thread = sched.threads[1]
+    late_thread, = spawned
     assert late_thread.started_at == 100
     assert late_thread.finished_at == 150

@@ -1,4 +1,5 @@
-"""No pure pass-through generator wrappers (see tools/lint_generators.py).
+"""No pass-through generator wrappers and no substrate step that yields
+once at its end (see tools/lint_generators.py).
 
 CI also runs the tool directly; this test keeps the contract
 enforceable from a plain pytest run and proves the lint can fail.
@@ -59,6 +60,48 @@ def test_lint_accepts_delegation_by_return_and_real_work(tmp_path):
         "    for g in gens:\n"
         "        yield from g\n")
     assert lint_file(ok) == []
+
+
+def test_lint_flags_a_substrate_step_that_yields_once_at_its_end(tmp_path):
+    steps = tmp_path / "simthread" / "steps.py"
+    steps.parent.mkdir()
+    steps.write_text(
+        '"""Module."""\n\n\n'
+        "class Counter:\n"
+        "    def fetch_add(self, n=1):\n"
+        '        """Generator: one trailing yield, then the value."""\n'
+        "        old = self._value\n"
+        "        self._value = old + n\n"
+        "        yield self.cost_delay\n"
+        "        return old\n")
+    findings = lint_file(steps)
+    assert len(findings) == 1, findings
+    assert f"{steps}:5: G002 Counter.fetch_add " in findings[0], findings
+    # the same body outside simthread/core/netsim is not G002's business
+    other = tmp_path / "mpi" / "steps.py"
+    other.parent.mkdir()
+    other.write_text(steps.read_text())
+    assert lint_file(other) == []
+
+
+def test_lint_accepts_a_step_that_reads_state_after_its_yield(tmp_path):
+    pool = tmp_path / "core" / "pool.py"
+    pool.parent.mkdir()
+    pool.write_text(
+        '"""Module."""\n\n\n'
+        "class Pool:\n"
+        "    def get_instance_round_robin(self):\n"
+        '        """Generator: indexes the live list after its yield."""\n'
+        "        ticket = self.take_ticket()\n"
+        "        yield self.ticket_delay\n"
+        "        return self.instances[ticket % len(self.instances)]\n\n"
+        "    def acquire(self):\n"
+        "        if self.free:\n"
+        "            yield self.fast\n"
+        "            return\n"
+        "        yield SUSPEND\n"
+        "        yield self.slow\n")
+    assert lint_file(pool) == []
 
 
 def test_cli_fails_on_256_findings(tmp_path):

@@ -18,6 +18,13 @@ def test_config_validation():
     assert RmaMtConfig(threads=4, ops_per_thread=10).total_ops == 40
 
 
+def test_lock_sync_is_rejected():
+    """There is no lock epoch to run: ``"lock"`` must not silently run
+    the flush-only epoch ``"flush"`` runs."""
+    with pytest.raises(ValueError, match="sync must be one of"):
+        RmaMtConfig(sync="lock")
+
+
 def test_basic_run_completes_all_ops():
     result = run_rmamt(RmaMtConfig(threads=4, ops_per_thread=25, msg_bytes=8))
     assert result.message_rate > 0

@@ -1,7 +1,8 @@
 #!/usr/bin/env python
-"""Generator lint: no pure pass-through generator wrappers.
+"""Generator lint: no generator frame that only costs a resume.
 
-A generator function whose whole body, docstring aside, is one of
+G001 -- a pass-through wrapper.  A generator function whose whole body,
+docstring aside, is one of
 
 * ``yield from f(...)``
 * ``x = yield from f(...)`` followed by ``return x``
@@ -11,11 +12,18 @@ adds nothing but a frame to the chain the scheduler resumes, and a
 frame on that chain is paid on *every* resume of every yield beneath
 it.  Such a wrapper must delegate by returning the inner generator
 instead: ``return f(...)``.  Callers still drive it with ``yield from``.
-See ``docs/PERFORMANCE.md``, "Generator depth on poll paths".
 
-Every function and method is checked, nested ones included.  Exit
-status is 1 when there is any finding, so CI fails when a wrapper comes
-back.
+G002 -- a step that suspends once.  In the modules of the ``simthread``,
+``core`` and ``netsim`` packages, a generator whose only suspension is
+one ``yield <expr>`` statement at the end of its body, optionally
+followed by ``return <name>``, builds a generator and pays two resumes
+for what a plain call does: do the work, return the command (or the
+value) and let the caller ``yield`` it.  A body that still reads state
+after its yield (``return instances[i]``) is not flagged.
+
+See ``docs/PERFORMANCE.md``, "Generator depth on poll paths".  Every
+function and method is checked, nested ones included.  Exit status is 1
+when there is any finding, so CI fails when either shape comes back.
 
 Usage::
 
@@ -57,6 +65,39 @@ def _delegated_call(body) -> ast.Call | None:
     return None
 
 
+#: packages whose steps G002 checks: the simulator's substrate layers
+G002_PACKAGES = frozenset({"simthread", "core", "netsim"})
+
+
+def _suspensions(body) -> list:
+    """Every yield, yield from and await in ``body``, nested scopes aside."""
+    found = []
+    todo = list(body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda, ast.ClassDef)):
+            continue
+        if isinstance(node, (ast.Yield, ast.YieldFrom, ast.Await)):
+            found.append(node)
+        todo.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def _yields_once_at_end(body) -> bool:
+    """Whether ``body`` suspends only at one trailing ``yield <expr>``."""
+    suspensions = _suspensions(body)
+    if len(suspensions) != 1:
+        return False
+    (only,) = suspensions
+    if not isinstance(only, ast.Yield) or only.value is None:
+        return False
+    if len(body) >= 2 and isinstance(body[-1], ast.Return) and isinstance(
+            body[-1].value, ast.Name):
+        body = body[:-1]
+    return isinstance(body[-1], ast.Expr) and body[-1].value is only
+
+
 def _walk(body, qualifier: str, path: pathlib.Path) -> list[str]:
     findings = []
     for node in body:
@@ -69,6 +110,11 @@ def _walk(body, qualifier: str, path: pathlib.Path) -> list[str]:
                     f"{path}:{node.lineno}: G001 {qualifier}{node.name} only "
                     f"delegates to {ast.unparse(call.func)}(...); "
                     f"return the inner generator instead of yield from")
+            elif path.parent.name in G002_PACKAGES and _yields_once_at_end(node.body):
+                findings.append(
+                    f"{path}:{node.lineno}: G002 {qualifier}{node.name} "
+                    f"suspends once, at its end; make it a plain call that "
+                    f"returns the command for the caller to yield")
             findings += _walk(node.body, f"{qualifier}{node.name}.", path)
         else:
             # functions defined under if/try/with/for blocks
