@@ -18,8 +18,6 @@ Examples::
     python -m repro trace chaos --out chaos.json
     python -m repro analyze fig3a
     python -m repro analyze trace.json --out results/analysis
-    python -m repro perf check
-    python -m repro perf update --only fig6 --only fig7
     python -m repro serve --root served/ --port 8321
     python -m repro submit fig3a --url http://127.0.0.1:8321 --follow
 
@@ -77,12 +75,6 @@ stream their telemetry over Server-Sent Events, and finished jobs
 serve the byte-exact ``repro run`` artifacts with immutable ETags.
 ``submit`` is the matching client: POST one exhibit, optionally
 ``--follow`` the event stream, and ``--save DIR`` the artifacts.
-
-``perf`` is the regression gate (:mod:`repro.perf`): ``check`` re-runs
-every deterministic probe and diffs it against the committed
-``results/BENCH_*.json`` baselines, ``update`` rewrites the baselines,
-``list`` shows what is committed.  CI runs ``python -m repro perf
-check``.
 """
 
 from __future__ import annotations
@@ -310,20 +302,6 @@ def _build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--timeout", type=_timeout, default=600.0,
                         metavar="S",
                         help="how long to wait for the job (default 600)")
-
-    perf = sub.add_parser(
-        "perf", help="deterministic performance baselines (the CI gate)")
-    perf.add_argument("action", choices=("check", "update", "list"),
-                      help="check: diff fresh probe runs against committed "
-                           "baselines; update: rewrite the deterministic "
-                           "sections; list: show committed baselines")
-    perf.add_argument("--results", type=pathlib.Path,
-                      default=pathlib.Path("results"),
-                      help="baseline directory (default results/)")
-    perf.add_argument("--only", action="append", default=None, metavar="NAME",
-                      help="restrict to one bench family (repeatable)")
-    perf.add_argument("--json", action="store_true",
-                      help="check: print the machine-readable report")
     return parser
 
 
@@ -384,37 +362,6 @@ def _cmd_analyze(args) -> int:
         for path in analysis.save(args.out):
             print(f"wrote {path}")
     return 0
-
-
-def _cmd_perf(args) -> int:
-    import json
-
-    from repro.perf import (PROBES, check_benches, list_benches, load_bench,
-                            render_report, report_json, update_benches)
-
-    names = args.only
-    if names:
-        unknown = sorted(set(names) - set(PROBES))
-        if unknown:
-            print(f"unknown bench families: {', '.join(unknown)} "
-                  f"(known: {', '.join(sorted(PROBES))})", file=sys.stderr)
-            return 2
-    if args.action == "list":
-        for path in list_benches(args.results):
-            doc = load_bench(path)
-            print(f"{doc['name']:<12} {len(doc['deterministic']):>3} "
-                  f"deterministic metrics  ({path})")
-        return 0
-    if args.action == "update":
-        for name in update_benches(args.results, names=names):
-            print(f"updated {name}")
-        return 0
-    report = check_benches(args.results, names=names)
-    if args.json:
-        print(json.dumps(report_json(report), indent=2, sort_keys=True))
-    else:
-        print(render_report(report))
-    return 0 if report.ok else 1
 
 
 def _cmd_profile(args) -> int:
@@ -747,9 +694,6 @@ def main(argv=None) -> int:
 
     if args.command == "analyze":
         return _cmd_analyze(args)
-
-    if args.command == "perf":
-        return _cmd_perf(args)
 
     if args.command == "profile":
         return _cmd_profile(args)

@@ -173,7 +173,3 @@ class ThreadingConfig:
             raise ValueError(f"assignment must be one of {_ASSIGNMENTS}, got {self.assignment!r}")
         if self.progress not in _PROGRESS_MODES:
             raise ValueError(f"progress must be one of {_PROGRESS_MODES}, got {self.progress!r}")
-
-    def with_overrides(self, **kwargs) -> "ThreadingConfig":
-        """Copy with some knobs replaced."""
-        return dataclasses.replace(self, **kwargs)

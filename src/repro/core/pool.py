@@ -19,7 +19,7 @@ instances to threads".  Two strategies:
 
 from __future__ import annotations
 
-from repro.core.config import DEDICATED, ROUND_ROBIN, CostModel, ThreadingConfig
+from repro.core.config import DEDICATED, CostModel, ThreadingConfig
 from repro.core.cri import CRI
 from repro.simthread.atomics import AtomicCounter
 from repro.simthread.scheduler import Delay

@@ -15,7 +15,7 @@ Each worker reports its pid and per-task busy time so the engine can
 derive worker-utilization counters.  Those timings are host wall-clock
 -- they feed the engine's host counters (``engine.metrics.csv``,
 ``status.json``, the manifest), never artifacts and never the
-deterministic ``BENCH_*.json`` baselines.
+deterministic probe goldens.
 """
 
 from __future__ import annotations

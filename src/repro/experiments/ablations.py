@@ -20,9 +20,7 @@ Multirate runs (12 pairs, window 64, two windows), plotted at ``x=0``
 * **hostgap** -- the per-process host pipeline gap caps the
   concurrent-matching ceiling (Fig 3c / Fig 5 thread-vs-process gap).
 
-Quick and full runs are the same.  The ``ablations`` perf probe
-(:func:`repro.perf.probes.probe_ablations`) calls :func:`ablation_trial`
-directly for the same ten runs.
+Quick and full runs are the same.
 """
 
 from __future__ import annotations
@@ -66,8 +64,8 @@ FIGURES = {
 def ablation_trial(off, seed: int, *, mechanism: str) -> dict:
     """One seeded Multirate run with ``mechanism`` on (0) or off (1).
 
-    Pure; returns the counters every ablation plots or the perf probe
-    pins, as a flat JSON-able dict.
+    Pure; returns the counters every ablation plots, as a flat JSON-able
+    dict.
     """
     on = not off
     costs, fabric, fairness = CostModel(), IB_EDR, "unfair"
@@ -95,12 +93,9 @@ def ablation_trial(off, seed: int, *, mechanism: str) -> dict:
                            fabric=fabric, lock_fairness=fairness)
     spc = result.spc
     return {
-        "oos": spc.out_of_sequence,
         "oos_fraction": spc.out_of_sequence_fraction,
         "rate": result.message_rate,
-        "match_time_ns": spc.match_time_ns,
         "match_time_ms": spc.match_time_ms,
-        "elapsed_ns": result.elapsed_ns,
     }
 
 

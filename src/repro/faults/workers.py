@@ -88,7 +88,3 @@ class WorkerFaultPlan:
             os._exit(86)
         if fate == "hang":
             time.sleep(self.hang_s)
-
-    def expected_faulty(self, trials: int) -> int:
-        """How many of ``trials`` first attempts the plan will disturb."""
-        return sum(1 for i in range(trials) if self.decide(i, 1) is not None)

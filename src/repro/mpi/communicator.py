@@ -60,28 +60,11 @@ class Communicator:
         """Whether the allow-overtaking info hint is set on this comm."""
         return self.info.allow_overtaking
 
-    def contains(self, world_rank: int) -> bool:
-        """Whether ``world_rank`` is a member."""
-        return world_rank in self._rank_set
-
     def check_member(self, world_rank: int, what: str = "rank") -> None:
         """Raise RankError unless ``world_rank`` is a member (or ANY_SOURCE)."""
         if world_rank != ANY_SOURCE and world_rank not in self._rank_set:
             raise RankError(f"{what} {world_rank} is not a member of {self.name} "
                             f"(members: {self.ranks})")
-
-    def local_rank(self, world_rank: int) -> int:
-        """Communicator-relative rank of a world rank."""
-        try:
-            return self.ranks.index(world_rank)
-        except ValueError:
-            raise RankError(f"rank {world_rank} not in {self.name}") from None
-
-    def world_rank(self, local: int) -> int:
-        """World rank of a communicator-relative rank."""
-        if not 0 <= local < len(self.ranks):
-            raise RankError(f"local rank {local} out of range for {self.name}")
-        return self.ranks[local]
 
     def __repr__(self):  # pragma: no cover - debug aid
         return f"<Communicator {self.name} id={self.id} size={self.size}>"

@@ -61,11 +61,6 @@ class MpiThreadEnv:
         """The CostModel charging virtual time for library operations."""
         return self.process.costs
 
-    @property
-    def comm_world(self):
-        """The predefined world communicator."""
-        return self.process.world.comm_world
-
     # ------------------------------------------------------------------
     # two-sided
     # ------------------------------------------------------------------
@@ -204,11 +199,6 @@ class MpiThreadEnv:
                 yield from poll(lambda: req.completed, backoff)
             if req.error is not None:
                 raise req.error
-
-    def progress(self):
-        """Generator: one call into the progress engine; returns the
-        number of completions it handled."""
-        return self.process.progress_engine.progress()
 
     # ------------------------------------------------------------------
     # collectives

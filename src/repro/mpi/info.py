@@ -27,10 +27,6 @@ class Info:
             raise ValueError("info keys must be non-empty strings")
         self._entries[key] = str(value).lower() if isinstance(value, bool) else str(value)
 
-    def get(self, key: str, default: str | None = None) -> str | None:
-        """The stored string for ``key``, or ``default``."""
-        return self._entries.get(key, default)
-
     def get_bool(self, key: str, default: bool = False) -> bool:
         """Interpret the stored value as a boolean hint."""
         raw = self._entries.get(key)
@@ -42,13 +38,3 @@ class Info:
     def allow_overtaking(self) -> bool:
         """The mpi_assert_allow_overtaking hint (section IV-B)."""
         return self.get_bool(ALLOW_OVERTAKING)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._entries
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Info) and self._entries == other._entries
-
-    def copy(self) -> "Info":
-        """Independent copy (communicators snapshot their info)."""
-        return Info(dict(self._entries))

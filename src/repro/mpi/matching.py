@@ -26,7 +26,6 @@ the effect in the paper's Table II.
 
 from __future__ import annotations
 
-from repro.mpi.constants import ANY_SOURCE
 from repro.mpi.errors import TruncationError
 from repro.mpi.matchqueue import MatchQueue
 from repro.mpi.request import Status

@@ -56,11 +56,6 @@ class Envelope:
         self.recv_request = recv_request
 
     @property
-    def is_control(self) -> bool:
-        """CTS/DATA bypass matching (they are pre-matched)."""
-        return self.kind in (CTS, DATA)
-
-    @property
     def wire_bytes(self) -> int:
         """Bytes on the wire: header only for RTS/CTS, else payload too."""
         if self.kind in (RTS, CTS):

@@ -1,26 +1,25 @@
-"""Deterministic probes: the seeded measurements behind every baseline.
+"""Deterministic probes: small seeded runs whose counters are pinned.
 
-One probe per baseline family.  A probe runs a small, seeded slice of
-the family's workload and returns a flat ``{metric: value}`` dict of
+One probe per family.  A probe runs a small, seeded slice of the
+family's workload and returns a flat ``{metric: value}`` dict of
 *deterministic* quantities: virtual-time totals, message counts, SPC
-aggregates and sha256 prefixes of rendered artifacts.  Nothing
-host-dependent goes in here.
+aggregates and sha256 prefixes of exported traces.  Nothing
+host-dependent goes in here, and nothing another pin already holds
+(the committed exhibits and analyzer output under ``results/``).
 
-``python -m repro perf update`` writes ``results/BENCH_X.json`` from
-``run_probe("X")``, and ``python -m repro perf check`` recomputes
-``run_probe("X")`` on the current tree and diffs it against the
-committed file.  A delta therefore always means behaviour drift in the
-simulation, never runner noise.
+``tests/test_golden_identity.py`` compares each probe's dict with
+``tests/goldens/probe_<family>.json`` on every tier-1 run, so a
+difference always means behaviour drift in the simulation, never
+runner noise.
 """
 
 from __future__ import annotations
 
 import hashlib
-import tempfile
 
 
 def _sha(text: str) -> str:
-    """Short, stable content fingerprint for rendered artifacts."""
+    """Short, stable content fingerprint for an exported trace."""
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
@@ -78,14 +77,17 @@ def probe_fig4() -> dict:
 
 
 def probe_fig5() -> dict:
-    """Figure 5: one run per implementation profile."""
+    """Figure 5: the process and thread implementation profiles.
+
+    The third profile, "OMPI Thread + CRIs*", runs the same simulation
+    as :func:`probe_fig3`'s panel c.
+    """
     from repro.baselines import profile_by_name
     from repro.workloads import MultirateConfig, run_multirate
 
     out: dict = {}
     for key, name in (("process", "OMPI Process"),
-                      ("thread", "OMPI Thread"),
-                      ("star", "OMPI Thread + CRIs*")):
+                      ("thread", "OMPI Thread")):
         profile = profile_by_name(name)
         result = run_multirate(
             MultirateConfig(pairs=8, window=64, windows=2,
@@ -128,20 +130,6 @@ def probe_fig7() -> dict:
     return _rmamt_metrics(TRINITITE_KNL, threads=32, ops=100)
 
 
-def probe_table1() -> dict:
-    """Table I: the rendered testbed table's fingerprint.
-
-    Table I is static configuration (the testbed rows live in the
-    figure's ``extra`` map, not its series), so the fingerprint covers
-    the sorted rows themselves.
-    """
-    from repro.experiments.table1 import run_table1
-
-    fig = run_table1()
-    rows = "\n".join(f"{k}={v}" for k, v in sorted(fig.extra.items()))
-    return {"cells": len(fig.extra), "rows_sha": _sha(rows)}
-
-
 def probe_table2() -> dict:
     """Table II: SPC counters of the serial 20-pair cell."""
     from repro.core import ThreadingConfig
@@ -154,53 +142,6 @@ def probe_table2() -> dict:
     out = _multirate_metrics("", result)
     out["oos_fraction"] = round(result.spc.out_of_sequence_fraction, 6)
     return out
-
-
-def probe_ablations() -> dict:
-    """The five mechanism ablations, one on/off pair each."""
-    from repro.experiments.ablations import SEED, ablation_trial
-
-    out: dict = {}
-    for mechanism, key, on_metric, off_metric in (
-            ("fairness", "oos", "oos_unfair", "oos_fair"),
-            ("migration", "match_time_ns", "match_ns_on", "match_ns_off"),
-            ("convoy", "elapsed_ns", "elapsed_ns_on", "elapsed_ns_off"),
-            ("jitter", "oos", "oos_on", "oos_off"),
-            ("hostgap", "elapsed_ns", "elapsed_ns_on", "elapsed_ns_off")):
-        for off, metric in enumerate((on_metric, off_metric)):
-            out[f"{mechanism}.{metric}"] = ablation_trial(
-                off, SEED, mechanism=mechanism)[key]
-    return out
-
-
-def probe_extensions() -> dict:
-    """The ext-modes exhibit (the engine bench's exhibit) fingerprint."""
-    from repro.experiments.extensions import run_entity_modes
-
-    fig = run_entity_modes(quick=True)
-    return {"series": len(fig.series), "csv_sha": _sha(fig.to_csv())}
-
-
-def probe_engine() -> dict:
-    """Engine contract: parallel/warm-cache runs reproduce serial bytes."""
-    from repro.engine import Engine, TrialCache, use_engine
-    from repro.experiments.extensions import run_entity_modes
-
-    with tempfile.TemporaryDirectory() as tmp:
-        cold = Engine(jobs=1, cache=TrialCache(f"{tmp}/cache"))
-        with use_engine(cold):
-            cold_csv = run_entity_modes(quick=True).to_csv()
-        warm = Engine(jobs=1, cache=TrialCache(f"{tmp}/cache"))
-        with use_engine(warm):
-            warm_csv = run_entity_modes(quick=True).to_csv()
-    return {
-        "trials": cold.counters.trials,
-        "cold_misses": cold.counters.cache_misses,
-        "warm_hits": warm.counters.cache_hits,
-        "warm_misses": warm.counters.cache_misses,
-        "csv_sha": _sha(cold_csv),
-        "warm_csv_identical": int(warm_csv == cold_csv),
-    }
 
 
 def probe_simcore() -> dict:
@@ -249,29 +190,20 @@ def probe_simcore() -> dict:
 
 
 def probe_obs() -> dict:
-    """Trace + analysis fingerprints of the seeded fig3a and chaos runs."""
-    from repro.obs.analyze import analyze_tracer
+    """Trace fingerprints of the seeded fig3a and chaos runs.
+
+    The export carries every span and the run's virtual time, so its
+    hash covers the span count and the elapsed time too.
+    """
     from repro.obs.export import to_chrome_json
     from repro.obs.scenarios import traced_run
 
-    out: dict = {}
-    for exp in ("fig3a", "chaos"):
-        run = traced_run(exp)
-        analysis = analyze_tracer(run.tracer, name=exp)
-        out[f"{exp}.spans"] = len(run.tracer.spans)
-        out[f"{exp}.elapsed_ns"] = run.elapsed_ns
-        out[f"{exp}.trace_sha"] = _sha(to_chrome_json(run.tracer))
-        out[f"{exp}.messages_sha"] = _sha(analysis.messages_csv())
-        out[f"{exp}.critical_sha"] = _sha(analysis.critical_csv())
-        out[f"{exp}.blame_sha"] = _sha(analysis.blame_csv())
-    return out
+    return {f"{exp}.trace_sha": _sha(to_chrome_json(traced_run(exp).tracer))
+            for exp in ("fig3a", "chaos")}
 
 
-#: baseline-family name -> probe; one entry per ``results/BENCH_*.json``
+#: family name -> probe; one golden ``tests/goldens/probe_<family>.json`` each
 PROBES = {
-    "ablations": probe_ablations,
-    "engine": probe_engine,
-    "extensions": probe_extensions,
     "fig3": probe_fig3,
     "fig4": probe_fig4,
     "fig5": probe_fig5,
@@ -279,16 +211,5 @@ PROBES = {
     "fig7": probe_fig7,
     "obs": probe_obs,
     "simcore": probe_simcore,
-    "table1": probe_table1,
     "table2": probe_table2,
 }
-
-
-def run_probe(name: str) -> dict:
-    """Run one registered probe and return its deterministic metrics."""
-    try:
-        probe = PROBES[name]
-    except KeyError:
-        raise KeyError(f"no probe named {name!r}; known: "
-                       f"{', '.join(sorted(PROBES))}") from None
-    return probe()

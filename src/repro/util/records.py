@@ -31,14 +31,6 @@ class Series:
     label: str
     points: tuple[SeriesPoint, ...]
 
-    @staticmethod
-    def from_xy(label: str, xs, means, stds=None) -> "Series":
-        """Build a series from parallel x/mean (and optional std) sequences."""
-        stds = stds if stds is not None else [0.0] * len(xs)
-        if not (len(xs) == len(means) == len(stds)):
-            raise ValueError("xs, means, stds must have equal length")
-        return Series(label, tuple(SeriesPoint(x, m, s) for x, m, s in zip(xs, means, stds)))
-
     @property
     def xs(self) -> tuple[float, ...]:
         """The x coordinates, in plotting order."""

@@ -35,23 +35,6 @@ def summarize(values: Iterable[float]) -> tuple[float, float]:
     return mean(values), pstdev(values)
 
 
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean of positive values (raises otherwise)."""
-    values = list(values)
-    if not values:
-        raise ValueError("geometric mean of empty sequence")
-    if any(v <= 0 for v in values):
-        raise ValueError("geometric mean requires positive values")
-    return math.exp(sum(math.log(v) for v in values) / len(values))
-
-
-def ratio(numerator: float, denominator: float) -> float:
-    """Safe ratio used in shape checks; denominator must be positive."""
-    if denominator <= 0:
-        raise ValueError(f"ratio denominator must be > 0, got {denominator}")
-    return numerator / denominator
-
-
 class Histogram:
     """Sparse integer histogram with a fixed bin width.
 
@@ -77,18 +60,6 @@ class Histogram:
         b = value // self.bin_width
         self._bins[b] = self._bins.get(b, 0) + count
         self.total += count
-
-    def merge(self, other: "Histogram") -> None:
-        """Fold another histogram (same bin width) into this one."""
-        if other.bin_width != self.bin_width:
-            raise ValueError("cannot merge histograms with different bin widths")
-        for b, count in other._bins.items():
-            self._bins[b] = self._bins.get(b, 0) + count
-        self.total += other.total
-
-    def counts(self) -> dict[int, int]:
-        """``{bin_lower_bound: count}``, sorted by bin."""
-        return {b * self.bin_width: self._bins[b] for b in sorted(self._bins)}
 
     def mean(self) -> float:
         """Mean of bin lower bounds, observation-weighted (0.0 if empty)."""

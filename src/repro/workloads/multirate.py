@@ -18,7 +18,7 @@ Options map one-to-one to the paper's experiments:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.core.config import CostModel, ThreadingConfig
 from repro.faults.install import install_faults
@@ -55,10 +55,6 @@ class MultirateConfig:
     def total_messages(self) -> int:
         """Messages the whole benchmark sends (pairs x window x windows)."""
         return self.pairs * self.window * self.windows
-
-    def with_overrides(self, **kwargs) -> "MultirateConfig":
-        """Copy with some fields replaced."""
-        return replace(self, **kwargs)
 
 
 @dataclass

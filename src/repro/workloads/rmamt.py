@@ -9,7 +9,7 @@ node 0; the passive target on node 1 never touches the traffic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.core.config import CostModel, ThreadingConfig
 from repro.faults.install import install_faults
@@ -48,10 +48,6 @@ class RmaMtConfig:
     def total_ops(self) -> int:
         """RMA operations the whole benchmark issues."""
         return self.threads * self.ops_per_thread
-
-    def with_overrides(self, **kwargs) -> "RmaMtConfig":
-        """Copy with some fields replaced."""
-        return replace(self, **kwargs)
 
 
 @dataclass

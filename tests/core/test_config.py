@@ -22,11 +22,6 @@ class TestThreadingConfig:
         with pytest.raises(ValueError):
             ThreadingConfig(**kwargs)
 
-    def test_with_overrides(self):
-        cfg = ThreadingConfig().with_overrides(num_instances=8)
-        assert cfg.num_instances == 8
-        assert cfg.progress == "serial"
-
 
 class TestCostModel:
     def test_scaled_scales_every_time_field(self):

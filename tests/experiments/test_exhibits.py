@@ -3,20 +3,45 @@
 The ``exhibits`` fixture (conftest.py) regenerates every registered
 exhibit the way ``repro run all --out results/`` does.  Each written
 file must equal its ``results/`` copy, and ``results/`` must hold no
-exhibit file the regeneration did not write.
+exhibit file the regeneration did not write.  Every committed CSV
+parses, with the ``csv`` module, to its header's width.
 """
 
+import csv
 import fnmatch
+
+import pytest
 
 from tests.experiments.conftest import RESULTS
 
-#: entries of results/ that are not exhibit files: the README, the perf
-#: baselines (pinned by ``repro perf check``), the analyzer output
-#: (pinned by tests/test_cli.py), and the gitignored leftovers of a
-#: local ``repro run ... --out results/`` or ``repro profile``
-NOT_EXHIBITS = ("README.md", "BENCH_*.json", "analysis",
+#: entries of results/ that are not exhibit files: the README, the
+#: analyzer output (pinned by tests/test_cli.py), and the gitignored
+#: leftovers of a local ``repro run ... --out results/`` or
+#: ``repro profile``
+NOT_EXHIBITS = ("README.md", "analysis",
                 "engine.metrics.csv", "manifest.json", ".cache",
                 "telemetry", "profile")
+
+#: exhibits whose series labels hold commas that ``FigureResult.to_csv``
+#: writes unquoted (a FOUND line in CHANGES.md); mending the writer
+#: takes them off this list
+UNQUOTED_LABELS = ("chaos.csv", "ext-latency.csv")
+
+
+def _is_exhibit(name: str) -> bool:
+    return not any(fnmatch.fnmatch(name, pattern) for pattern in NOT_EXHIBITS)
+
+
+def _committed_csvs() -> list:
+    paths = [path for path in sorted(RESULTS.glob("*.csv"))
+             if _is_exhibit(path.name)]
+    paths += sorted((RESULTS / "analysis").glob("*.csv"))
+    return [pytest.param(
+        path, id=str(path.relative_to(RESULTS)),
+        marks=[pytest.mark.xfail(strict=True, reason="unquoted commas in "
+                                 "series labels")]
+        if path.name in UNQUOTED_LABELS else [])
+        for path in paths]
 
 
 def test_every_exhibit_file_matches_results(exhibits):
@@ -28,6 +53,15 @@ def test_every_exhibit_file_matches_results(exhibits):
 
 def test_results_holds_no_exhibit_the_regeneration_does_not_write(exhibits):
     committed = {path.name for path in RESULTS.iterdir()
-                 if not any(fnmatch.fnmatch(path.name, pattern)
-                            for pattern in NOT_EXHIBITS)}
+                 if _is_exhibit(path.name)}
     assert committed == {path.name for path in exhibits.paths}
+
+
+@pytest.mark.parametrize("path", _committed_csvs())
+def test_every_committed_csv_parses_to_its_header_width(path):
+    with path.open(newline="") as f:
+        header, *rows = csv.reader(f)
+    wrong = [line for line, row in enumerate(rows, start=2)
+             if len(row) != len(header)]
+    assert not wrong, (f"{path.name}: lines {wrong} do not have the "
+                       f"header's {len(header)} fields")

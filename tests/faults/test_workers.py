@@ -39,13 +39,6 @@ def test_attempt_cutoff():
     assert plan.decide(0, 2) is None        # retries run clean
 
 
-def test_expected_faulty_matches_decide():
-    plan = WorkerFaultPlan(seed=5, kill_rate=0.25, hang_rate=0.25)
-    n = plan.expected_faulty(40)
-    assert n == sum(1 for i in range(40) if plan.decide(i, 1) is not None)
-    assert 0 < n < 40
-
-
 def test_validation():
     with pytest.raises(ValueError):
         WorkerFaultPlan(kill_rate=1.5)

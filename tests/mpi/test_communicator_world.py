@@ -15,13 +15,8 @@ class TestCommunicator:
         assert comm.id != world.comm_world.id
         assert world.comm_by_id(comm.id) is comm
         assert comm.size == 2
-        assert comm.contains(3) and not comm.contains(0)
-        assert comm.local_rank(3) == 1
-        assert comm.world_rank(0) == 1
-        with pytest.raises(RankError):
-            comm.local_rank(0)
-        with pytest.raises(RankError):
-            comm.world_rank(5)
+        assert comm.ranks == (1, 3)     # local rank i is world rank ranks[i]
+        comm.check_member(3)
         with pytest.raises(RankError):
             comm.check_member(0)
 

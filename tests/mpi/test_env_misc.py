@@ -14,7 +14,6 @@ def test_env_identity_and_properties(sched, world):
     assert env.name == "worker-7"
     assert env.world is world
     assert env.sched is sched
-    assert env.comm_world is world.comm_world
     assert env.costs is world.costs
     default = world.env(0)
     assert default.name == "rank0-thread"
@@ -39,7 +38,7 @@ def test_progress_returns_int_count(sched, world):
         for _ in range(3):
             yield from env.irecv(world.comm_world, src=0, tag=0)
         yield Delay(100_000)
-        n = yield from env.progress()
+        n = yield from env.process.progress_engine.progress()
         return n
 
     sched.spawn(sender(world.env(0)))

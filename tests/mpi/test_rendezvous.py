@@ -29,11 +29,6 @@ class TestEnvelopeKinds:
         assert Envelope(0, 1, 0, 0, 0, BIG, kind=DATA).wire_bytes == BIG + ENVELOPE_BYTES
         assert Envelope(0, 1, 0, 0, 0, 10, kind=EAGER).wire_bytes == 10 + ENVELOPE_BYTES
 
-    def test_control_flag(self):
-        assert Envelope(0, 1, 0, 0, -1, 0, kind=CTS).is_control
-        assert Envelope(0, 1, 0, 0, -1, 0, kind=DATA).is_control
-        assert not Envelope(0, 1, 0, 0, 0, 0, kind=RTS).is_control
-
 
 def test_large_message_roundtrip_with_payload(sched, world):
     payload = bytes(range(256)) * 4
@@ -88,7 +83,8 @@ def test_unexpected_rts_matched_by_late_post(sched, world):
 
     def receiver(env):
         yield Delay(300_000)
-        yield from env.progress()  # drain the RTS into the unexpected queue
+        # drain the RTS into the unexpected queue
+        yield from env.process.progress_engine.progress()
         data, _ = yield from env.recv(world.comm_world, src=0, tag=9, nbytes=BIG)
         return data
 

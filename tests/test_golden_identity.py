@@ -12,6 +12,11 @@ committed under ``tests/goldens/``:
   tracer must not move a single virtual nanosecond;
 * the traced run's Chrome JSON export must equal the committed trace.
 
+Each deterministic probe (:mod:`repro.perf.probes`) has a golden too:
+``probe_<family>.json`` holds the probe's ``{metric: value}`` dict, and
+a mismatch names every drifted metric with its committed and fresh
+values.
+
 Regenerate the goldens after an *intentional* behaviour change with::
 
     REPRO_UPDATE_GOLDENS=1 python -m pytest tests/test_golden_identity.py
@@ -19,6 +24,7 @@ Regenerate the goldens after an *intentional* behaviour change with::
 and commit the diff (the review of that diff is the behaviour review).
 """
 
+import json
 import os
 import pathlib
 
@@ -27,6 +33,7 @@ import pytest
 from repro.obs.export import to_chrome_json
 from repro.obs.scenarios import representative_run
 from repro.obs.tracer import Tracer
+from repro.perf.probes import PROBES
 
 GOLDENS = pathlib.Path(__file__).resolve().parent / "goldens"
 EXPS = ("fig3a", "chaos")
@@ -96,3 +103,28 @@ def test_traced_run_matches_the_same_golden_csv(exp):
 def test_traced_export_matches_golden_trace(exp):
     _, tracer = _run_micro(exp, trace=True)
     _check(f"{exp}_micro.trace.json", to_chrome_json(tracer).encode("utf-8"))
+
+
+@pytest.mark.parametrize("family", sorted(PROBES))
+def test_probe_matches_golden(family):
+    fresh = PROBES[family]()
+    path = GOLDENS / f"probe_{family}.json"
+    if os.environ.get("REPRO_UPDATE_GOLDENS"):
+        path.write_text(json.dumps(fresh, indent=2, sort_keys=True) + "\n")
+        return
+    assert path.exists(), (
+        f"missing golden {path}; regenerate with "
+        f"REPRO_UPDATE_GOLDENS=1 python -m pytest {__file__}")
+    # pytest's dict diff names each drifted metric with both values
+    assert json.loads(path.read_text()) == fresh, (
+        f"{path.name} (left) differs from a fresh probe run (right) -- the "
+        f"simulation's behaviour changed.  If intentional, regenerate with "
+        f"REPRO_UPDATE_GOLDENS=1 and commit the diff.")
+
+
+def test_probe_goldens_name_the_probes():
+    # a golden without a probe, or a probe without a golden, fails here
+    committed = {path.stem.removeprefix("probe_")
+                 for path in GOLDENS.glob("probe_*.json")}
+    assert committed == set(PROBES)
+

@@ -7,23 +7,21 @@ from repro.util.records import FigureResult, Series, SeriesPoint
 
 def make_fig():
     fig = FigureResult("figX", "Test figure", "threads", "rate")
-    fig.series.append(Series.from_xy("a", [1, 2, 4], [10.0, 20.0, 40.0]))
-    fig.series.append(Series.from_xy("b", [1, 2, 4], [5.0, 5.0, 5.0], [0.1, 0.2, 0.3]))
+    fig.series.append(Series("a", (SeriesPoint(1, 10.0), SeriesPoint(2, 20.0),
+                                   SeriesPoint(4, 40.0))))
+    fig.series.append(Series("b", (SeriesPoint(1, 5.0, 0.1),
+                                   SeriesPoint(2, 5.0, 0.2),
+                                   SeriesPoint(4, 5.0, 0.3))))
     return fig
 
 
 def test_series_accessors():
-    s = Series.from_xy("a", [1, 2], [10.0, 20.0])
+    s = Series("a", (SeriesPoint(1, 10.0), SeriesPoint(2, 20.0)))
     assert s.xs == (1, 2)
     assert s.means == (10.0, 20.0)
     assert s.at(2).mean == 20.0
     with pytest.raises(KeyError):
         s.at(99)
-
-
-def test_series_from_xy_validates_lengths():
-    with pytest.raises(ValueError):
-        Series.from_xy("a", [1, 2], [1.0])
 
 
 def test_point_validates_std():

@@ -1,13 +1,17 @@
 """SVG renderer for figure charts."""
 
-from repro.util.records import FigureResult, Series
+from repro.util.records import FigureResult, Series, SeriesPoint
 from repro.util.svg import render_svg
+
+
+def _series(label, points):
+    return Series(label, tuple(SeriesPoint(x, y) for x, y in points))
 
 
 def make_fig():
     fig = FigureResult("figT", "Test chart", "threads", "rate")
-    fig.series.append(Series.from_xy("alpha", [1, 2, 4, 8], [1e5, 2e5, 4e5, 8e5]))
-    fig.series.append(Series.from_xy("beta", [1, 2, 4, 8], [5e4, 5e4, 5e4, 5e4]))
+    fig.series.append(_series("alpha", [(1, 1e5), (2, 2e5), (4, 4e5), (8, 8e5)]))
+    fig.series.append(_series("beta", [(1, 5e4), (2, 5e4), (4, 5e4), (8, 5e4)]))
     return fig
 
 
@@ -42,14 +46,14 @@ def test_empty_figure_renders_placeholder():
 
 def test_zero_values_skipped_on_log_axis():
     fig = FigureResult("figZ", "Zeroes", "x", "y")
-    fig.series.append(Series.from_xy("z", [1, 2, 3], [0.0, 1e5, 2e5]))
+    fig.series.append(_series("z", [(1, 0.0), (2, 1e5), (3, 2e5)]))
     svg = render_svg(fig)
     assert svg.count("<circle") == 2  # the zero point is dropped
 
 
 def test_single_point_series():
     fig = FigureResult("fig1", "One point", "x", "y")
-    fig.series.append(Series.from_xy("solo", [5], [1234.0]))
+    fig.series.append(_series("solo", [(5, 1234.0)]))
     svg = render_svg(fig)
     assert "<circle" in svg
 

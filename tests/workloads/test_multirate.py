@@ -34,9 +34,9 @@ def test_entity_modes_conserve_messages(mode):
 
 
 def test_process_mode_faster_than_thread_mode():
-    cfg = MultirateConfig(pairs=4, window=32, windows=2)
-    threads = run_multirate(cfg)
-    procs = run_multirate(cfg.with_overrides(entity_mode="processes"))
+    threads = run_multirate(MultirateConfig(pairs=4, window=32, windows=2))
+    procs = run_multirate(MultirateConfig(pairs=4, window=32, windows=2,
+                                          entity_mode="processes"))
     assert procs.message_rate > threads.message_rate
 
 
@@ -74,7 +74,7 @@ def test_seed_reproducibility():
     b = run_multirate(cfg)
     assert a.message_rate == b.message_rate
     assert a.elapsed_ns == b.elapsed_ns
-    c = run_multirate(cfg.with_overrides(seed=100))
+    c = run_multirate(MultirateConfig(seed=100, **SMALL))
     assert c.elapsed_ns != a.elapsed_ns
 
 
