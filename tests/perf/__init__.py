@@ -1,1 +1,1 @@
-"""Tests for the performance-baseline registry (repro.perf)."""
+"""Tests for the deterministic probe registry (repro.perf)."""

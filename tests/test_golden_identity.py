@@ -15,7 +15,8 @@ committed under ``tests/goldens/``:
 Each deterministic probe (:mod:`repro.perf.probes`) has a golden too:
 ``probe_<family>.json`` holds the probe's ``{metric: value}`` dict, and
 a mismatch names every drifted metric with its committed and fresh
-values.
+values.  ``tests/perf/test_probes.py`` checks that the goldens and the
+probes name the same families.
 
 Regenerate the goldens after an *intentional* behaviour change with::
 
@@ -120,11 +121,3 @@ def test_probe_matches_golden(family):
         f"{path.name} (left) differs from a fresh probe run (right) -- the "
         f"simulation's behaviour changed.  If intentional, regenerate with "
         f"REPRO_UPDATE_GOLDENS=1 and commit the diff.")
-
-
-def test_probe_goldens_name_the_probes():
-    # a golden without a probe, or a probe without a golden, fails here
-    committed = {path.stem.removeprefix("probe_")
-                 for path in GOLDENS.glob("probe_*.json")}
-    assert committed == set(PROBES)
-
