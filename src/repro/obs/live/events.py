@@ -149,8 +149,14 @@ class EventTail:
         self.min_seq = min_seq
         self.offset = 0
 
-    def poll(self) -> list[dict]:
-        """All complete records appended since the previous poll."""
+    def poll(self) -> list[tuple[dict, bytes]]:
+        """Each complete record appended since the previous poll.
+
+        Returns ``(record, line)`` pairs: the line is the record's
+        bytes exactly as :meth:`RunEventLog.emit` wrote them (sorted-key
+        JSON, no newline), so a caller can forward it without
+        re-encoding.
+        """
         try:
             with open(self.path, "rb") as handle:
                 handle.seek(self.offset)
@@ -161,7 +167,7 @@ class EventTail:
         if end < 0:
             return []
         self.offset += end + 1
-        records = []
+        batch = []
         for line in chunk[:end].split(b"\n"):
             try:
                 record = json.loads(line)
@@ -169,27 +175,27 @@ class EventTail:
                 continue
             if isinstance(record, dict) and \
                     record.get("seq", 0) >= self.min_seq:
-                records.append(record)
-        return records
+                batch.append((record, line))
+        return batch
 
     def follow(self, done, poll_s: float = 0.05, timeout_s: float = 60.0):
-        """Yield records until ``done()`` is true and the file is drained.
+        """Yield one :meth:`poll` batch per poll until drained.
 
-        One final poll runs after ``done()`` turns true, so records
-        emitted just before completion are never lost; ``timeout_s``
-        bounds the total wait when the writer never finishes.
+        Empty batches are skipped.  ``done()`` is read *before* each
+        poll, so the poll after it first reads true is the final drain
+        and records emitted just before completion are never lost;
+        ``timeout_s`` bounds the total wait when the writer never
+        finishes.
         """
         deadline = time.monotonic() + timeout_s
         while True:
-            for record in self.poll():
-                yield record
-            if done():
-                break
-            if time.monotonic() >= deadline:
+            finished = done()
+            batch = self.poll()
+            if batch:
+                yield batch
+            if finished or time.monotonic() >= deadline:
                 return
             time.sleep(poll_s)
-        for record in self.poll():
-            yield record
 
 
 class RunEventLog:

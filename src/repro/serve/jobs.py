@@ -20,9 +20,10 @@ content-addressed :class:`~repro.engine.cache.TrialCache`, so even
 :class:`~repro.obs.live.session.LiveTelemetry` session whose
 ``events.jsonl`` the SSE layer tails, and :meth:`ServeJob.run` takes
 it through one ordering: artifacts, then the manifest (schema 5, with
-the ``served`` accounting block), then ``done`` and the waiters.  A
-reader that observes ``done`` can therefore never see a torn artifact
-or a missing manifest.
+the ``served`` accounting block), then the artifact listing, then
+``done`` and the waiters.  A reader that observes ``done`` can
+therefore never see a torn artifact or a missing manifest, and reads
+of a finished job come from that recorded listing, not the directory.
 
 The engine may itself be parallel (``engine_jobs >= 2`` forks a
 supervised pool per job) and chaos-testable: a seeded
@@ -60,9 +61,11 @@ class ServeJob:
     ``queued -> running -> done | failed`` exactly once; ``state``,
     ``error``, ``started_at`` and ``finished_at`` change under the
     job's lock, and :meth:`wait` blocks on a one-shot event set after
-    the last of them.  ``requests`` counts every submission that
-    mapped here (the first, cold one included); it is only ever
-    mutated under the index lock.
+    the last of them.  ``artifacts`` names the files the job wrote,
+    sorted and recorded under the lock with ``done`` (empty before and
+    on failure); it is what the service lists and serves.
+    ``requests`` counts every submission that mapped here (the first,
+    cold one included); it is only ever mutated under the index lock.
     """
 
     def __init__(self, key: RequestKey, job_dir: pathlib.Path,
@@ -77,6 +80,7 @@ class ServeJob:
         self.error: str | None = None
         self.started_at: float | None = None
         self.finished_at: float | None = None
+        self.artifacts: tuple[str, ...] = ()
         self._finished = threading.Event()
         self._lock = threading.Lock()
 
@@ -96,12 +100,13 @@ class ServeJob:
 
         Runs the exhibit under the job's engine and writes its
         artifacts, stamps ``finished_at``, narrates ``sweep.finish``,
-        writes the served manifest, and only then turns ``done``, closes
-        the event log and wakes waiters.  Any exception turns the job
-        ``failed`` (the error kept as ``"Type: message"``, no manifest
-        written), wakes waiters and is re-raised; one raised after
-        ``sweep.finish`` is narrated as a ``crash`` postmortem, so the
-        log's last record and ``status.json`` say ``failed`` too.
+        writes the served manifest, records the artifact listing, and
+        only then turns ``done``, closes the event log and wakes
+        waiters.  Any exception turns the job ``failed`` (the error
+        kept as ``"Type: message"``, no manifest written), wakes
+        waiters and is re-raised; one raised after ``sweep.finish`` is
+        narrated as a ``crash`` postmortem, so the log's last record
+        and ``status.json`` say ``failed`` too.
         """
         with self._lock:
             if self.state != "queued":
@@ -129,6 +134,8 @@ class ServeJob:
                 wall_s=self.finished_at - self.started_at,
                 telemetry=telemetry.summary(), served=self.served_block()))
             with self._lock:
+                self.artifacts = tuple(sorted(
+                    p.name for p in self.dir.iterdir() if p.is_file()))
                 self.state = "done"
         except BaseException as exc:
             with self._lock:
@@ -160,12 +167,6 @@ class ServeJob:
                 "dedup_hits": self.requests - 1,
                 "cold_runs": 1}
 
-    def artifact_names(self) -> list[str]:
-        """The servable files currently present in the job directory."""
-        if not self.dir.is_dir():
-            return []
-        return sorted(p.name for p in self.dir.iterdir() if p.is_file())
-
     def snapshot(self) -> dict:
         """The JSON status document ``GET /experiments/<id>`` returns."""
         with self._lock:
@@ -176,14 +177,14 @@ class ServeJob:
                 "started_at": self.started_at,
                 "finished_at": self.finished_at,
             }
-        state = doc["state"]
-        if state in ("done", "failed"):
+            artifacts = list(self.artifacts)
+        if doc["state"] in ("done", "failed"):
             doc["counters"] = self.engine.counters.as_row()
         doc.update({
             "exhibit": self.key.exhibit,
             "params": self.key.params_dict(),
             "requests": self.requests,
-            "artifacts": self.artifact_names() if state == "done" else [],
+            "artifacts": artifacts,
         })
         return doc
 

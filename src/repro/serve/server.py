@@ -17,10 +17,13 @@ Stdlib only, one handler class, five routes:
   never blocks a cached read, it just isn't served until it is whole.
 * ``GET /stats`` / ``GET /healthz`` -- service accounting and liveness.
 
-Every handler thread is independent (``ThreadingHTTPServer`` with
-daemon threads), so slow SSE subscribers cannot block submissions --
-the many-clients-one-resource-pool regime the paper studies, applied
-to the service itself.  :class:`ExperimentServer` wraps server +
+Each connection gets a handler thread of its own, so slow SSE
+subscribers cannot block submissions -- the many-clients-one-resource-
+pool regime the paper studies, applied to the service itself.  Like
+the paper's dedicated CRI, a handler thread is set up once and reused:
+:class:`ReusingHTTPServer` hands each accepted connection to an idle
+handler and starts a new daemon thread only when none is idle.
+:class:`ExperimentServer` wraps server +
 :class:`~repro.serve.jobs.JobIndex` construction, background start for
 tests, and orderly shutdown for the CLI.
 """
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+import queue
 import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -175,10 +179,10 @@ class ServeHandler(BaseHTTPRequestHandler):
         self.send_header("Cache-Control", "no-store")
         self.end_headers()
         try:
-            for frame in job_event_stream(
+            for chunk in job_event_stream(
                     job, from_seq=from_seq,
                     timeout_s=self.server.stream_timeout_s):
-                self.wfile.write(frame)
+                self.wfile.write(chunk)
                 self.wfile.flush()
         except (BrokenPipeError, ConnectionResetError):
             pass                # subscriber went away: nothing to clean up
@@ -197,14 +201,13 @@ class ServeHandler(BaseHTTPRequestHandler):
                                              "are served when done",
                                     "state": job.state},
                               headers=(("Retry-After", "1"),))
-        if name is None or not name:
+        if not name:
             return self._json(200, {"id": job.id,
-                                    "artifacts": job.artifact_names()})
-        path = job.dir / name
-        # plain names only: the job dir is flat and traversal is not a URL
-        if "/" in name or "\\" in name or name.startswith(".") \
-                or not path.is_file():
+                                    "artifacts": list(job.artifacts)})
+        # only a file the job wrote: the listing it recorded at ``done``
+        if name not in job.artifacts:
             return self._error(404, f"no artifact {name!r} in {job_id}")
+        path = job.dir / name
         etag = f'"{job.id}/{name}"'
         if self.headers.get("If-None-Match") == etag:
             self.send_response(304)
@@ -222,6 +225,57 @@ class ServeHandler(BaseHTTPRequestHandler):
         self.wfile.write(data)
 
 
+class ReusingHTTPServer(ThreadingHTTPServer):
+    """A ``ThreadingHTTPServer`` whose handler threads serve many connections.
+
+    :meth:`process_request` hands each accepted connection to an idle
+    handler, or starts one new daemon handler when none is idle, so a
+    request never waits for a busy thread and a thread is started only
+    when every handler is busy.  A handler runs
+    ``ThreadingMixIn.process_request_thread`` (``finish_request``,
+    ``handle_error``, ``shutdown_request``) and then waits for its next
+    connection.  :meth:`server_close` wakes every idle handler to exit;
+    a busy one exits after its current request.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._idle_lock = threading.Lock()
+        self._idle: list[queue.SimpleQueue] = []  # one inbox per idle handler
+        self._closed = False
+
+    def process_request(self, request, client_address):
+        """Hand the connection to an idle handler, or start a new one."""
+        with self._idle_lock:
+            inbox = self._idle.pop() if self._idle else None
+        if inbox is not None:
+            inbox.put((request, client_address))
+            return
+        threading.Thread(target=self._handle_connections,
+                         args=(request, client_address),
+                         name="serve-handler", daemon=True).start()
+
+    def _handle_connections(self, request, client_address) -> None:
+        """One handler thread: serve connections until the server closes."""
+        inbox: queue.SimpleQueue = queue.SimpleQueue()
+        while request is not None:
+            self.process_request_thread(request, client_address)
+            with self._idle_lock:
+                if self._closed:
+                    return
+                self._idle.append(inbox)
+            request, client_address = inbox.get()
+
+    def server_close(self):
+        """Close the listener and wake every idle handler to exit."""
+        super().server_close()
+        with self._idle_lock:
+            self._closed = True
+            idle, self._idle = self._idle, []
+        for inbox in idle:
+            inbox.put((None, None))
+
+
 class ExperimentServer:
     """The assembled service: index + threading HTTP server.
 
@@ -236,8 +290,7 @@ class ExperimentServer:
                  **index_options):
         self.root = pathlib.Path(root)
         self.index = JobIndex(self.root, **index_options)
-        self.httpd = ThreadingHTTPServer((host, port), ServeHandler)
-        self.httpd.daemon_threads = True
+        self.httpd = ReusingHTTPServer((host, port), ServeHandler)
         self.httpd.index = self.index
         self.httpd.quiet = quiet
         self.httpd.stream_timeout_s = stream_timeout_s

@@ -13,7 +13,10 @@ The stream reads *while the engine is still writing* via
 discipline -- a torn append is never framed), follows until the job
 reaches a terminal state, drains the file one final time, and closes
 with an ``event: end`` frame carrying the final job state so clients
-need not poll the status endpoint afterwards.
+need not poll the status endpoint afterwards.  Each frame carries the
+record's line as the event log wrote it (the bytes
+:func:`format_event` would re-encode), and each poll's frames go out
+as one chunk, the last one with the ``end`` frame appended.
 """
 
 from __future__ import annotations
@@ -36,20 +39,38 @@ def end_frame(state: str) -> bytes:
     return (f"event: end\ndata: {json.dumps({'state': state})}\n\n").encode()
 
 
+def _frame(record: dict, line: bytes) -> bytes:
+    """:func:`format_event` of ``record``, reusing its logged ``line``."""
+    seq = record.get("seq")
+    head = f"id: {seq}\n".encode() if isinstance(seq, int) else b""
+    return head + b"data: " + line + b"\n\n"
+
+
 def job_event_stream(job, from_seq: int = 0, poll_s: float = 0.05,
                      timeout_s: float = 300.0):
-    """Yield SSE frames (bytes) for one job's event log.
+    """Yield SSE bytes for one job's event log, one chunk per poll.
 
     ``from_seq`` is the first ``seq`` to deliver; records below it are
-    replayed-over silently.  The generator ends (after an ``end``
-    frame) once the job is finished and the log is drained, or when
-    ``timeout_s`` elapses -- a stream must never outlive a wedged
-    writer forever.
+    replayed-over silently.  The stream ends with an ``end`` frame once
+    the job is finished and the log is drained, or when ``timeout_s``
+    elapses -- a stream must never outlive a wedged writer forever.
     """
     tail = EventTail(job.telemetry_dir / EVENTS_NAME, min_seq=from_seq)
-    for record in tail.follow(lambda: job.finished,
-                              poll_s=poll_s, timeout_s=timeout_s):
-        yield format_event(record)
+    finished = False
+
+    def done() -> bool:
+        nonlocal finished
+        finished = job.finished
+        return finished
+
+    # follow() reads done() just before each poll, so a batch that
+    # arrives with ``finished`` set is the final drain
+    for batch in tail.follow(done, poll_s=poll_s, timeout_s=timeout_s):
+        chunk = b"".join(_frame(record, line) for record, line in batch)
+        if finished:
+            yield chunk + end_frame(job.state)
+            return
+        yield chunk
     yield end_frame(job.state)
 
 

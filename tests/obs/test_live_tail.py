@@ -40,18 +40,22 @@ def test_event_tail_holds_torn_fragments_until_their_newline(tmp_path):
     with open(path, "w") as handle:
         handle.write('{"seq": 0}\n{"seq"')
         handle.flush()
-        assert [r["seq"] for r in tail.poll()] == [0]
+        assert [r["seq"] for r, _ in tail.poll()] == [0]
         assert tail.poll() == []             # fragment stays unparsed
         handle.write(': 1}\n')
         handle.flush()
-        assert [r["seq"] for r in tail.poll()] == [1]   # exactly once
+        assert [r["seq"] for r, _ in tail.poll()] == [1]   # exactly once
 
 
 def test_event_tail_min_seq_filters_replay(tmp_path):
     path = tmp_path / "events.jsonl"
     path.write_text("".join(json.dumps({"seq": n}) + "\n"
                             for n in range(5)))
-    assert [r["seq"] for r in EventTail(path, min_seq=3).poll()] == [3, 4]
+    batch = EventTail(path, min_seq=3).poll()
+    assert [r["seq"] for r, _ in batch] == [3, 4]
+    # each record comes with its line as written, ready to forward
+    assert [line for _, line in batch] \
+        == [json.dumps({"seq": n}).encode() for n in (3, 4)]
 
 
 def test_follow_races_a_real_writer_thread(tmp_path):
@@ -78,9 +82,10 @@ def test_follow_races_a_real_writer_thread(tmp_path):
     thread = threading.Thread(target=writer)
     thread.start()
     seen = [record["seq"]
-            for record in EventTail(path).follow(done.is_set,
-                                                 poll_s=0.001,
-                                                 timeout_s=30.0)]
+            for batch in EventTail(path).follow(done.is_set,
+                                                poll_s=0.001,
+                                                timeout_s=30.0)
+            for record, _ in batch]
     thread.join()
     assert seen == list(range(total))        # every record, once, in order
 
@@ -89,8 +94,9 @@ def test_follow_timeout_bounds_a_wedged_writer(tmp_path):
     path = tmp_path / "events.jsonl"
     path.write_text('{"seq": 0}\n')
     started = time.monotonic()
-    seen = list(EventTail(path).follow(lambda: False, poll_s=0.01,
-                                       timeout_s=0.2))
+    seen = [record for batch in EventTail(path).follow(
+                lambda: False, poll_s=0.01, timeout_s=0.2)
+            for record, _ in batch]
     assert [r["seq"] for r in seen] == [0]
     assert time.monotonic() - started < 5.0
 

@@ -8,6 +8,7 @@ import pytest
 
 from repro.experiments.registry import EXPERIMENTS, Experiment
 from repro.serve import ExperimentServer, ServeClient
+from repro.serve.server import ServeHandler
 
 
 @pytest.fixture
@@ -28,6 +29,20 @@ def serve_factory(tmp_path):
     yield start
     for server in servers:
         server.stop()
+
+
+@pytest.fixture
+def handler_threads(monkeypatch):
+    """Note the thread that serves each request; returns that list."""
+    seen = []
+    handle = ServeHandler.handle
+
+    def noting_handle(handler):
+        seen.append(threading.current_thread())
+        return handle(handler)
+
+    monkeypatch.setattr(ServeHandler, "handle", noting_handle)
+    return seen
 
 
 class GatedRunner:

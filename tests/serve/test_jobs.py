@@ -76,7 +76,7 @@ def test_done_job_has_artifacts_and_served_manifest(index):
     job, _ = index.submit("table1")
     wait_done(job)
     assert job.state == "done"
-    names = job.artifact_names()
+    names = job.artifacts
     assert {"table1.csv", "table1.svg", "table1.txt",
             "manifest.json"} <= set(names)
     manifest = json.loads((job.dir / "manifest.json").read_text())

@@ -11,6 +11,31 @@ import time
 
 from repro.cli import main
 from repro.engine import EngineCounters
+from repro.obs.live import EVENTS_NAME, read_events
+from repro.serve import ServeClient
+from repro.serve.sse import end_frame, format_event
+
+
+def open_streams(client, job_id, n):
+    """Start n SSE readers; returns ``(threads, frame lists)``.
+
+    Returns once every reader has its first frame, so all n streams are
+    open on the server.
+    """
+    frames = [[] for _ in range(n)]
+    opened = [threading.Event() for _ in range(n)]
+
+    def read(i):
+        for frame in client.events(job_id, timeout_s=30):
+            frames[i].append(frame)
+            opened[i].set()
+
+    threads = [threading.Thread(target=read, args=(i,)) for i in range(n)]
+    for t in threads:
+        t.start()
+    for event in opened:
+        assert event.wait(timeout=10), "an SSE stream never opened"
+    return threads, frames
 
 
 def submit_concurrently(client, n, exhibit, params):
@@ -125,6 +150,39 @@ def test_artifact_listing_and_unknown_names(serve_factory):
     assert client.artifact("ffffffffffffffff", "x.csv").status == 404
 
 
+def test_only_the_files_a_job_recorded_are_served(serve_factory):
+    server, client = serve_factory()
+    job_id = client.submit("table1").json()["id"]
+    client.wait(job_id)
+    job = server.index.get(job_id)
+    recorded = client.artifact(job_id).json()["artifacts"]
+    assert "manifest.json" in recorded and "telemetry" not in recorded
+    # files that appear after ``done`` are not the job's artifacts
+    (job.dir / "late.txt").write_text("written after done\n")
+    (job.dir / ".hidden").write_text("hidden\n")
+    assert client.artifact(job_id).json()["artifacts"] == recorded
+    assert client.status(job_id).json()["artifacts"] == recorded
+    assert client.request("GET", "/experiments").json()["jobs"][0][
+        "artifacts"] == recorded
+    for name in ("late.txt", "telemetry", ".hidden", "..%2Fmanifest.json"):
+        assert client.artifact(job_id, name).status == 404, name
+    assert client.artifact(job_id, "manifest.json").status == 200
+
+
+def test_sse_replay_bytes_equal_the_reencoded_log(serve_factory,
+                                                   shrunk_fig3):
+    server, client = serve_factory()
+    job_id = client.submit("fig3a").json()["id"]
+    client.wait(job_id)
+    log = read_events(server.index.get(job_id).telemetry_dir / EVENTS_NAME)
+    assert len(log) > 3
+    for from_seq in (0, 3):
+        body = client.request(
+            "GET", f"/experiments/{job_id}/events?from={from_seq}").body
+        assert body == b"".join(format_event(r) for r in log
+                                if r["seq"] >= from_seq) + end_frame("done")
+
+
 def test_artifacts_of_a_running_job_are_409(serve_factory, gated_exhibit):
     gate = gated_exhibit("gated-http")
     server, client = serve_factory()
@@ -236,3 +294,64 @@ def test_stop_returns_promptly(serve_factory):
     t0 = time.perf_counter()
     server.stop()
     assert time.perf_counter() - t0 < 0.25
+
+
+def test_sequential_requests_reuse_handler_threads(serve_factory,
+                                                   handler_threads):
+    server, client = serve_factory()
+    for _ in range(20):
+        assert client.healthz().status == 200
+    assert len(handler_threads) == 20
+    # a handler may still be closing its last connection when the next
+    # one is accepted, so a second thread can start; never a twentieth
+    assert len(set(handler_threads)) <= 2
+
+
+def test_open_streams_never_block_other_requests(serve_factory,
+                                                 gated_exhibit):
+    gate = gated_exhibit("gated-streams")
+    server, client = serve_factory()
+    job_id = client.submit("gated-streams").json()["id"]
+    assert gate.started.wait(timeout=10)
+    readers, frames = open_streams(client, job_id, 6)
+    quick = ServeClient(server.url, timeout_s=5)
+    for call in (quick.healthz, lambda: quick.submit("table1"),
+                 lambda: quick.request("GET", "/stats")):
+        t0 = time.monotonic()
+        assert call().status in (200, 201)
+        assert time.monotonic() - t0 < 5.0
+    gate.release.set()
+    for t in readers:
+        t.join(timeout=30)
+        assert not t.is_alive(), "SSE stream never closed"
+    for stream in frames:
+        assert stream[-1] == ("end", None, {"state": "done"})
+
+
+def test_stop_ends_every_handler_thread(serve_factory, gated_exhibit,
+                                        handler_threads):
+    gate = gated_exhibit("gated-stop")
+    server, client = serve_factory()
+    for _ in range(3):
+        assert client.healthz().status == 200
+    job_id = client.submit("gated-stop").json()["id"]
+    assert gate.started.wait(timeout=10)
+    readers, frames = open_streams(client, job_id, 1)
+    # stop() closes the listener with the stream still open, then
+    # drains the job index, which waits for the gated job
+    stopper = threading.Thread(target=server.stop)
+    stopper.start()
+    deadline = time.monotonic() + 10.0
+    while server.httpd.socket.fileno() != -1:
+        assert time.monotonic() < deadline, "stop() never closed"
+        time.sleep(0.01)
+    gate.release.set()
+    stopper.join(timeout=30)
+    assert not stopper.is_alive(), "stop() never returned"
+    deadline = time.monotonic() + 2.0
+    for thread in set(handler_threads):
+        thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        assert not thread.is_alive(), f"{thread.name} outlived stop()"
+    readers[0].join(timeout=5)
+    assert not readers[0].is_alive(), "SSE stream never closed"
+    assert frames[0][-1] == ("end", None, {"state": "done"})

@@ -8,6 +8,7 @@ byte-identical to a serial ``repro run`` of the same exhibit.
 """
 
 import random
+import sys
 import threading
 
 from repro.cli import main
@@ -62,10 +63,18 @@ def _request_plan(seed=1234):
 
 
 def test_stress_dedups_every_exhibit_to_one_cold_run(
-        serve_factory, shrunk_fig3, tmp_path, capsys):
+        serve_factory, shrunk_fig3, tmp_path, capsys, handler_threads):
     server, client = serve_factory(workers=3, queue_limit=64)
     plan = _request_plan()
-    responses = _hammer(client, plan)
+    # more clients than cores, switching threads as often as CPython can
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        responses = _hammer(client, plan)
+    finally:
+        sys.setswitchinterval(interval)
+    # handlers are reused: no more than the clients' connections, + 1
+    assert len(set(handler_threads)) <= CLIENTS + 1
 
     statuses = [r.status for r in responses]
     assert len(statuses) == CLIENTS * REQUESTS
