@@ -569,11 +569,16 @@ def _write_run_manifest(args, engine, experiments, started: float,
 
 
 def _cmd_run(args) -> int:
+    import contextlib
     import time
 
     from repro.engine import TrialRetryError, use_engine
     from repro.experiments.registry import EXPERIMENTS, run_experiment
 
+    if args.experiment != "all" and args.experiment not in EXPERIMENTS:
+        print(f"unknown experiment {args.experiment!r}; "
+              f"known: {sorted(EXPERIMENTS)}", file=sys.stderr)
+        return 2
     if args.drop_rate is not None and args.experiment != "chaos":
         print("--drop-rate only applies to the 'chaos' experiment",
               file=sys.stderr)
@@ -594,44 +599,25 @@ def _cmd_run(args) -> int:
         else [args.experiment]
     telemetry = _build_telemetry(args, experiments)
     engine = _build_engine(args, telemetry)
-    if telemetry is not None:
-        telemetry.install_sigterm()
-        telemetry.sweep_start()
+    # a failure escaping the sweep is narrated by LiveTelemetry.sweep
+    narrated = contextlib.nullcontext() if telemetry is None \
+        else telemetry.sweep()
     try:
-        with use_engine(engine):
-            try:
-                if args.experiment == "all":
-                    for exp_id in EXPERIMENTS:
-                        print(f"--- running {exp_id} ---")
-                        result = run_experiment(exp_id, quick=quick)
-                        if not sharded:
-                            _emit(result, args.out)
-                elif args.drop_rate is not None:
-                    from repro.experiments.chaos import run_chaos
+        with narrated, use_engine(engine):
+            if args.experiment == "all":
+                for exp_id in EXPERIMENTS:
+                    print(f"--- running {exp_id} ---")
+                    result = run_experiment(exp_id, quick=quick)
+                    if not sharded:
+                        _emit(result, args.out)
+            elif args.drop_rate is not None:
+                from repro.experiments.chaos import run_chaos
 
-                    result = run_chaos(
-                        quick=quick,
-                        drop_rates=(0.0, args.drop_rate / 2, args.drop_rate))
-                else:
-                    result = run_experiment(args.experiment, quick=quick)
-            except KeyError as exc:
-                print(exc.args[0], file=sys.stderr)
-                if telemetry is not None:
-                    telemetry.sweep_finish(False)
-                return 2
-            except TrialRetryError as exc:
-                print(f"run failed: {exc}", file=sys.stderr)
-                print("completed trials are in the trial cache; fix the "
-                      "fault and rerun the same command", file=sys.stderr)
-                if telemetry is not None:
-                    bundle = telemetry.postmortem("retry-exhaustion", exc)
-                    telemetry.sweep_finish(False)
-                    print(f"postmortem: {bundle}", file=sys.stderr)
-                return 3
-            except KeyboardInterrupt as exc:
-                if telemetry is not None:
-                    telemetry.postmortem("sigint", exc)
-                raise
+                result = run_chaos(
+                    quick=quick,
+                    drop_rates=(0.0, args.drop_rate / 2, args.drop_rate))
+            else:
+                result = run_experiment(args.experiment, quick=quick)
             if args.experiment != "all" and not sharded:
                 _emit(result, args.out)
             if sharded:
@@ -645,20 +631,14 @@ def _cmd_run(args) -> int:
             if args.out is not None:
                 _write_run_manifest(args, engine, experiments, started,
                                     telemetry)
-    except Exception as exc:
-        # A crash is narrated as a postmortem, followed by a failed
-        # sweep.finish if none was written yet; after an ok sweep.finish
-        # (say, a failed manifest write) the postmortem is the last word.
+    except TrialRetryError as exc:
+        print(f"run failed: {exc}", file=sys.stderr)
+        print("completed trials are in the trial cache; fix the "
+              "fault and rerun the same command", file=sys.stderr)
         if telemetry is not None:
-            running = telemetry.state == "running"
-            telemetry.postmortem("crash", exc)
-            if running:
-                telemetry.sweep_finish(False)
-        raise
-    finally:
-        if telemetry is not None:
-            telemetry.restore_sigterm()
-            telemetry.close()
+            print(f"postmortem: {telemetry.recorder.dumps[-1]}",
+                  file=sys.stderr)
+        return 3
     return 0
 
 

@@ -202,8 +202,6 @@ class Engine:
         self.counters.duplicates += len(tasks) - len(order)
 
         tele = self.telemetry
-        if tele is not None:
-            tele.trial_planned(len(order))
         values: list = [None] * len(order)
         misses: list[tuple[int, TrialTask, str | None, int]] = []
         for i, task in enumerate(order):

@@ -10,6 +10,8 @@ line.  Unlike the simulator's counters some of these are *host-level*:
 wall-clock, busy time and utilization vary run to run, which is why
 they are written next to the artifacts (``engine.metrics.csv``) rather
 than into them.
+:func:`sweep_progress` derives a sweep's progress and ETA from the row,
+for the heartbeat and for ``tools/lint_events.py`` alike.
 """
 
 from __future__ import annotations
@@ -26,6 +28,31 @@ def engine_row(engine) -> dict:
     row["jobs"] = engine.jobs
     row["utilization"] = round(engine.utilization(), 6)
     return row
+
+
+def sweep_progress(row: dict) -> tuple[dict, float | None]:
+    """The heartbeat's ``progress`` block and ``eta_s`` for one row.
+
+    A planned trial is done once it is a cache hit, a shard skip or
+    computed.  The ETA is the trials left times the mean computed-trial
+    cost (``busy_ns / computed``) per worker; None before any trial was
+    computed, as there is nothing to extrapolate from.
+    """
+    planned = row["trials"]
+    computed = row["cache_misses"] + row["uncacheable"]
+    done = computed + row["cache_hits"] + row["shard_skipped"]
+    progress = {"planned": planned, "done": done, "computed": computed,
+                "cache_hits": row["cache_hits"],
+                "shard_skipped": row["shard_skipped"]}
+    if planned:
+        progress["pct"] = round(100.0 * done / planned, 1)
+    left = planned - done
+    if left <= 0:
+        return progress, 0.0
+    if not computed:
+        return progress, None
+    mean_s = row["busy_ns"] / computed / 1e9
+    return progress, round(left * mean_s / max(1, row["jobs"]), 3)
 
 
 def engine_csv(engine) -> str:

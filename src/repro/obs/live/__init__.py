@@ -21,7 +21,7 @@ from repro.obs.live.recorder import (POSTMORTEM_DIR, POSTMORTEM_SCHEMA,
                                      FlightRecorder)
 from repro.obs.live.session import LiveTelemetry, PoolMonitor
 from repro.obs.live.status import (STATUS_NAME, STATUS_SCHEMA, STATUS_STATES,
-                                   StatusWriter, eta_seconds, load_status)
+                                   load_status, write_status)
 from repro.obs.live.top import render_frame, resolve_dir, run_top
 
 __all__ = [
@@ -31,7 +31,7 @@ __all__ = [
     "PROM_NAME", "metric_name", "render_prom",
     "POSTMORTEM_DIR", "POSTMORTEM_SCHEMA", "FlightRecorder",
     "LiveTelemetry", "PoolMonitor",
-    "STATUS_NAME", "STATUS_SCHEMA", "STATUS_STATES", "StatusWriter",
-    "eta_seconds", "load_status",
+    "STATUS_NAME", "STATUS_SCHEMA", "STATUS_STATES", "load_status",
+    "write_status",
     "render_frame", "resolve_dir", "run_top",
 ]

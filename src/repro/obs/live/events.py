@@ -67,6 +67,9 @@ EVENT_KINDS = frozenset({
 #: record fields that legitimately vary between same-seed runs
 HOST_FIELDS = frozenset({"ts", "pid", "ns"})
 
+#: newest records kept in memory for the flight recorder
+RING_SIZE = 256
+
 
 def trial_digest(identity: str | None, plan_index: int) -> str:
     """The event log's trial fingerprint for one planned trial.
@@ -203,8 +206,10 @@ class RunEventLog:
 
     Keeps three live views alongside the file: the monotonic ``seq``
     counter, per-kind tallies (``counts`` -- the manifest's telemetry
-    summary), and a bounded ring of the most recent records (the flight
-    recorder's memory).  The file handle stays open between appends and
+    summary and the heartbeat's ``events`` block), and a ring of the
+    newest :data:`RING_SIZE` records (the flight recorder's memory).
+    All three are bumped only after a line is written, so they always
+    describe the file.  The file handle stays open between appends and
     every line is flushed whole, so a ``kill -9`` loses at most the
     in-flight line.
 
@@ -215,12 +220,12 @@ class RunEventLog:
     lives in the trial cache; the event log is this run's narration.
     """
 
-    def __init__(self, path, run_id: str, ring_size: int = 256):
+    def __init__(self, path, run_id: str):
         self.path = pathlib.Path(path)
         self.run_id = run_id
         self.seq = 0
         self.counts: dict[str, int] = {}
-        self.ring: deque = deque(maxlen=max(1, ring_size))
+        self.ring: deque = deque(maxlen=RING_SIZE)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._handle = open(self.path, "w")
 

@@ -16,7 +16,8 @@ Everything in the bundle is copied from state that already existed --
 dumping never recomputes, so it is safe to call from a signal handler
 or an exception path.  Dumps are numbered (``postmortem``,
 ``postmortem.2``, ...) rather than overwritten: a retry-exhaustion
-followed by a SIGTERM keeps both records.
+followed by a SIGTERM keeps both records, listed in
+:attr:`FlightRecorder.dumps`, whose last entry the heartbeat names.
 """
 
 from __future__ import annotations

@@ -8,12 +8,17 @@ telemetry directory and fans each hook out to the three surfaces:
 
 * every hook appends a record to the run-event log
   (:mod:`~repro.obs.live.events`);
-* progress/worker bookkeeping feeds the atomic heartbeat
-  (:mod:`~repro.obs.live.status`) and its Prometheus mirror
-  (:mod:`~repro.obs.live.prom`), rewritten on a cadence;
+* the atomic heartbeat (:mod:`~repro.obs.live.status`) and its
+  Prometheus mirror (:mod:`~repro.obs.live.prom`) are rewritten on a
+  cadence from one snapshot;
 * the event ring backs the flight recorder
-  (:mod:`~repro.obs.live.recorder`), dumped on retry exhaustion,
-  supervisor crash, SIGTERM or SIGINT (Ctrl-C).
+  (:mod:`~repro.obs.live.recorder`), dumped on retry exhaustion, a
+  crash, SIGTERM or SIGINT (Ctrl-C).
+
+The session keeps no count of its own (progress comes from the
+engine's counters, event tallies from the log, bundles from the
+recorder), and :meth:`LiveTelemetry.sweep` is the one narration of a
+sweep that ``repro run`` and a served job both run inside.
 
 Layering: the session lives at engine level, *above* the simulation --
 no telemetry code runs inside the simcore loop, so the PR-8 fast path
@@ -23,19 +28,24 @@ constructs no session at all.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pathlib
 import signal
 import time
 
+from repro.obs.enginestats import engine_row, sweep_progress
 from repro.obs.live.events import EVENTS_NAME, RunEventLog, trial_digest
 from repro.obs.live.prom import PROM_NAME, render_prom
 from repro.obs.live.recorder import FlightRecorder
-from repro.obs.live.status import STATUS_NAME, StatusWriter, eta_seconds
+from repro.obs.live.status import STATUS_NAME, write_status
 from repro.util.atomicio import atomic_write_text
 
 #: ring records replayed into the heartbeat's ``recent`` list
 RECENT_EVENTS = 8
+
+#: least seconds between two unforced heartbeat writes
+HEARTBEAT_S = 0.25
 
 
 class PoolMonitor:
@@ -90,32 +100,25 @@ class LiveTelemetry:
     ``run_id`` should be deterministic for the sweep (the CLI uses
     :func:`repro.cli.sweep_id`), so event *contents* are reproducible;
     host identity lives in the heartbeat's ``pid``/``ts`` fields
-    instead.  The ETA extrapolates from this session's own computed
+    instead.  The ETA extrapolates from the attached engine's computed
     trials only: a rerun over a warm cache starts with no cost sample,
     exactly like a fresh run.
     """
 
     def __init__(self, out_dir, run_id: str, experiments=(), params=None,
-                 jobs: int = 1, ring_size: int = 256,
-                 heartbeat_s: float = 0.25):
+                 jobs: int = 1):
         self.dir = pathlib.Path(out_dir)
         self.run_id = run_id
         self.experiments = sorted(str(e) for e in experiments)
         self.params = dict(params or {})
         self.jobs = jobs
-        self.log = RunEventLog(self.dir / EVENTS_NAME, run_id,
-                               ring_size=ring_size)
-        self.status = StatusWriter(self.dir / STATUS_NAME,
-                                   min_interval_s=heartbeat_s)
+        self.log = RunEventLog(self.dir / EVENTS_NAME, run_id)
         self.recorder = FlightRecorder(self.log, snapshot=self.snapshot)
         self.engine = None
         self.state = "running"
-        self.planned = 0
-        self.done = 0
-        self.costs_ns: list[int] = []
-        self.postmortems: list = []
         self._workers: list[dict] = []
         self._started = time.monotonic()
+        self._last_beat = float("-inf")
         self._previous_sigterm = None
         self._owner_pid = os.getpid()
 
@@ -130,6 +133,41 @@ class LiveTelemetry:
         return PoolMonitor(self, keys)
 
     # -- sweep lifecycle ------------------------------------------------
+    @contextlib.contextmanager
+    def sweep(self):
+        """Narrate the ``with`` body: ``sweep.start``, then a closed log.
+
+        SIGTERM goes through :meth:`handle_sigterm` meanwhile (on the
+        main thread); its ``SystemExit`` passes through, narrated.  Any
+        other escaping exception becomes a postmortem
+        (``retry-exhaustion`` for a ``TrialRetryError``, ``sigint`` for
+        Ctrl-C, else ``crash``) and, unless one was written or Ctrl-C,
+        a failed ``sweep.finish``; then it is re-raised.
+        """
+        self.install_sigterm()
+        try:
+            self.sweep_start()
+            yield self
+        except SystemExit:
+            raise
+        except BaseException as exc:
+            from repro.engine.supervise import TrialRetryError
+
+            if isinstance(exc, TrialRetryError):
+                reason = "retry-exhaustion"
+            elif isinstance(exc, KeyboardInterrupt):
+                reason = "sigint"
+            else:
+                reason = "crash"
+            running = self.state == "running"
+            self.postmortem(reason, exc)
+            if running and reason != "sigint":
+                self.sweep_finish(False)
+            raise
+        finally:
+            self.restore_sigterm()
+            self.close()
+
     def sweep_start(self) -> None:
         """The sweep began: first event, first heartbeat."""
         self.log.emit("sweep.start", experiments=self.experiments,
@@ -152,19 +190,13 @@ class LiveTelemetry:
         self.log.close()
 
     # -- engine hooks ---------------------------------------------------
-    def trial_planned(self, n: int) -> None:
-        """``n`` more unique trials entered the sweep's plan."""
-        self.planned += n
-
     def trial_cache_hit(self, identity: str | None, plan_index: int) -> None:
         """A trial was answered from the content-addressed cache."""
-        self.done += 1
         self.log.emit("trial.cache_hit", k=trial_digest(identity, plan_index))
         self.heartbeat()
 
     def trial_shard_skip(self, identity: str | None, plan_index: int) -> None:
         """A trial owned by another shard was skipped."""
-        self.done += 1
         self.log.emit("trial.shard_skip",
                       k=trial_digest(identity, plan_index))
         self.heartbeat()
@@ -180,8 +212,6 @@ class LiveTelemetry:
     def trial_complete(self, digest: str, attempt: int,
                        busy_ns: int) -> None:
         """A trial's value arrived and was persisted."""
-        self.done += 1
-        self.costs_ns.append(busy_ns)
         self.log.emit("trial.complete", k=digest, attempt=attempt,
                       ns=busy_ns)
         self.heartbeat()
@@ -238,18 +268,8 @@ class LiveTelemetry:
 
     def snapshot(self) -> dict:
         """The heartbeat document body (everything but ts/pid/schema)."""
-        progress = {"planned": self.planned, "done": self.done}
-        counters: dict = {}
-        if self.engine is not None:
-            from repro.obs.enginestats import engine_row
-
-            counters = engine_row(self.engine)
-            progress["computed"] = (counters["cache_misses"]
-                                    + counters["uncacheable"])
-            progress["cache_hits"] = counters["cache_hits"]
-            progress["shard_skipped"] = counters["shard_skipped"]
-        if self.planned:
-            progress["pct"] = round(100.0 * self.done / self.planned, 1)
+        counters = engine_row(self.engine) if self.engine is not None else {}
+        progress, eta_s = sweep_progress(counters) if counters else ({}, None)
         return {
             "run": self.run_id,
             "state": self.state,
@@ -257,28 +277,31 @@ class LiveTelemetry:
             "jobs": self.jobs,
             "elapsed_s": round(time.monotonic() - self._started, 3),
             "progress": progress,
-            "eta_s": eta_seconds(self.planned - self.done, self.costs_ns,
-                                 self.jobs),
+            "eta_s": eta_s,
             "workers": self._workers,
             "counters": counters,
             "events": {"total": self.log.total,
                        "by_kind": dict(sorted(self.log.counts.items()))},
             "recent": list(self.log.ring)[-RECENT_EVENTS:],
-            "postmortem": self.postmortems[-1].name
-            if self.postmortems else None,
+            "postmortem": self.recorder.dumps[-1].name
+            if self.recorder.dumps else None,
         }
 
     def heartbeat(self, force: bool = False) -> None:
-        """Rewrite ``status.json`` + ``metrics.prom`` (rate-limited)."""
+        """Rewrite ``status.json`` + ``metrics.prom`` from one snapshot,
+        unless unforced and within :data:`HEARTBEAT_S` of the last."""
+        now = time.monotonic()
+        if not force and now - self._last_beat < HEARTBEAT_S:
+            return
+        self._last_beat = now
         snapshot = self.snapshot()
-        if self.status.write(snapshot, force=force):
-            atomic_write_text(self.dir / PROM_NAME, render_prom(snapshot))
+        write_status(self.dir / STATUS_NAME, snapshot)
+        atomic_write_text(self.dir / PROM_NAME, render_prom(snapshot))
 
     # -- failure paths --------------------------------------------------
     def postmortem(self, reason: str, exc: BaseException | None = None):
         """Dump a flight-recorder bundle; returns its path."""
         bundle = self.recorder.dump(self.dir, reason, exc)
-        self.postmortems.append(bundle)
         self.log.emit("postmortem", reason=reason, bundle=bundle.name)
         self.state = ("killed" if reason in ("sigterm", "sigint")
                       else "failed")
@@ -306,7 +329,7 @@ class LiveTelemetry:
         try:
             self._previous_sigterm = signal.getsignal(signal.SIGTERM)
             signal.signal(signal.SIGTERM, self.handle_sigterm)
-        except ValueError:  # pragma: no cover - not the main thread
+        except ValueError:  # not the main thread (a served job's)
             self._previous_sigterm = None
 
     def restore_sigterm(self) -> None:
@@ -322,6 +345,6 @@ class LiveTelemetry:
             "dir": self.dir.name,
             "events_total": self.log.total,
             "events": dict(sorted(self.log.counts.items())),
-            "postmortem": self.postmortems[-1].name
-            if self.postmortems else None,
+            "postmortem": self.recorder.dumps[-1].name
+            if self.recorder.dumps else None,
         }

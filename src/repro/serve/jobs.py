@@ -19,11 +19,14 @@ content-addressed :class:`~repro.engine.cache.TrialCache`, so even
 *distinct* requests reuse overlapping trials) plus a per-job
 :class:`~repro.obs.live.session.LiveTelemetry` session whose
 ``events.jsonl`` the SSE layer tails, and :meth:`ServeJob.run` takes
-it through one ordering: artifacts, then the manifest (schema 5, with
-the ``served`` accounting block), then the artifact listing, then
-``done`` and the waiters.  A reader that observes ``done`` can
-therefore never see a torn artifact or a missing manifest, and reads
-of a finished job come from that recorded listing, not the directory.
+it through one ordering: artifacts, then ``sweep.finish``, then the
+manifest (schema 5, with the ``served`` accounting block), then the
+artifact listing and ``done``, then the closed log and the waiters.  A
+reader that observes ``done`` can therefore never see a torn artifact
+or a missing manifest, and reads of a finished job come from that
+recorded listing, not the directory.  The job runs inside the
+session's ``sweep()``, as ``repro run`` does, so a failed job leaves
+the same postmortem bundle a failed run does.
 
 The engine may itself be parallel (``engine_jobs >= 2`` forks a
 supervised pool per job) and chaos-testable: a seeded
@@ -98,15 +101,17 @@ class ServeJob:
     def run(self) -> None:
         """Run the job on the calling thread; a second call raises.
 
-        Runs the exhibit under the job's engine and writes its
-        artifacts, stamps ``finished_at``, narrates ``sweep.finish``,
-        writes the served manifest, records the artifact listing, and
-        only then turns ``done``, closes the event log and wakes
-        waiters.  Any exception turns the job ``failed`` (the error
-        kept as ``"Type: message"``, no manifest written), wakes
-        waiters and is re-raised; one raised after ``sweep.finish`` is
-        narrated as a ``crash`` postmortem, so the log's last record
-        and ``status.json`` say ``failed`` too.
+        Inside the telemetry session's
+        :meth:`~repro.obs.live.session.LiveTelemetry.sweep`, runs the
+        exhibit under the job's engine and writes its artifacts, stamps
+        ``finished_at``, narrates ``sweep.finish``, writes the served
+        manifest, and records the artifact listing as it turns
+        ``done``; then the session closes the event log and the
+        waiters wake.  An exception is narrated by the session exactly
+        as ``repro run`` narrates it (a postmortem bundle, then a
+        failed ``sweep.finish`` unless one was written), turns the job
+        ``failed`` (the error kept as ``"Type: message"``, no manifest
+        written), wakes waiters and is re-raised.
         """
         with self._lock:
             if self.state != "queued":
@@ -117,38 +122,37 @@ class ServeJob:
         exhibit, params = self.key.exhibit, self.key.params_dict()
         telemetry = self.telemetry
         try:
-            from repro.engine.manifest import build_manifest, write_manifest
-            from repro.experiments.artifacts import save_result
-            from repro.experiments.registry import run_experiment
+            with telemetry.sweep():
+                from repro.engine.manifest import (build_manifest,
+                                                   write_manifest)
+                from repro.experiments.artifacts import save_result
+                from repro.experiments.registry import run_experiment
 
-            telemetry.sweep_start()
-            with use_engine(self.engine):
-                save_result(run_experiment(exhibit, quick=params["quick"]),
-                            self.dir)
-            with self._lock:
-                self.finished_at = time.time()
-            telemetry.sweep_finish(True)
-            write_manifest(self.dir, build_manifest(
-                command=["repro", "serve", exhibit],
-                experiments=[exhibit], params=params, engine=self.engine,
-                wall_s=self.finished_at - self.started_at,
-                telemetry=telemetry.summary(), served=self.served_block()))
-            with self._lock:
-                self.artifacts = tuple(sorted(
-                    p.name for p in self.dir.iterdir() if p.is_file()))
-                self.state = "done"
+                with use_engine(self.engine):
+                    save_result(run_experiment(exhibit,
+                                               quick=params["quick"]),
+                                self.dir)
+                with self._lock:
+                    self.finished_at = time.time()
+                telemetry.sweep_finish(True)
+                write_manifest(self.dir, build_manifest(
+                    command=["repro", "serve", exhibit],
+                    experiments=[exhibit], params=params,
+                    engine=self.engine,
+                    wall_s=self.finished_at - self.started_at,
+                    telemetry=telemetry.summary(),
+                    served=self.served_block()))
+                with self._lock:
+                    self.artifacts = tuple(sorted(
+                        p.name for p in self.dir.iterdir() if p.is_file()))
+                    self.state = "done"
         except BaseException as exc:
             with self._lock:
                 self.error = f"{type(exc).__name__}: {exc}"
                 self.state = "failed"
                 self.finished_at = time.time()
-            if telemetry.state == "running":  # sweep.finish not yet written
-                telemetry.sweep_finish(False)
-            else:  # failed after sweep.finish: the log must not end "ok"
-                telemetry.postmortem("crash", exc)
             raise
         finally:
-            telemetry.close()
             self._finished.set()
 
     def wait(self, timeout: float | None = None) -> bool:
@@ -216,10 +220,7 @@ class JobIndex:
         self.flaky_workers = flaky_workers
         self.flaky_seed = flaky_seed
         self.jobs: dict[str, ServeJob] = {}
-        self.requests = 0
-        self.dedup_hits = 0
-        self.cold_runs = 0
-        self.rejected = 0
+        self.rejected = 0           # refusals leave no job to count them
         self._lock = threading.Lock()
         self._queue: queue.Queue = queue.Queue(maxsize=queue_limit)
         self._threads = [
@@ -240,24 +241,20 @@ class JobIndex:
         """
         key = request_key(exhibit, params)
         with self._lock:
-            self.requests += 1
             job = self.jobs.get(key.digest)
             if job is not None:
                 job.requests += 1
-                self.dedup_hits += 1
                 return job, False
             # every producer holds this lock and workers only *drain*,
             # so a not-full check here cannot race into a blocked put
             if self._queue.full():
                 self.rejected += 1
-                self.requests -= 1
                 raise QueueFull(
                     f"job queue is full ({self._queue.maxsize} pending); "
                     f"retry later")
             job = self._create(key)
             self._queue.put_nowait(job)
             job.requests += 1
-            self.cold_runs += 1
             return job, True
 
     def _create(self, key: RequestKey) -> ServeJob:
@@ -303,15 +300,18 @@ class JobIndex:
             return sorted(self.jobs.values(), key=lambda j: j.created_at)
 
     def stats(self) -> dict:
-        """The service-level accounting document (``GET /stats``)."""
+        """The service-level accounting document (``GET /stats``),
+        derived from each job's ``requests`` (the first a cold run)."""
         with self._lock:
             by_state: dict[str, int] = {}
+            requests = 0
             for job in self.jobs.values():
                 by_state[job.state] = by_state.get(job.state, 0) + 1
+                requests += job.requests
             return {
-                "requests": self.requests,
-                "dedup_hits": self.dedup_hits,
-                "cold_runs": self.cold_runs,
+                "requests": requests,
+                "dedup_hits": requests - len(self.jobs),
+                "cold_runs": len(self.jobs),
                 "rejected": self.rejected,
                 "jobs": by_state,
                 "queue_depth": self._queue.qsize(),

@@ -1,6 +1,7 @@
 """Engine-level telemetry: event emission, determinism, ETA costs."""
 
 import collections
+import time
 
 from repro.engine import Engine, TrialCache, TrialSpec, TrialTask, trial
 from repro.obs.live import (LiveTelemetry, canonical_line, load_status,
@@ -13,14 +14,21 @@ def _echo(x, seed, *, scale=1, **_extra):
     return float(x) * scale + seed
 
 
-def _tasks(xs, seed=5, **params):
-    spec = TrialSpec.make("teletest.echo", **params)
+@trial("teletest.nap")
+def _nap(x, seed, **_extra):
+    """A toy trial slow enough that its host cost shows in the ETA."""
+    time.sleep(0.02)
+    return float(x)
+
+
+def _tasks(xs, seed=5, fn="teletest.echo", **params):
+    spec = TrialSpec.make(fn, **params)
     return [TrialTask(spec, x, seed) for x in xs]
 
 
 def _session(tmp_path, name="telemetry", jobs=1):
     return LiveTelemetry(tmp_path / name, "run1", experiments=["teletest"],
-                         jobs=jobs, heartbeat_s=0.0)
+                         jobs=jobs)
 
 
 def _events(tele):
@@ -41,7 +49,8 @@ def test_serial_run_emits_dispatch_and_complete_per_trial(tmp_path):
         assert order.index(("trial.dispatch", k)) \
             < order.index(("trial.complete", k))
     assert all(r["attempt"] == 1 for r in records)
-    assert tele.planned == 3 and tele.done == 3
+    progress = tele.snapshot()["progress"]
+    assert progress["planned"] == 3 and progress["done"] == 3
 
 
 def test_cache_hits_emit_their_own_kind(tmp_path):
@@ -127,14 +136,39 @@ def test_rerun_eta_comes_from_its_own_computed_trials(tmp_path):
 
     tele = _session(tmp_path)
     engine = Engine(cache=TrialCache(tmp_path / "cache"), telemetry=tele)
-    assert tele.costs_ns == []          # nothing seeded from earlier runs
+    # nothing seeded from earlier runs
+    assert tele.snapshot()["progress"]["computed"] == 0
     engine.run_tasks(_tasks([1, 2, 3]))
     tele.close()
     assert engine.counters.cache_hits == 2
     # one cost sample: the one trial this run computed
-    assert len(tele.costs_ns) == 1 and tele.costs_ns[0] > 0
+    assert tele.snapshot()["progress"]["computed"] == 1
     completes = [r for r in _events(tele) if r["kind"] == "trial.complete"]
-    assert [r["ns"] for r in completes] == tele.costs_ns
+    assert [r["ns"] for r in completes] == [engine.counters.busy_ns]
+    assert engine.counters.busy_ns > 0
+
+
+def test_mid_run_eta_is_remaining_times_the_logged_mean_cost(tmp_path):
+    tele = _session(tmp_path, jobs=2)
+    engine = Engine(jobs=2, telemetry=tele)
+    seen = []
+    complete = tele.trial_complete
+
+    def complete_then_look(digest, attempt, busy_ns):
+        complete(digest, attempt, busy_ns)
+        seen.append(tele.snapshot())
+
+    tele.trial_complete = complete_then_look
+    engine.run_tasks(_tasks(range(4), fn="teletest.nap"))
+    tele.close()
+    costs = [r["ns"] for r in _events(tele) if r["kind"] == "trial.complete"]
+    assert len(seen) == len(costs) == 4
+    for n, snapshot in enumerate(seen, start=1):
+        remaining = 4 - n
+        mean_s = sum(costs[:n]) / n / 1e9
+        assert snapshot["progress"]["done"] == n
+        assert snapshot["eta_s"] == round(remaining * mean_s / 2, 3)
+    assert seen[0]["eta_s"] > 0 and seen[-1]["eta_s"] == 0.0
 
 
 def test_engine_without_telemetry_unchanged(tmp_path):

@@ -54,8 +54,7 @@ def _fast(max_retries=3, timeout_s=None):
 
 
 def _chaos_run(tmp_path, tasks, plan, name="telemetry", jobs=2, **policy):
-    tele = LiveTelemetry(tmp_path / name, "chaos1", jobs=jobs,
-                         heartbeat_s=0.0)
+    tele = LiveTelemetry(tmp_path / name, "chaos1", jobs=jobs)
     engine = Engine(jobs=jobs, policy=_fast(**policy), faults=plan,
                     telemetry=tele)
     values = engine.run_tasks(tasks)

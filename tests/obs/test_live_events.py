@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import repro.obs.live.events as events_module
 from repro.obs.live import (EVENT_KINDS, EVENTS_SCHEMA, HOST_FIELDS,
                             RunEventLog, canonical_line, read_events,
                             trial_digest)
@@ -34,14 +35,15 @@ def test_unknown_kind_rejected_loudly(tmp_path):
     assert log.total == 0
 
 
-def test_counts_ring_and_total(tmp_path):
-    log = _log(tmp_path, ring_size=3)
+def test_counts_ring_and_total(tmp_path, monkeypatch):
+    monkeypatch.setattr(events_module, "RING_SIZE", 3)
+    log = _log(tmp_path)
     log.emit("sweep.start")
     for i in range(5):
         log.emit("trial.dispatch", k=f"d{i}", attempt=1)
     assert log.total == 6
     assert log.counts == {"sweep.start": 1, "trial.dispatch": 5}
-    # the ring keeps only the newest ring_size records
+    # the ring keeps only the newest RING_SIZE records
     assert [r["k"] for r in log.ring] == ["d2", "d3", "d4"]
 
 

@@ -2,11 +2,20 @@
 
 import json
 
+import pytest
+
+import repro.obs.live.events as events_module
 from repro.obs.live import (POSTMORTEM_SCHEMA, FlightRecorder, RunEventLog)
 
 
-def _log(tmp_path, n=5, ring_size=3):
-    log = RunEventLog(tmp_path / "events.jsonl", "runX", ring_size=ring_size)
+@pytest.fixture(autouse=True)
+def small_ring(monkeypatch):
+    """A three-record ring, so five events overflow it."""
+    monkeypatch.setattr(events_module, "RING_SIZE", 3)
+
+
+def _log(tmp_path, n=5):
+    log = RunEventLog(tmp_path / "events.jsonl", "runX")
     log.emit("sweep.start")
     for i in range(n - 1):
         log.emit("trial.dispatch", k=f"d{i}", attempt=1)
@@ -27,7 +36,7 @@ def test_bundle_holds_ring_manifest_and_tail(tmp_path):
     assert manifest["status"] == {"state": "running"}
     assert manifest["contents"] == ["postmortem.json", "ring.jsonl",
                                     "traceback.txt"]
-    # the ring is bounded: only the newest ring_size events survive
+    # the ring is bounded: only the newest RING_SIZE events survive
     ring = [json.loads(line)
             for line in (bundle / "ring.jsonl").read_text().splitlines()]
     assert len(ring) == 3 and manifest["ring_events"] == 3

@@ -3,7 +3,7 @@
 import io
 import json
 
-from repro.obs.live import StatusWriter, render_frame, resolve_dir, run_top
+from repro.obs.live import render_frame, resolve_dir, run_top, write_status
 from repro.obs.live.top import fmt_eta, progress_bar
 
 DOC = {
@@ -68,7 +68,7 @@ def test_progress_bar_bounds():
 def test_resolve_dir_accepts_run_dir_or_telemetry_dir(tmp_path):
     telemetry = tmp_path / "telemetry"
     telemetry.mkdir()
-    StatusWriter(telemetry / "status.json").write({"state": "running"})
+    write_status(telemetry / "status.json", {"state": "running"})
     assert resolve_dir(telemetry) == telemetry
     assert resolve_dir(tmp_path) == telemetry
     # unknown directories resolve to themselves (run_top reports waiting)
@@ -76,8 +76,8 @@ def test_resolve_dir_accepts_run_dir_or_telemetry_dir(tmp_path):
 
 
 def test_run_top_once_json_prints_raw_document(tmp_path):
-    StatusWriter(tmp_path / "status.json").write(
-        {"state": "finished", "progress": {"planned": 2, "done": 2}})
+    write_status(tmp_path / "status.json",
+                 {"state": "finished", "progress": {"planned": 2, "done": 2}})
     out = io.StringIO()
     assert run_top(tmp_path, once=True, as_json=True, out=out) == 0
     doc = json.loads(out.getvalue())
@@ -88,16 +88,16 @@ def test_run_top_once_renders_frame_and_exit_codes(tmp_path):
     out = io.StringIO()
     assert run_top(tmp_path, once=True, out=out) == 1   # no heartbeat ever
     assert "waiting" in out.getvalue()
-    StatusWriter(tmp_path / "status.json").write(
-        {"state": "running", "run": "r1", "progress": {}})
+    write_status(tmp_path / "status.json",
+                 {"state": "running", "run": "r1", "progress": {}})
     out = io.StringIO()
     assert run_top(tmp_path, once=True, out=out) == 0
     assert "run r1" in out.getvalue()
 
 
 def test_run_top_loop_stops_when_run_finishes(tmp_path):
-    StatusWriter(tmp_path / "status.json").write(
-        {"state": "finished", "progress": {}})
+    write_status(tmp_path / "status.json",
+                 {"state": "finished", "progress": {}})
     out = io.StringIO()
     # no frames bound needed: a non-running state ends the loop
     assert run_top(tmp_path, interval_s=0.01, out=out) == 0

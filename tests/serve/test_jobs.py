@@ -304,6 +304,46 @@ def test_telemetry_narration_on_success_and_failure(index, boom):
         assert problems == []
 
 
+def test_failed_job_leaves_a_crash_postmortem_like_repro_run(index, boom):
+    job, _ = index.submit(boom)
+    wait_done(job)
+    records = events(job)
+    assert [r["kind"] for r in records][-2:] == ["postmortem", "sweep.finish"]
+    assert records[-2]["reason"] == "crash"
+    assert records[-1]["ok"] is False
+    bundle = job.telemetry_dir / "postmortem"
+    manifest = json.loads((bundle / "postmortem.json").read_text())
+    assert manifest["reason"] == "crash"
+    assert "scripted failure" in (bundle / "traceback.txt").read_text()
+    problems = []
+    assert "state=failed," in lint_dir(job.telemetry_dir, problems)
+    assert problems == []
+
+
+def test_served_retry_exhaustion_leaves_a_postmortem(tmp_path, monkeypatch):
+    import repro.experiments.extensions as ext
+
+    monkeypatch.setattr(ext, "MODE_PAIRS_AXIS", (1,))
+    index = JobIndex(tmp_path / "served", engine_jobs=2, flaky_workers=1.0,
+                     retries=0, trial_timeout=2)
+    try:
+        job, _ = index.submit("ext-modes")
+        wait_done(job)
+    finally:
+        index.close()
+    assert job.state == "failed"
+    assert job.error.startswith("TrialRetryError: ")
+    bundle = job.telemetry_dir / "postmortem"
+    assert json.loads((bundle / "postmortem.json").read_text())["reason"] \
+        == "retry-exhaustion"
+    records = events(job)
+    assert [r["kind"] for r in records][-2:] == ["postmortem", "sweep.finish"]
+    assert records[-1]["ok"] is False
+    problems = []
+    assert "state=failed," in lint_dir(job.telemetry_dir, problems)
+    assert problems == []
+
+
 def test_flaky_workers_requires_a_parallel_engine(tmp_path):
     with pytest.raises(ValueError, match="engine_jobs >= 2"):
         JobIndex(tmp_path / "served", engine_jobs=1, flaky_workers=0.5)

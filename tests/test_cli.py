@@ -42,6 +42,14 @@ def test_run_unknown_experiment(capsys):
     assert "unknown experiment" in capsys.readouterr().err
 
 
+def test_unknown_experiment_is_rejected_before_telemetry_starts(tmp_path,
+                                                                capsys):
+    out = tmp_path / "out"
+    assert main(["run", "bogus", "--out", str(out)]) == 2
+    assert "unknown experiment 'bogus'" in capsys.readouterr().err
+    assert not (out / "telemetry").exists()
+
+
 def test_run_with_output_dir(tmp_path, capsys, monkeypatch):
     import repro.experiments.figure3 as f3
     monkeypatch.setattr(f3, "QUICK_PAIRS", (1,))

@@ -4,9 +4,9 @@ Drives :mod:`tools.lint_events` against telemetry directories produced
 by a genuine :class:`~repro.obs.live.LiveTelemetry` session, then
 corrupts them one defect at a time -- broken seq, unknown kind,
 counter/event disagreement, counter keys that drift from the
-:class:`~repro.engine.engine.EngineCounters` declaration, a terminal
-state the log's last word contradicts, malformed prometheus sample --
-and asserts
+:class:`~repro.engine.engine.EngineCounters` declaration, a progress
+block or ETA its counters do not give, a terminal state the log's last
+word contradicts, malformed prometheus sample -- and asserts
 each corruption is the *only* thing the linter flags.
 """
 
@@ -14,7 +14,10 @@ import json
 import pathlib
 import sys
 
-from repro.engine import Engine, EngineCounters
+import pytest
+
+from repro.engine import (Engine, EngineCounters, TrialCache, TrialSpec,
+                          TrialTask, trial)
 from repro.obs.live import LiveTelemetry
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
@@ -27,9 +30,8 @@ from lint_events import (_check_counter_agreement, lint_dir,  # noqa: E402
 
 def _finished_run(tmp_path, name="telemetry"):
     tele = LiveTelemetry(tmp_path / name, "runL", experiments=["figX"],
-                         jobs=2, heartbeat_s=0.0)
+                         jobs=2)
     tele.sweep_start()
-    tele.trial_planned(2)
     tele.trial_dispatch("d0", 1)
     tele.trial_retry("d0", 1, "worker died")
     tele.worker_death("d0", pid=11)
@@ -90,7 +92,8 @@ def test_catches_counter_event_disagreement(tmp_path):
         # no engine was attached, so graft the counters block a real
         # run's sweep.finish carries -- with a deliberately wrong count
         assert records[-1]["kind"] == "sweep.finish"
-        counters = EngineCounters(retries=1, worker_deaths=7, respawns=1)
+        counters = EngineCounters(cache_misses=2, retries=1,
+                                  worker_deaths=7, respawns=1)
         records[-1]["counters"] = counters.deterministic()
 
     path = _rewrite_events(telemetry, mutate)
@@ -103,8 +106,7 @@ def test_catches_counter_event_disagreement(tmp_path):
 
 def _engine_run(tmp_path):
     """A finished session with an (idle) engine attached."""
-    tele = LiveTelemetry(tmp_path / "telemetry", "runE", jobs=1,
-                         heartbeat_s=0.0)
+    tele = LiveTelemetry(tmp_path / "telemetry", "runE", jobs=1)
     Engine(telemetry=tele)
     tele.sweep_start()
     tele.sweep_finish(True)
@@ -140,6 +142,102 @@ def test_catches_status_counter_key_drift(tmp_path):
     lint_status_file(path, [], problems)
     assert problems == [f"{path}: counters: counter keys differ from the "
                         "declaration (missing ['utilization'], extra [])"]
+
+
+@trial("linttest.echo")
+def _echo(x, seed, **_extra):
+    """Deterministic toy trial for the sweep the agreement tests doctor."""
+    return float(x) + seed
+
+
+def _sweep_run(tmp_path):
+    """A finished sweep with one cache hit, two shard skips and one
+    computed trial, narrated by a real engine."""
+    spec = TrialSpec.make("linttest.echo")
+    tasks = [TrialTask(spec, x, 5) for x in range(4)]
+    Engine(cache=TrialCache(tmp_path / "cache")).run_tasks(tasks[:1])
+    tele = LiveTelemetry(tmp_path / "telemetry", "runS", jobs=1)
+    engine = Engine(cache=TrialCache(tmp_path / "cache"), shard=(1, 2),
+                    telemetry=tele)
+    with tele.sweep():
+        engine.run_tasks(tasks)
+        tele.sweep_finish(True)
+    c = engine.counters
+    assert (c.cache_hits, c.shard_skipped, c.cache_misses) == (1, 2, 1)
+    problems: list[str] = []
+    lint_dir(tele.dir, problems)
+    assert problems == []
+    return tele.dir
+
+
+def _agreement_problems(path):
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    problems: list[str] = []
+    _check_counter_agreement(path, records, problems)
+    return problems
+
+
+@pytest.mark.parametrize("field,expected", [
+    ("cache_hits", "cache_hits=2 but 1 trial.cache_hit event(s)"),
+    ("shard_skipped", "shard_skipped=3 but 2 trial.shard_skip event(s)"),
+    ("uncacheable",
+     "cache_misses + uncacheable=2 but 1 trial.complete event(s)"),
+])
+def test_catches_a_resolution_counter_the_log_disagrees_with(
+        tmp_path, field, expected):
+    telemetry = _sweep_run(tmp_path)
+    path = _rewrite_events(
+        telemetry, lambda rs: rs[-1]["counters"].update(
+            {field: rs[-1]["counters"][field] + 1}))
+    assert _agreement_problems(path) == \
+        [f"{path}: sweep.finish counter {expected}"]
+
+
+def test_catches_corrupt_entries_the_quarantine_events_disagree_with(
+        tmp_path):
+    telemetry = _sweep_run(tmp_path)
+
+    def mutate(records):
+        # a quarantine of two entries the counters never saw
+        finish = records.pop()
+        records.append({**finish, "kind": "cache.quarantine",
+                        "entries": 2})
+        records.append({**finish, "seq": finish["seq"] + 1})
+        del records[-2]["ok"], records[-2]["counters"]
+
+    path = _rewrite_events(telemetry, mutate)
+    assert _agreement_problems(path) == [
+        f"{path}: sweep.finish counter corrupt=0 but 2 entries over "
+        "cache.quarantine events"]
+    problems: list[str] = []
+    lint_events_file(path, problems)
+    assert problems == _agreement_problems(path)
+
+
+def test_catches_a_progress_block_its_counters_do_not_give(tmp_path):
+    telemetry = _sweep_run(tmp_path)
+    path = telemetry / "status.json"
+    doc = json.loads(path.read_text())
+    assert doc["progress"]["done"] == doc["progress"]["planned"] == 4
+    doc["progress"]["done"] = 3
+    path.write_text(json.dumps(doc))
+    problems: list[str] = []
+    lint_status_file(path, [], problems)
+    assert len(problems) == 1
+    assert problems[0].startswith(f"{path}: progress {doc['progress']} "
+                                  "but its counters give ")
+
+
+def test_catches_an_eta_its_counters_do_not_give(tmp_path):
+    telemetry = _sweep_run(tmp_path)
+    path = telemetry / "status.json"
+    doc = json.loads(path.read_text())
+    assert doc["eta_s"] == 0.0
+    doc["eta_s"] = 1.5
+    path.write_text(json.dumps(doc))
+    problems: list[str] = []
+    lint_status_file(path, [], problems)
+    assert problems == [f"{path}: eta_s 1.5 but its counters give 0.0"]
 
 
 def test_tolerates_torn_final_line_only(tmp_path):

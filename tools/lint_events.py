@@ -12,15 +12,20 @@ schemas in :mod:`repro.obs.live`:
 * trial-scoped events carry their fingerprint ``k``;
 * when a ``sweep.finish`` event is present, its counters are exactly
   the deterministic fields of
-  :class:`~repro.engine.engine.EngineCounters` and agree with the
-  event tallies (retries == ``trial.retry`` events, and so on) -- the
-  cross-check that keeps the event stream honest against the counters;
+  :class:`~repro.engine.engine.EngineCounters` and every counter that
+  has an event kind agrees with the log (retries == ``trial.retry``
+  events, cache_misses + uncacheable == ``trial.complete`` events,
+  corrupt == the ``entries`` summed over ``cache.quarantine`` events,
+  and so on: :data:`AGREEMENT`) -- the cross-check that keeps the
+  event stream honest against the counters;
 * ``status.json`` parses atomically-complete, carries the current
-  schema, a legal state, internally consistent progress and (once an
-  engine is attached) exactly the declared counter row plus ``jobs``
-  and ``utilization``; in a terminal state its event total matches the
-  log, and the state agrees with the log's last word (``finished``: an
-  ``ok: true`` ``sweep.finish`` with no ``postmortem`` after it;
+  schema, a legal state and (once an engine is attached) exactly the
+  declared counter row plus ``jobs`` and ``utilization``, with the
+  ``progress`` block and ``eta_s`` that
+  :func:`repro.obs.enginestats.sweep_progress` derives from that row;
+  in a terminal state its event total matches the log, and the state
+  agrees with the log's last word (``finished``: an ``ok: true``
+  ``sweep.finish`` with no ``postmortem`` after it;
   ``failed``/``killed``: a ``postmortem`` or an ``ok: false`` finish);
 * every ``metrics.prom`` sample line is Prometheus-parseable and typed;
 * every postmortem bundle has a valid manifest naming only files that
@@ -41,6 +46,19 @@ import re
 import sys
 
 _SAMPLE = re.compile(r"^[a-z_][a-z0-9_]*(\{[^{}]*\})? \S+$")
+
+#: ``sweep.finish`` counters and the events that count the same fact:
+#: (counters summed, event kind, event field summed -- None counts events)
+AGREEMENT = (
+    (("retries",), "trial.retry", None),
+    (("timeouts",), "trial.timeout", None),
+    (("worker_deaths",), "worker.death", None),
+    (("respawns",), "worker.respawn", None),
+    (("cache_hits",), "trial.cache_hit", None),
+    (("shard_skipped",), "trial.shard_skip", None),
+    (("cache_misses", "uncacheable"), "trial.complete", None),
+    (("corrupt",), "cache.quarantine", "entries"),
+)
 
 
 def lint_events_file(path: pathlib.Path, problems: list[str]) -> list[dict]:
@@ -119,17 +137,18 @@ def _check_counter_agreement(path, records, problems) -> None:
     counters = finishes[-1]["counters"]
     _check_keys(f"{path}: sweep.finish", counters,
                 EngineCounters().deterministic(), problems)
-    tallies = {}
-    for record in records:
-        tallies[record.get("kind")] = tallies.get(record.get("kind"), 0) + 1
-    for field, kind in (("retries", "trial.retry"),
-                        ("timeouts", "trial.timeout"),
-                        ("worker_deaths", "worker.death"),
-                        ("respawns", "worker.respawn")):
-        if field in counters and counters[field] != tallies.get(kind, 0):
+    for fields, kind, weight in AGREEMENT:
+        if not all(field in counters for field in fields):
+            continue
+        counted = sum(counters[field] for field in fields)
+        logged = sum(1 if weight is None else record.get(weight, 0)
+                     for record in records if record.get("kind") == kind)
+        if counted != logged:
+            what = f"{kind} event(s)" if weight is None \
+                else f"{weight} over {kind} events"
             problems.append(
-                f"{path}: sweep.finish counter {field}={counters[field]} "
-                f"but {tallies.get(kind, 0)} {kind} event(s)")
+                f"{path}: sweep.finish counter {' + '.join(fields)}="
+                f"{counted} but {logged} {what}")
 
 
 def lint_status_file(path: pathlib.Path, records: list[dict],
@@ -156,13 +175,10 @@ def lint_status_file(path: pathlib.Path, records: list[dict],
     if counters:                # empty until an engine is attached
         from repro.engine import EngineCounters
 
-        _check_keys(f"{path}: counters", counters,
-                    [*EngineCounters().as_row(), "jobs", "utilization"],
-                    problems)
-    progress = doc.get("progress", {})
-    if progress.get("done", 0) > progress.get("planned", 0):
-        problems.append(f"{path}: done {progress.get('done')} exceeds "
-                        f"planned {progress.get('planned')}")
+        row = [*EngineCounters().as_row(), "jobs", "utilization"]
+        _check_keys(f"{path}: counters", counters, row, problems)
+        if set(row) <= set(counters):
+            _check_progress(path, doc, counters, problems)
     if records:
         run_id = records[0].get("run")
         if doc.get("run") != run_id:
@@ -176,6 +192,20 @@ def lint_status_file(path: pathlib.Path, records: list[dict],
                     f"log holds {len(records)}")
             _check_last_word(path, doc["state"], records, problems)
     return doc
+
+
+def _check_progress(path, doc: dict, counters: dict,
+                    problems: list[str]) -> None:
+    """``progress`` and ``eta_s`` must be what the engine row derives."""
+    from repro.obs.enginestats import sweep_progress
+
+    progress, eta_s = sweep_progress(counters)
+    if doc.get("progress") != progress:
+        problems.append(f"{path}: progress {doc.get('progress')} but its "
+                        f"counters give {progress}")
+    if doc.get("eta_s") != eta_s:
+        problems.append(f"{path}: eta_s {doc.get('eta_s')} but its "
+                        f"counters give {eta_s}")
 
 
 def _check_last_word(path, state: str, records: list[dict],
