@@ -496,8 +496,7 @@ def _build_telemetry(args, experiments):
 
     params = _run_params(args)
     return LiveTelemetry(base, sweep_id(experiments, params),
-                         experiments=experiments, params=params,
-                         jobs=args.jobs)
+                         experiments=experiments, params=params)
 
 
 def _build_engine(args, telemetry=None):

@@ -19,9 +19,10 @@ instances to threads".  Two strategies:
 
 from __future__ import annotations
 
+import itertools
+
 from repro.core.config import DEDICATED, CostModel, ThreadingConfig
 from repro.core.cri import CRI
-from repro.simthread.atomics import AtomicCounter
 from repro.simthread.scheduler import Delay
 from repro.simthread.tls import ThreadLocal
 
@@ -41,9 +42,13 @@ class CRIPool:
             ctx = nic.create_context()
             self.instances.append(CRI(sched, i, ctx, costs.cri_lock_costs(),
                                       lock_fairness, rank))
-        self._rr = AtomicCounter(sched, cost_ns=costs.atomic_rmw_ns)
-        #: the cost of one ticket (:meth:`take_ticket`), yielded by the caller
-        self.ticket_delay = self._rr.cost_delay
+        #: Algorithm 1's fetch-add: returns the next ticket, no Python
+        #: frame.  The caller yields :attr:`ticket_delay`, then indexes
+        #: ``instances[ticket % len(instances)]`` on the live list a
+        #: failover may have shrunk meanwhile.  Each step of Algorithm
+        #: 2's fallback scan takes one ticket too.
+        self.take_ticket = itertools.count().__next__
+        self.ticket_delay = Delay(costs.atomic_rmw_ns)
         #: each thread's dedicated CRI; a live hit needs no generator
         self.tls = ThreadLocal(sched)
         self._last_used = ThreadLocal(sched)
@@ -99,22 +104,6 @@ class CRIPool:
     # ------------------------------------------------------------------
     # Algorithm 1
     # ------------------------------------------------------------------
-    def take_ticket(self) -> int:
-        """Algorithm 1's fetch-add on the shared counter, as a plain call.
-
-        Returns the ticket.  The caller then yields :attr:`ticket_delay`
-        and indexes ``instances[ticket % len(instances)]`` after that
-        yield, on the live list a failover may have shrunk meanwhile.
-        Each step of Algorithm 2's fallback scan takes one ticket too.
-        The body is :meth:`AtomicCounter.fetch_add`'s, inlined: the scan
-        takes a ticket on almost every event it runs.
-        """
-        rr = self._rr
-        ticket = rr._value
-        rr._value = ticket + 1
-        rr.operations += 1
-        return ticket
-
     def get_instance_round_robin(self):
         """Generator: next instance via the shared atomic counter."""
         ticket = self.take_ticket()

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from repro.simthread.scheduler import Delay
 from repro.netsim.cq import CompletionQueue, RecvArrival, SendCompletion
+from repro.netsim.endpoint import Endpoint
 
 
 class NetworkContext:
@@ -54,8 +55,6 @@ class NetworkContext:
     # ------------------------------------------------------------------
     def endpoint_to(self, dst_ctx: "NetworkContext"):
         """Get or create the connection from this context to ``dst_ctx``."""
-        from repro.netsim.endpoint import Endpoint
-
         ep = self._endpoints.get(id(dst_ctx))
         if ep is None:
             ep = Endpoint(self, dst_ctx)

@@ -90,7 +90,7 @@ class PoolMonitor:
         self.session.worker_respawn(pid=pid)
 
     def tick(self, workers) -> None:
-        """One supervisor loop iteration: refresh the worker table."""
+        """One supervisor loop iteration: hand over the worker handles."""
         self.session.pool_tick(workers, self.digests)
 
 
@@ -105,18 +105,17 @@ class LiveTelemetry:
     exactly like a fresh run.
     """
 
-    def __init__(self, out_dir, run_id: str, experiments=(), params=None,
-                 jobs: int = 1):
+    def __init__(self, out_dir, run_id: str, experiments=(), params=None):
         self.dir = pathlib.Path(out_dir)
         self.run_id = run_id
         self.experiments = sorted(str(e) for e in experiments)
         self.params = dict(params or {})
-        self.jobs = jobs
         self.log = RunEventLog(self.dir / EVENTS_NAME, run_id)
         self.recorder = FlightRecorder(self.log, snapshot=self.snapshot)
         self.engine = None
         self.state = "running"
-        self._workers: list[dict] = []
+        #: the last pool tick's ``(worker handles, trial digests)``
+        self._pool: tuple = ((), ())
         self._started = time.monotonic()
         self._last_beat = float("-inf")
         self._previous_sigterm = None
@@ -124,9 +123,9 @@ class LiveTelemetry:
 
     # -- wiring ---------------------------------------------------------
     def attach(self, engine) -> None:
-        """Bind the engine whose counters the heartbeat reads."""
+        """Bind the engine whose counters (and ``jobs``) the heartbeat
+        and ``sweep.start`` read."""
         self.engine = engine
-        self.jobs = engine.jobs
 
     def pool_monitor(self, keys) -> PoolMonitor:
         """Callbacks for one pool run over ``(identity, plan_index)``s."""
@@ -170,8 +169,9 @@ class LiveTelemetry:
 
     def sweep_start(self) -> None:
         """The sweep began: first event, first heartbeat."""
+        jobs = self.engine.jobs if self.engine is not None else None
         self.log.emit("sweep.start", experiments=self.experiments,
-                      params=self.params, jobs=self.jobs)
+                      params=self.params, jobs=jobs)
         self.heartbeat(force=True)
 
     def sweep_finish(self, ok: bool) -> None:
@@ -248,7 +248,13 @@ class LiveTelemetry:
 
     # -- heartbeat ------------------------------------------------------
     def pool_tick(self, workers, digests: list[str]) -> None:
-        """Refresh the per-worker table from the supervisor's handles."""
+        """Keep the supervisor's worker handles for the next heartbeat."""
+        self._pool = (workers, digests)
+        self.heartbeat()
+
+    def _worker_table(self) -> list[dict]:
+        """The per-worker rows, built from the last pool tick's handles."""
+        workers, digests = self._pool
         now = time.monotonic()
         table = []
         for slot, worker in enumerate(workers):
@@ -263,8 +269,7 @@ class LiveTelemetry:
                 if busy and started is not None else 0.0,
                 "sent": worker.sent,
             })
-        self._workers = table
-        self.heartbeat()
+        return table
 
     def snapshot(self) -> dict:
         """The heartbeat document body (everything but ts/pid/schema)."""
@@ -274,11 +279,11 @@ class LiveTelemetry:
             "run": self.run_id,
             "state": self.state,
             "experiments": self.experiments,
-            "jobs": self.jobs,
+            "jobs": counters.get("jobs"),
             "elapsed_s": round(time.monotonic() - self._started, 3),
             "progress": progress,
             "eta_s": eta_s,
-            "workers": self._workers,
+            "workers": self._worker_table(),
             "counters": counters,
             "events": {"total": self.log.total,
                        "by_kind": dict(sorted(self.log.counts.items()))},

@@ -266,8 +266,7 @@ class JobIndex:
 
         telemetry = LiveTelemetry(
             job_dir / "telemetry", key.digest,
-            experiments=[key.exhibit], params=key.params_dict(),
-            jobs=self.engine_jobs)
+            experiments=[key.exhibit], params=key.params_dict())
         engine = Engine(
             jobs=self.engine_jobs,
             cache=TrialCache(self.root / ".cache"),

@@ -28,16 +28,15 @@ Hot-loop design (see ``docs/PERFORMANCE.md``)
 Event records are bare tuples: the *run queue* ``_ready`` holds ``(when,
 tick, thread)`` (:meth:`spawn`, ``Delay``, ``YieldNow``, :meth:`wake`) and
 the *timer queue* ``_calls`` holds ``(when, tick, (fn, args))``
-(:meth:`call_at`).  Each step pops the earlier top; ticks are unique, so
+(:meth:`call_at`).  Each step runs the earlier top; ticks are unique, so
 the order is exactly that of one merged heap, while a spinning thread
 sifts only through its runnable peers.  The loop itself comes in two
 interchangeable bodies:
 
 * :meth:`_run_fast` -- the default.  Chosen when no stats, sampler,
-  watchdog or event/time bound is installed; everything (heap ops, the
-  rng, the tick counter, command dispatch) is bound to locals and the
-  per-command branches are inlined, with the most frequent command
-  (``Delay``) tested first.
+  watchdog or event/time bound is installed; everything is bound to
+  locals, the per-command branches are inlined (``Delay`` first), and a
+  thread that yields ``Delay`` or ``YieldNow`` is re-armed in place.
 * :meth:`_run_full` -- the instrumented body.  Identical event semantics
   plus the per-event ``is not None`` hooks (sampler, watchdog,
   :class:`~repro.simthread.stats.SchedStats` counters, ``max_time`` /
@@ -223,8 +222,11 @@ class Scheduler:
         """Unpark a suspended thread, resuming it ``delay`` ns from now.
 
         ``value`` becomes the result of the ``yield SUSPEND`` expression in
-        the thread body.
+        the thread body.  A negative ``delay`` is an error: the fast loop
+        relies on no thread being queued before the one that is stepping.
         """
+        if delay < 0:
+            raise SimThreadError(f"cannot wake {thread.name} in the past ({delay} ns)")
         if thread.done:
             raise SimThreadError(f"cannot wake finished thread {thread.name}")
         if not thread._parked:
@@ -290,13 +292,16 @@ class Scheduler:
 
         Event semantics are identical to :meth:`_run_full` with every
         hook absent; the tick counter and rng are consumed in the same
-        order, keeping the schedule byte-identical.  The event count is
-        kept in a local and stored back when the loop exits.
+        order, keeping the schedule byte-identical.  A thread steps from
+        the top of the run queue: what a step queues has a later tick
+        and no earlier time, so ``Delay`` and ``YieldNow`` re-arm it
+        with one ``heapreplace``; only parking, returning or raising
+        pops it.  ``current`` is cleared before a callback and on exit.
         """
         ready = self._ready
         calls = self._calls
         heappop = heapq.heappop
-        heappush = heapq.heappush
+        heapreplace = heapq.heapreplace
         tick = self._tick.__next__
         rng_random = self.rng.random
         jitter = self.jitter
@@ -306,25 +311,24 @@ class Scheduler:
             while True:
                 if calls:
                     if ready and ready[0] < calls[0]:
-                        when, _, item = heappop(ready)
+                        when, _, item = ready[0]
                     else:
                         when, _, (fn, args) = heappop(calls)
                         if when != now:
                             now = when
                             self._now = when
                         events += 1
+                        self.current = None
                         fn(*args)
                         continue
                 elif ready:
-                    when, _, item = heappop(ready)
+                    when, _, item = ready[0]
                 else:
                     break
                 if when != now:  # batch same-instant wakeups: one store per instant
                     now = when
                     self._now = when
                 events += 1
-                if item.done:  # stale queue entry for an aborted thread
-                    continue
                 value = item._resume_value
                 if value is not None:
                     item._resume_value = None
@@ -332,17 +336,16 @@ class Scheduler:
                 try:
                     cmd = item._send(value)
                 except StopIteration as stop:
-                    self.current = None
+                    heappop(ready)
                     item._finish(stop.value)
                     continue
                 except Exception as exc:
-                    self.current = None
+                    heappop(ready)
                     item._abort(exc)
                     raise
                 except BaseException:
-                    self.current = None
+                    heappop(ready)
                     raise
-                self.current = None
                 cls = cmd.__class__
                 if cls is Delay:  # by far the most frequent command
                     ns = cmd.ns
@@ -353,18 +356,21 @@ class Scheduler:
                             ns = int(ns * (1.0 + jitter * (2.0 * rng_random() - 1.0)))
                             if ns < 0:
                                 ns = 0
-                    heappush(ready, (when + ns, tick(), item))
+                    heapreplace(ready, (when + ns, tick(), item))
                 elif cmd is SUSPEND:
+                    heappop(ready)
                     item._parked = True
                     self._nparked += 1
                 elif cls is YieldNow:
-                    heappush(ready, (when, tick(), item))
+                    heapreplace(ready, (when, tick(), item))
                 else:
+                    heappop(ready)
                     exc = SimThreadError(
                         f"thread {item.name} yielded unknown command {cmd!r}")
                     item._abort(exc)
                     raise exc
         finally:
+            self.current = None
             self.events_processed = events
 
     def _run_full(self, max_time: int | None, max_events: int | None) -> None:
@@ -397,8 +403,6 @@ class Scheduler:
                 if stats is not None:
                     stats.events_callback += 1
                 item[0](*item[1])
-                continue
-            if item.done:  # stale queue entry for an aborted thread
                 continue
             self._step(item)
             if self._failure is not None:

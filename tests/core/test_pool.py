@@ -125,17 +125,17 @@ def test_dedicated_instance_is_stable_and_tickets_count(sched):
         first = yield from pool.get_instance()   # first touch takes a ticket
         again = yield from pool.get_instance()   # TLS hit: no ticket
         assert pool.tls.get() is first
-        before = pool._rr.operations
         ticket = pool.take_ticket()
-        log[i] = (first, again, ticket, pool._rr.operations - before)
+        log[i] = (first, again, ticket)
         yield pool.ticket_delay
 
     for i in range(2):
         sched.spawn(worker(i))
     sched.run()
-    for first, again, _, advanced in log.values():
+    for first, again, _ in log.values():
         assert first is again  # the dedicated instance is stable
-        assert advanced == 1   # each ticket advances the counter
-    assert log[0][0] is not log[1][0]
+    # the first touches took tickets 0 and 1, hence instances 0 and 1
+    assert [log[i][0] for i in range(2)] == pool.instances[:2]
     assert sorted(entry[2] for entry in log.values()) == [2, 3]
-    assert pool._rr.operations == 4
+    assert pool.take_ticket() == 4  # four tickets taken, one apiece
+    assert pool.ticket_delay.ns == CostModel().atomic_rmw_ns

@@ -83,8 +83,7 @@ def test_manifest_schema_4_records_served_block():
 
 
 def _telemetry_run(tmp_path, name, jobs):
-    tele = LiveTelemetry(tmp_path / name, "run1", experiments=["table2"],
-                         jobs=jobs)
+    tele = LiveTelemetry(tmp_path / name, "run1", experiments=["table2"])
     engine = Engine(jobs=jobs, telemetry=tele)
     with use_engine(engine):
         run_small_exhibit()

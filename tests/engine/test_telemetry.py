@@ -26,9 +26,8 @@ def _tasks(xs, seed=5, fn="teletest.echo", **params):
     return [TrialTask(spec, x, seed) for x in xs]
 
 
-def _session(tmp_path, name="telemetry", jobs=1):
-    return LiveTelemetry(tmp_path / name, "run1", experiments=["teletest"],
-                         jobs=jobs)
+def _session(tmp_path, name="telemetry"):
+    return LiveTelemetry(tmp_path / name, "run1", experiments=["teletest"])
 
 
 def _events(tele):
@@ -98,10 +97,10 @@ def test_event_contents_deterministic_across_serial_runs(tmp_path):
 
 
 def test_parallel_run_same_canonical_multiset_as_serial(tmp_path):
-    serial = _session(tmp_path, "serial", jobs=1)
+    serial = _session(tmp_path, "serial")
     Engine(jobs=1, telemetry=serial).run_tasks(_tasks(range(6)))
     serial.close()
-    parallel = _session(tmp_path, "parallel", jobs=3)
+    parallel = _session(tmp_path, "parallel")
     Engine(jobs=3, telemetry=parallel).run_tasks(_tasks(range(6)))
     parallel.close()
 
@@ -149,7 +148,7 @@ def test_rerun_eta_comes_from_its_own_computed_trials(tmp_path):
 
 
 def test_mid_run_eta_is_remaining_times_the_logged_mean_cost(tmp_path):
-    tele = _session(tmp_path, jobs=2)
+    tele = _session(tmp_path)
     engine = Engine(jobs=2, telemetry=tele)
     seen = []
     complete = tele.trial_complete

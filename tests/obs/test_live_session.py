@@ -3,16 +3,18 @@ summary."""
 
 import os
 import signal
+import time
+from types import SimpleNamespace
 
 import pytest
 
 from repro.engine import Engine, TrialRetryError
 from repro.obs.live import LiveTelemetry, load_status, read_events
+from repro.obs.live import session as session_module
 
 
 def _session(tmp_path, **kwargs):
     kwargs.setdefault("experiments", ["figX"])
-    kwargs.setdefault("jobs", 2)
     return LiveTelemetry(tmp_path / "telemetry", "runZ", **kwargs)
 
 
@@ -64,7 +66,47 @@ def test_session_without_an_engine_reports_no_progress(tmp_path):
     snapshot = tele.snapshot()
     tele.close()
     assert snapshot["progress"] == {} and snapshot["counters"] == {}
-    assert snapshot["eta_s"] is None
+    assert snapshot["eta_s"] is None and snapshot["jobs"] is None
+
+
+def test_jobs_are_the_engines(tmp_path):
+    tele = _session(tmp_path)
+    _engine(tele, jobs=3)
+    tele.sweep_start()
+    tele.close()
+    assert read_events(tele.dir / "events.jsonl")[0]["jobs"] == 3
+    doc = load_status(tele.dir / "status.json")
+    assert doc["jobs"] == doc["counters"]["jobs"] == 3
+
+
+def test_pool_ticks_build_the_worker_table_only_for_a_write(tmp_path,
+                                                             monkeypatch):
+    monkeypatch.setattr(session_module, "HEARTBEAT_S", 60.0)
+    tele = _session(tmp_path)
+    _engine(tele)
+    busy = SimpleNamespace(index=0, attempt=2, started=time.monotonic(),
+                           sent=3, proc=SimpleNamespace(pid=101))
+    idle = SimpleNamespace(index=None, attempt=0, started=None, sent=1,
+                           proc=SimpleNamespace(pid=102))
+    built = []
+    table = tele._worker_table
+    monkeypatch.setattr(tele, "_worker_table",
+                        lambda: built.append(1) or table())
+    tele.sweep_start()                   # a forced write builds one
+    for _ in range(5):
+        tele.pool_tick([busy, idle], ["d0"])   # inside the cadence
+    assert len(built) == 1
+    tele.heartbeat(force=True)
+    tele.close()
+    assert len(built) == 2
+    rows = load_status(tele.dir / "status.json")["workers"]
+    assert rows[0]["busy_s"] >= 0.0
+    assert [dict(row, busy_s=0.0) for row in rows] == [
+        {"slot": 0, "pid": 101, "trial": "d0", "attempt": 2, "busy_s": 0.0,
+         "sent": 3},
+        {"slot": 1, "pid": 102, "trial": None, "attempt": 0, "busy_s": 0.0,
+         "sent": 1},
+    ]
 
 
 @pytest.mark.parametrize("exc,reason,finish", [

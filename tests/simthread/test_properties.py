@@ -149,3 +149,4 @@ def test_threads_and_callbacks_run_in_one_order(scripts, calls, seed,
     sched.run()
     assert log == sorted(log)
     assert sorted(number for _, number in log) == list(range(next(seq)))
+    assert sched._ready == [] and sched._calls == []

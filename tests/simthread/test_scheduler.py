@@ -168,6 +168,61 @@ def test_exception_in_thread_propagates():
     assert t.done and t.failed
 
 
+@pytest.mark.parametrize("instrumented", [False, True])
+@pytest.mark.parametrize("failure,error", [("raise", ValueError),
+                                           ("unknown command", SimThreadError)])
+def test_a_failed_thread_leaves_no_queue_entry(failure, error, instrumented):
+    sched = Scheduler(jitter=0.0)
+    if instrumented:
+        sched.set_stats(SchedStats())
+
+    def bad():
+        yield Delay(10)
+        if failure == "raise":
+            raise ValueError("boom")
+        yield 42
+
+    def steady():
+        yield Delay(100)
+
+    sched.spawn(bad())
+    other = sched.spawn(steady())
+    with pytest.raises(error):
+        sched.run()
+    assert [thread for _, _, thread in sched._ready] == [other]
+    assert sched.current is None
+
+
+@pytest.mark.parametrize("instrumented", [False, True])
+def test_current_is_none_in_callbacks_and_after_run(instrumented):
+    """A thread's step sets ``current``; a callback (the rendezvous hook
+    reads it) and the caller of ``run()`` see ``None``."""
+    sched = Scheduler(jitter=0.0)
+    if instrumented:
+        sched.set_stats(SchedStats())
+    seen = []
+
+    def probe():
+        seen.append(sched.current)
+
+    def worker(steps):
+        for when in steps:
+            sched.call_at(sched.now + when, probe)
+            yield Delay(when)
+        sched.call_at(sched.now, probe)  # due as this thread returns
+
+    def tail():  # the last event is this thread's return
+        yield Delay(50)
+
+    threads = [sched.spawn(worker([0, 5, 10])), sched.spawn(worker([5, 5])),
+               sched.spawn(tail())]
+    sched.call_at(0, probe)
+    assert sched.run() == 50
+    assert len(seen) == 8 and set(seen) == {None}
+    assert sched.current is None
+    assert all(thread.done for thread in threads)
+
+
 def test_unknown_yield_value_is_an_error():
     sched = Scheduler()
 
@@ -241,6 +296,17 @@ def test_wake_errors():
     t2 = sched.spawn(runnable())
     with pytest.raises(SimThreadError):
         sched.wake(t2)  # not parked
+
+    def parked():
+        yield SUSPEND
+
+    t3 = sched.spawn(parked())
+    sched.run(max_time=sched.now)
+    with pytest.raises(SimThreadError, match="past"):
+        sched.wake(t3, delay=-1)  # a wake in the past
+    sched.wake(t3)  # the rejected wake left it parked
+    sched.run()
+    assert t3.done
 
 
 def test_max_events_guard():

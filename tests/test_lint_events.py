@@ -29,8 +29,7 @@ from lint_events import (_check_counter_agreement, lint_dir,  # noqa: E402
 
 
 def _finished_run(tmp_path, name="telemetry"):
-    tele = LiveTelemetry(tmp_path / name, "runL", experiments=["figX"],
-                         jobs=2)
+    tele = LiveTelemetry(tmp_path / name, "runL", experiments=["figX"])
     tele.sweep_start()
     tele.trial_dispatch("d0", 1)
     tele.trial_retry("d0", 1, "worker died")
@@ -106,7 +105,7 @@ def test_catches_counter_event_disagreement(tmp_path):
 
 def _engine_run(tmp_path):
     """A finished session with an (idle) engine attached."""
-    tele = LiveTelemetry(tmp_path / "telemetry", "runE", jobs=1)
+    tele = LiveTelemetry(tmp_path / "telemetry", "runE")
     Engine(telemetry=tele)
     tele.sweep_start()
     tele.sweep_finish(True)
@@ -156,7 +155,7 @@ def _sweep_run(tmp_path):
     spec = TrialSpec.make("linttest.echo")
     tasks = [TrialTask(spec, x, 5) for x in range(4)]
     Engine(cache=TrialCache(tmp_path / "cache")).run_tasks(tasks[:1])
-    tele = LiveTelemetry(tmp_path / "telemetry", "runS", jobs=1)
+    tele = LiveTelemetry(tmp_path / "telemetry", "runS")
     engine = Engine(cache=TrialCache(tmp_path / "cache"), shard=(1, 2),
                     telemetry=tele)
     with tele.sweep():
