@@ -98,9 +98,8 @@ class MpiThreadEnv:
                                            "src": self.rank, "comm": comm.id})
         # Sequence assignment happens *before* the instance lock -- the
         # race between assignment and injection is real (section II-C).
-        counter = state.send_seq(dst)
-        seq = counter.fetch_add()
-        yield counter.cost_delay
+        seq = state.send_seq(dst)()
+        yield state.seq_delay
         req.seq = seq
         if nbytes > costs.eager_limit_bytes:
             # Rendezvous: only the RTS header travels now; the payload is

@@ -26,11 +26,12 @@ the effect in the paper's Table II.
 
 from __future__ import annotations
 
+import itertools
+
 from repro.mpi.errors import TruncationError
 from repro.mpi.matchqueue import MatchQueue
 from repro.mpi.request import Status
 from repro.netsim.message import RTS
-from repro.simthread.atomics import AtomicCounter
 from repro.simthread.scheduler import Delay
 from repro.simthread.sync import SimLock
 
@@ -257,26 +258,27 @@ class MatchingEngine:
 class CommState:
     """All per-(process, communicator) state: matching + send sequencing."""
 
-    __slots__ = ("matching", "_send_seq", "_sched", "_atomic_ns", "coll_seq")
+    __slots__ = ("matching", "_send_seq", "seq_delay", "coll_seq")
 
     def __init__(self, sched, process, comm):
         self.matching = MatchingEngine(sched, process, comm)
-        self._send_seq: dict[int, AtomicCounter] = {}
-        self._sched = sched
-        self._atomic_ns = process.costs.atomic_rmw_ns
+        self._send_seq: dict = {}
+        #: the atomic RMW latency a sender yields after :meth:`send_seq`
+        self.seq_delay = Delay(process.costs.atomic_rmw_ns)
         # Per-(process, communicator) collective sequence number; stays in
         # agreement across members because collective calls are ordered.
         self.coll_seq = 0
 
-    def send_seq(self, dst: int) -> AtomicCounter:
+    def send_seq(self, dst: int):
         """The shared per-(peer, communicator) sequence counter.
 
         Shared by *all* threads of the process sending to ``dst`` on this
         communicator -- the sharing that makes multithreaded sends race
-        between sequence assignment and injection.
+        between sequence assignment and injection.  Returns the counter's
+        ``__next__``: a step is never preempted, so each draw is atomic;
+        the caller then yields :attr:`seq_delay` to pay the fetch-and-add.
         """
-        ctr = self._send_seq.get(dst)
-        if ctr is None:
-            ctr = AtomicCounter(self._sched, cost_ns=self._atomic_ns)
-            self._send_seq[dst] = ctr
-        return ctr
+        take = self._send_seq.get(dst)
+        if take is None:
+            take = self._send_seq[dst] = itertools.count().__next__
+        return take

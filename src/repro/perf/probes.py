@@ -145,9 +145,13 @@ def probe_table2() -> dict:
 
 
 def probe_simcore() -> dict:
-    """Simulation-core invariants: scheduler, lock, match queue, e2e."""
+    """Simulation-core invariants: scheduler, lock, match queue, e2e.
+
+    The lock run and the e2e run carry a :class:`SchedStats`, so their
+    event-loop counters are pinned too.
+    """
     from repro.mpi.matchqueue import MatchQueue
-    from repro.simthread import Delay, Scheduler, SimLock
+    from repro.simthread import Delay, SchedStats, Scheduler, SimLock
     from repro.workloads import MultirateConfig, run_multirate
 
     sched = Scheduler(seed=1)
@@ -161,6 +165,8 @@ def probe_simcore() -> dict:
     sched.run()
 
     lock_sched = Scheduler(seed=2)
+    lock_stats = SchedStats()
+    lock_sched.set_stats(lock_stats)
     lock = SimLock(lock_sched)
 
     def locker():
@@ -178,8 +184,10 @@ def probe_simcore() -> dict:
         q.insert(i % 4, i % 16, i)
     matched = sum(1 for i in range(2000) if q.match(i % 4, i % 16) is not None)
 
-    e2e = run_multirate(MultirateConfig(pairs=4, window=32, windows=2))
-    return {
+    e2e_stats = SchedStats()
+    e2e = run_multirate(MultirateConfig(pairs=4, window=32, windows=2),
+                        instrument=lambda s, _world: s.set_stats(e2e_stats))
+    out = {
         "sched_events": sched.events_processed,
         "lock_acquisitions": lock.acquisitions,
         "lock_elapsed_ns": lock_elapsed,
@@ -187,6 +195,10 @@ def probe_simcore() -> dict:
         "e2e_elapsed_ns": e2e.elapsed_ns,
         "e2e_messages": e2e.messages,
     }
+    for prefix, stats in (("lock_", lock_stats), ("e2e_", e2e_stats)):
+        out.update((prefix + name, value)
+                   for name, value in stats.as_dict().items())
+    return out
 
 
 def probe_obs() -> dict:

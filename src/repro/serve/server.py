@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 import pathlib
 import queue
+import signal
 import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -321,13 +322,20 @@ class ExperimentServer:
         return self
 
     def serve_forever(self) -> None:
-        """Serve on the calling thread until interrupted (the CLI path)."""
+        """Serve on the main thread until SIGINT (the CLI path).
+
+        SIGINT is made to raise ``KeyboardInterrupt`` first: a service
+        started as a background job of a non-interactive shell inherits
+        SIGINT ignored, and would otherwise never stop on it.
+        """
+        previous = signal.signal(signal.SIGINT, signal.default_int_handler)
         try:
             self.httpd.serve_forever(POLL_INTERVAL_S)
-        except KeyboardInterrupt:   # pragma: no cover - interactive
+        except KeyboardInterrupt:
             pass
         finally:
             self.stop()
+            signal.signal(signal.SIGINT, previous)
 
     def stop(self) -> None:
         """Orderly shutdown: stop accepting, then drain the workers."""

@@ -15,38 +15,35 @@ Public surface:
 * :class:`~repro.simthread.sync.SimLock` -- mutual exclusion with modeled
   acquisition/handoff/migration costs -- and
   :class:`~repro.simthread.sync.SimBarrier`.
-* :class:`~repro.simthread.atomics.AtomicCounter` -- modeled atomic RMW.
 * :class:`~repro.simthread.tls.ThreadLocal` -- thread-local storage.
 
 A simulated thread body is a generator.  It interacts with the scheduler by
 ``yield``-ing commands.  A step that may park is a generator driven with
 ``yield from``; a step that never parks is a plain call that returns the
-value or the command the caller yields::
+command the caller yields::
 
-    def worker(sched, lock, counter):
+    def worker(sched, lock, shared):
         yield Delay(100)                      # do 100 ns of work
         yield from lock.acquire()             # may park
-        v = counter.fetch_add()
-        yield counter.cost_delay              # the RMW latency
+        shared["n"] += 1                      # a step is never preempted
+        yield Delay(30)                       # the critical section's cost
         yield lock.release()
-        return v
+        return shared["n"]
 
     sched = Scheduler(seed=1)
-    t = sched.spawn(worker(sched, lock, counter))
+    t = sched.spawn(worker(sched, lock, shared))
     sched.run()
     assert t.done
 """
 
 from repro.simthread.errors import DeadlockError, SimError, SimThreadError
-from repro.simthread.scheduler import SUSPEND, Delay, Scheduler, YieldNow
+from repro.simthread.scheduler import SUSPEND, Delay, Scheduler
 from repro.simthread.stats import SchedStats
 from repro.simthread.thread import SimThread
 from repro.simthread.sync import LockCosts, SimBarrier, SimLock
-from repro.simthread.atomics import AtomicCounter
 from repro.simthread.tls import ThreadLocal
 
 __all__ = [
-    "AtomicCounter",
     "DeadlockError",
     "Delay",
     "LockCosts",
@@ -59,5 +56,4 @@ __all__ = [
     "SimThread",
     "SimThreadError",
     "ThreadLocal",
-    "YieldNow",
 ]

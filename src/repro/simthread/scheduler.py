@@ -10,45 +10,38 @@ Simulated threads communicate with the scheduler by yielding *commands*:
 
 ``Delay(ns)``
     Resume this thread after ``ns`` nanoseconds of virtual time (optionally
-    jittered to model run-to-run hardware variation).
-
-``YieldNow()``
-    Cooperative yield: resume at the same virtual time, after every event
-    already queued for this instant.
+    jittered to model run-to-run hardware variation).  ``Delay(0)`` is the
+    cooperative yield: the thread resumes at the same instant, after every
+    event already queued for it.
 
 ``SUSPEND``
     Park the thread.  Some other component (a lock release, a barrier's
     last arrival) is responsible for calling :meth:`Scheduler.wake` later.
 
-Anything more elaborate (locks, barriers, atomics) is built on top of these
-three primitives in sibling modules.
+Anything more elaborate (locks, barriers) is built on top of these two
+commands in sibling modules.
 
 Hot-loop design (see ``docs/PERFORMANCE.md``)
 ---------------------------------------------
 Event records are bare tuples: the *run queue* ``_ready`` holds ``(when,
-tick, thread)`` (:meth:`spawn`, ``Delay``, ``YieldNow``, :meth:`wake`) and
-the *timer queue* ``_calls`` holds ``(when, tick, (fn, args))``
-(:meth:`call_at`).  Each step runs the earlier top; ticks are unique, so
-the order is exactly that of one merged heap, while a spinning thread
-sifts only through its runnable peers.  The loop itself comes in two
-interchangeable bodies:
+tick, thread)`` (:meth:`spawn`, ``Delay``, :meth:`wake`) and the *timer
+queue* ``_calls`` holds ``(when, tick, (fn, args))`` (:meth:`call_at`).
+Each step runs the earlier top; ticks are unique, so the order is exactly
+that of one merged heap, while a spinning thread sifts only through its
+runnable peers.  :meth:`run` is the one loop body: everything is bound
+to locals, ``Delay`` is dispatched first, and a thread that yields one
+is re-armed in place with one ``heapreplace``.
 
-* :meth:`_run_fast` -- the default.  Chosen when no stats, sampler,
-  watchdog or event/time bound is installed; everything is bound to
-  locals, the per-command branches are inlined (``Delay`` first), and a
-  thread that yields ``Delay`` or ``YieldNow`` is re-armed in place.
-* :meth:`_run_full` -- the instrumented body.  Identical event semantics
-  plus the per-event ``is not None`` hooks (sampler, watchdog,
-  :class:`~repro.simthread.stats.SchedStats` counters, ``max_time`` /
-  ``max_events`` bounds).
-
-:meth:`run` picks the body per call, which hoists every observability
-branch out of the uninstrumented loop entirely.  Both bodies consume the
-tick counter and the rng in the same order, so the schedule -- and every
-deterministic artifact derived from it -- is byte-identical regardless of
-which body ran.  Installing a sampler/watchdog/stats *while the loop is
-running* is not supported (install before :meth:`run`, as all in-tree
-callers do).
+Everything optional rides the branch that runs only when virtual time
+moves: the ``max_time`` bound, the metrics sampler and the watchdog are
+folded into one *horizon*, the last instant the loop may reach without
+looking at them, so advancing the clock within it costs one int
+compare.  A :class:`~repro.simthread.stats.SchedStats` costs nothing
+per event: the loop tallies callbacks, parks and thread ends in locals
+(none on the ``Delay`` path) and derives every counter from them when
+the run ends.  Install a sampler, watchdog or stats before
+:meth:`run`; installing one while the loop is running is not
+supported.
 """
 
 from __future__ import annotations
@@ -85,12 +78,6 @@ class Delay:
         return f"Delay({self.ns}, jitter={self.jitter})"
 
 
-class YieldNow:
-    """Command: reschedule at the current instant, after queued peers."""
-
-    __slots__ = ()
-
-
 class _Suspend:
     """Command singleton: park the thread until an explicit wake."""
 
@@ -101,6 +88,10 @@ class _Suspend:
 
 
 SUSPEND = _Suspend()
+
+#: the horizon when no bound or hook is installed, later than any run;
+#: ``-_NEVER`` is earlier than any event
+_NEVER = 1 << 62
 
 
 class Scheduler:
@@ -132,10 +123,11 @@ class Scheduler:
         self._threads: list[SimThread] = []
         self._locks: list = []
         self._nparked = 0
-        self._failure: BaseException | None = None
         self._sampler = None
         self._watchdog = None
         self._stats = None
+        #: (events, threads, parked, timers) when the stats last caught up
+        self._stats_mark = None
 
     @property
     def now(self) -> int:
@@ -155,20 +147,25 @@ class Scheduler:
         virtual time reaches ``due``.  Used by
         :class:`repro.obs.metrics.MetricsRegistry` for interval time-series
         without keeping the event queues artificially alive.  Install
-        before :meth:`run`; the loop body is selected per run() call.
+        before :meth:`run`: the loop reads ``due`` only when it starts and
+        after each hook call, and ``sample`` must move ``due`` past
+        ``now``.
         """
         self._sampler = sampler
 
     def set_stats(self, stats) -> None:
         """Install (or, with ``None``, remove) a :class:`SchedStats`.
 
-        When present (see :mod:`repro.simthread.stats`), the event loop
-        tallies heap traffic, generator steps and per-kind dispatch
-        counts into it.  The counters are deterministic per seed; with
-        no stats (and no sampler/watchdog) installed the loop runs the
-        branch-free fast body, so unprofiled runs pay nothing at all.
+        When present (see :mod:`repro.simthread.stats`), each
+        :meth:`run` adds the heap traffic, generator steps and per-kind
+        dispatch counts since the stats were installed or last filled:
+        the counts are complete whenever ``run()`` has returned.  They
+        are deterministic per seed and derived when the run ends, so
+        the loop does the same work per event with or without them.
         """
         self._stats = stats
+        self._stats_mark = (self.events_processed, len(self._threads),
+                            self._nparked, len(self._calls))
 
     @property
     def stats(self):
@@ -188,7 +185,8 @@ class Scheduler:
         """Install (or, with ``None``, remove) a no-progress watchdog.
 
         Same event-loop contract as :meth:`set_sampler`: the watchdog
-        exposes ``due`` and ``check(now)``, and ``check`` may raise (a
+        exposes ``due`` and ``check(now)``, and ``check`` either moves
+        ``due`` past ``now`` or raises (a
         :class:`~repro.simthread.errors.StallError`) to abort the run.
         See :class:`repro.simthread.watchdog.Watchdog`.
         """
@@ -201,8 +199,6 @@ class Scheduler:
         """Register a generator as a new simulated thread, runnable now."""
         if not hasattr(gen, "send"):
             raise SimThreadError(f"spawn() needs a generator, got {type(gen).__name__}")
-        if self._stats is not None:
-            self._stats.spawns += 1
         thread = SimThread(self, gen, name or f"thread-{len(self._threads)}")
         self._threads.append(thread)
         self._push(thread, self._now, None)
@@ -214,15 +210,13 @@ class Scheduler:
     def _push(self, thread: SimThread, when: int, value) -> None:
         thread._resume_value = value
         thread._parked = False
-        if self._stats is not None:
-            self._stats.heap_pushes += 1
         heapq.heappush(self._ready, (when, next(self._tick), thread))
 
     def wake(self, thread: SimThread, value=None, delay: int = 0) -> None:
         """Unpark a suspended thread, resuming it ``delay`` ns from now.
 
         ``value`` becomes the result of the ``yield SUSPEND`` expression in
-        the thread body.  A negative ``delay`` is an error: the fast loop
+        the thread body.  A negative ``delay`` is an error: the loop
         relies on no thread being queued before the one that is stepping.
         """
         if delay < 0:
@@ -232,8 +226,6 @@ class Scheduler:
         if not thread._parked:
             raise SimThreadError(f"thread {thread.name} is not parked")
         self._nparked -= 1
-        if self._stats is not None:
-            self._stats.wakes += 1
         self._push(thread, self._now + delay, value)
 
     def call_at(self, when: int, fn, *args) -> None:
@@ -246,12 +238,14 @@ class Scheduler:
         it runs before a thread due at the same instant exactly when it
         was scheduled first.  No wrapper object is allocated per event.
         """
-        if self._stats is not None:
-            self._stats.heap_pushes += 1
         heapq.heappush(self._calls, (when, next(self._tick), (fn, args)))
 
     def jittered(self, ns: int) -> int:
-        """Apply the configured relative jitter to a cost in nanoseconds."""
+        """Apply the configured relative jitter to a cost in nanoseconds.
+
+        The same formula, and the same rng draw, as :meth:`run` applies
+        inline to a jittered ``Delay``.
+        """
         if ns <= 0:
             return 0
         if self.jitter:
@@ -261,42 +255,25 @@ class Scheduler:
     # ------------------------------------------------------------------
     # main loop
     # ------------------------------------------------------------------
-    def run(self, max_time: int | None = None, max_events: int | None = None) -> int:
+    def run(self, max_time: int | None = None) -> int:
         """Drain both event queues; return the final virtual time in ns.
 
-        Dispatches to the uninstrumented fast body when possible (no
-        stats/sampler/watchdog and no bounds) and to the full body
-        otherwise; both produce the same schedule.
+        With ``max_time`` the run pauses before the first event later
+        than it and leaves that event queued, so a later ``run()``
+        resumes in the same order.  A thread steps from the top of the
+        run queue: what a step queues has a later tick and no earlier
+        time, so a ``Delay`` re-arms it with one ``heapreplace``; only
+        parking, returning or raising pops it.  ``current`` is cleared
+        before a callback or a hook and on exit.
 
         Raises
         ------
         DeadlockError
-            If the queues empty while threads remain parked.
+            If the queues empty while threads remain parked (not checked
+            under ``max_time``).
         Exception
-            Any exception escaping a thread body is re-raised here (the
-            simulation is aborted at that point).
-        """
-        if (max_time is None and max_events is None and self._stats is None
-                and self._sampler is None and self._watchdog is None):
-            self._run_fast()
-        else:
-            self._run_full(max_time, max_events)
-        if max_time is None and self._nparked:
-            parked = [t for t in self._threads if t._parked and not t.done]
-            if parked:
-                raise DeadlockError(parked)
-        return self._now
-
-    def _run_fast(self) -> None:
-        """Uninstrumented loop body: everything in locals, branches inlined.
-
-        Event semantics are identical to :meth:`_run_full` with every
-        hook absent; the tick counter and rng are consumed in the same
-        order, keeping the schedule byte-identical.  A thread steps from
-        the top of the run queue: what a step queues has a later tick
-        and no earlier time, so ``Delay`` and ``YieldNow`` re-arm it
-        with one ``heapreplace``; only parking, returning or raising
-        pops it.  ``current`` is cleared before a callback and on exit.
+            Any exception escaping a thread body, a callback or a hook is
+            re-raised here (the simulation is aborted at that point).
         """
         ready = self._ready
         calls = self._calls
@@ -305,19 +282,29 @@ class Scheduler:
         tick = self._tick.__next__
         rng_random = self.rng.random
         jitter = self.jitter
-        now = self._now
         events = self.events_processed
+        callbacks = parks = ends = 0   # the SchedStats tallies
+        # the first event takes the time branch and crosses the horizon,
+        # so a bound or hook that is due already is seen
+        now = None
+        horizon = -_NEVER
         try:
             while True:
                 if calls:
                     if ready and ready[0] < calls[0]:
                         when, _, item = ready[0]
                     else:
-                        when, _, (fn, args) = heappop(calls)
+                        when, tk, (fn, args) = heappop(calls)
                         if when != now:
+                            if when > horizon:
+                                horizon = self._cross(when, max_time,
+                                                      (when, tk, (fn, args)))
+                                if horizon is None:
+                                    break
                             now = when
                             self._now = when
                         events += 1
+                        callbacks += 1
                         self.current = None
                         fn(*args)
                         continue
@@ -326,6 +313,10 @@ class Scheduler:
                 else:
                     break
                 if when != now:  # batch same-instant wakeups: one store per instant
+                    if when > horizon:
+                        horizon = self._cross(when, max_time, None)
+                        if horizon is None:
+                            break
                     now = when
                     self._now = when
                 events += 1
@@ -337,17 +328,19 @@ class Scheduler:
                     cmd = item._send(value)
                 except StopIteration as stop:
                     heappop(ready)
+                    ends += 1
                     item._finish(stop.value)
                     continue
                 except Exception as exc:
                     heappop(ready)
+                    ends += 1
                     item._abort(exc)
                     raise
                 except BaseException:
                     heappop(ready)
+                    ends += 1
                     raise
-                cls = cmd.__class__
-                if cls is Delay:  # by far the most frequent command
+                if cmd.__class__ is Delay:  # by far the most frequent command
                     ns = cmd.ns
                     if cmd.jitter:
                         if ns <= 0:
@@ -359,12 +352,12 @@ class Scheduler:
                     heapreplace(ready, (when + ns, tick(), item))
                 elif cmd is SUSPEND:
                     heappop(ready)
+                    parks += 1
                     item._parked = True
                     self._nparked += 1
-                elif cls is YieldNow:
-                    heapreplace(ready, (when, tick(), item))
                 else:
                     heappop(ready)
+                    ends += 1
                     exc = SimThreadError(
                         f"thread {item.name} yielded unknown command {cmd!r}")
                     item._abort(exc)
@@ -372,79 +365,67 @@ class Scheduler:
         finally:
             self.current = None
             self.events_processed = events
+            stats = self._stats
+            if stats is not None:
+                self._fill(stats, callbacks, parks, ends)
+        if max_time is None and self._nparked:
+            parked = [t for t in self._threads if t._parked and not t.done]
+            if parked:
+                raise DeadlockError(parked)
+        return self._now
 
-    def _run_full(self, max_time: int | None, max_events: int | None) -> None:
-        """Instrumented loop body: sampler/watchdog/stats hooks + bounds.
+    def _cross(self, when: int, max_time: int | None, popped):
+        """Virtual time is about to pass the horizon, to ``when``.
 
-        Under ``max_time`` the loop peeks at the earlier top and stops
-        without popping it, so a paused run resumes in the same order.
+        Returns ``None`` to pause before ``when`` (a callback the loop
+        already ``popped`` goes back unchanged, so its order is exact).
+        Otherwise moves the clock, runs the sampler and then the watchdog
+        if they are due, and returns the next horizon: the instant before
+        a hook is due, or ``max_time``.  Both hooks move ``due`` past
+        ``now``, so the first event at or after ``due`` always advances
+        virtual time and crosses: each hook runs at exactly that event.
         """
-        ready = self._ready
-        calls = self._calls
-        stats = self._stats
-        while ready or calls:
-            queue = calls if calls and (not ready or calls[0] < ready[0]) else ready
-            if max_time is not None and queue[0][0] > max_time:
-                break
-            when, _, item = heapq.heappop(queue)
-            if stats is not None:
-                stats.heap_pops += 1
-            self._now = when
-            self.events_processed += 1
-            sampler = self._sampler
-            if sampler is not None and when >= sampler.due:
+        if max_time is not None and when > max_time:
+            if popped is not None:
+                heapq.heappush(self._calls, popped)
+            return None
+        self._now = when
+        self.current = None
+        horizon = _NEVER if max_time is None else max_time
+        sampler = self._sampler
+        if sampler is not None:
+            if when >= sampler.due:
                 sampler.sample(when)
-            watchdog = self._watchdog
-            if watchdog is not None and when >= watchdog.due:
+            horizon = min(horizon, sampler.due - 1)
+        watchdog = self._watchdog
+        if watchdog is not None:
+            if when >= watchdog.due:
                 watchdog.check(when)
-            if max_events is not None and self.events_processed > max_events:
-                raise SimThreadError(f"exceeded max_events={max_events} (runaway simulation?)")
-            if queue is calls:
-                if stats is not None:
-                    stats.events_callback += 1
-                item[0](*item[1])
-                continue
-            self._step(item)
-            if self._failure is not None:
-                failure, self._failure = self._failure, None
-                raise failure
+            horizon = min(horizon, watchdog.due - 1)
+        return horizon
 
-    def _step(self, thread: SimThread) -> None:
-        value = thread._resume_value
-        thread._resume_value = None
-        stats = self._stats
-        if stats is not None:
-            stats.gen_steps += 1
-        self.current = thread
-        try:
-            try:
-                cmd = thread._send(value)
-            except StopIteration as stop:
-                thread._finish(stop.value)
-                return
-            except Exception as exc:
-                thread._abort(exc)
-                self._failure = exc
-                return
-        finally:
-            self.current = None
+    def _fill(self, stats, callbacks: int, parks: int, ends: int) -> None:
+        """Add what happened since the stats' last mark to ``stats``.
 
-        cls = cmd.__class__
-        if cls is Delay:
-            ns = self.jittered(cmd.ns) if cmd.jitter else cmd.ns
-            if stats is not None:
-                stats.events_delay += 1
-            self._push(thread, self._now + ns, None)
-        elif cmd is SUSPEND:
-            thread._parked = True
-            self._nparked += 1
-            if stats is not None:
-                stats.events_suspend += 1
-        elif cls is YieldNow:
-            if stats is not None:
-                stats.events_yield += 1
-            self._push(thread, self._now, None)
-        else:
-            exc = SimThreadError(f"thread {thread.name} yielded unknown command {cmd!r}")
-            thread._abort(exc)
-            self._failure = exc
+        ``callbacks``, ``parks`` and ``ends`` (returns and raises; a
+        rejected command is a raise) are the run's own tallies; the
+        scheduler's event, thread, parked and timer counts give the rest.
+        Every other step yielded a ``Delay`` and re-armed its thread.
+        """
+        events0, threads0, parked0, timers0 = self._stats_mark
+        mark = self._stats_mark = (self.events_processed, len(self._threads),
+                                   self._nparked, len(self._calls))
+        events = mark[0] - events0
+        steps = events - callbacks
+        delays = steps - parks - ends
+        spawns = mark[1] - threads0
+        wakes = parks - (mark[2] - parked0)
+        stats.events_delay += delays
+        stats.events_suspend += parks
+        stats.events_callback += callbacks
+        stats.heap_pushes += (delays + spawns + wakes
+                              + callbacks + mark[3] - timers0)
+        stats.heap_pops += events
+        stats.gen_steps += steps
+        stats.wakes += wakes
+        stats.spawns += spawns

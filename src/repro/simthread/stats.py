@@ -6,10 +6,12 @@ and spawns.  Everything here is a pure function of the seed: the counts
 describe the *simulation's* control flow, not the host's clock, so the
 profiler can gate on them while treating host nanoseconds as weather.
 
-The scheduler carries no stats object by default; installing one via
-:meth:`repro.simthread.scheduler.Scheduler.set_stats` costs the hot
-loop one attribute load and branch per operation (the same pattern the
-tracer uses), so unprofiled runs are unaffected.
+The scheduler carries no stats object by default.  One installed via
+:meth:`repro.simthread.scheduler.Scheduler.set_stats` is filled when
+each ``run()`` ends, from a few tallies the loop keeps anyway, so the
+loop runs the same code per event with or without it.  The heap counts
+are those of pop-then-push: a ``Delay`` re-armed in place counts one
+pop and one push.
 """
 
 from __future__ import annotations
@@ -18,13 +20,11 @@ from __future__ import annotations
 class SchedStats:
     """Deterministic tallies of one scheduler's event-loop activity."""
 
-    __slots__ = ("events_delay", "events_yield", "events_suspend",
-                 "events_callback", "heap_pushes", "heap_pops",
-                 "gen_steps", "wakes", "spawns")
+    __slots__ = ("events_delay", "events_suspend", "events_callback",
+                 "heap_pushes", "heap_pops", "gen_steps", "wakes", "spawns")
 
     def __init__(self):
         self.events_delay = 0      #: Delay commands dispatched
-        self.events_yield = 0      #: YieldNow commands dispatched
         self.events_suspend = 0    #: SUSPEND commands dispatched (parks)
         self.events_callback = 0   #: call_at callbacks executed
         self.heap_pushes = 0       #: insertions into either event queue

@@ -24,12 +24,12 @@ def _echo(x, seed, **_extra):
 @trial("chaostele.sched")
 def _sched_stats(x, seed, **_extra):
     """Run a tiny simulated world and return its SchedStats counters."""
-    from repro.simthread import Delay, Scheduler, SchedStats, YieldNow
+    from repro.simthread import Delay, Scheduler, SchedStats
 
     def body():
         for _ in range(int(x) + 1):
             yield Delay(10)
-        yield YieldNow()
+        yield Delay(0)
 
     sched = Scheduler(jitter=0.0, seed=seed)
     stats = SchedStats()
@@ -38,7 +38,6 @@ def _sched_stats(x, seed, **_extra):
     sched.run()
     return {"gen_steps": stats.gen_steps, "spawns": stats.spawns,
             "events_delay": stats.events_delay,
-            "events_yield": stats.events_yield,
             "heap_pushes": stats.heap_pushes,
             "heap_pops": stats.heap_pops}
 

@@ -20,6 +20,15 @@ def feed_arrivals(world, comm, seqs, payloads=None):
                              nbytes=0, payload=payload))
 
 
+def test_send_sequence_is_shared_per_peer_and_gap_free(world):
+    state = world.processes[0].comm_state(world.comm_world)
+    to_one = state.send_seq(1)
+    assert state.send_seq(1) is to_one  # every sending thread shares it
+    assert [to_one() for _ in range(3)] == [0, 1, 2]
+    assert state.send_seq(0)() == 0  # one counter per peer
+    assert state.seq_delay.ns == world.processes[0].costs.atomic_rmw_ns
+
+
 def test_out_of_order_arrivals_delivered_in_seq_order(sched, world):
     comm = world.comm_world
     world.processes[1].comm_state(comm)  # instantiate matching state

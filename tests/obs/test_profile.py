@@ -46,19 +46,19 @@ def test_files_map_to_layers():
 
 
 def test_aggregate_counts_cross_layer_calls():
-    from repro.simthread.scheduler import Scheduler
+    from repro.simthread.scheduler import Delay
 
-    def body(sched):
+    def body():
         for _ in range(5):
-            sched.jittered(100)
+            Delay(100)
         json.dumps({"x": 1})
 
     prof = cProfile.Profile()
-    prof.runcall(body, Scheduler(seed=1))
+    prof.runcall(body)
     totals, edges = aggregate(prof.getstats())
     assert list(totals) == list(LAYERS)
     assert totals["simthread"]["calls"] == 5
-    # the five jittered() calls come from this test module ("other")
+    # the five Delay() calls come from this test module ("other")
     assert totals["simthread"]["calls_in"] == 5
     assert edges["other>simthread"] == 5
     assert totals["stdlib"]["calls_in"] >= 1
@@ -106,12 +106,6 @@ def micro_profile():
 def test_profile_matches_uninstrumented_run(micro_profile):
     _, elapsed = representative_run("fig3a", micro=True)
     assert micro_profile.elapsed_ns == elapsed
-
-
-def test_profiled_pass_runs_the_fast_loop(micro_profile):
-    names = {row["name"] for row in micro_profile.functions}
-    assert "simthread.scheduler:_run_fast" in names
-    assert not any(name.endswith(":_run_full") for name in names)
 
 
 def test_scheduler_counters_are_consistent(micro_profile):

@@ -301,10 +301,14 @@ def test_sequential_requests_reuse_handler_threads(serve_factory,
     server, client = serve_factory()
     for _ in range(20):
         assert client.healthz().status == 200
+        # the handler goes idle only after closing the connection: wait
+        # for that, so the next request must find it rather than race it
+        deadline = time.monotonic() + 5
+        while len(server.httpd._idle) != 1:
+            assert time.monotonic() < deadline, "the handler never went idle"
+            time.sleep(0.001)
     assert len(handler_threads) == 20
-    # a handler may still be closing its last connection when the next
-    # one is accepted, so a second thread can start; never a twentieth
-    assert len(set(handler_threads)) <= 2
+    assert len(set(handler_threads)) == 1
 
 
 def test_open_streams_never_block_other_requests(serve_factory,

@@ -4,7 +4,7 @@ import itertools
 
 from hypothesis import given, settings, strategies as st
 
-from repro.simthread import SUSPEND, Delay, SchedStats, Scheduler, SimLock, YieldNow
+from repro.simthread import SUSPEND, Delay, SchedStats, Scheduler, SimLock
 
 
 @given(delays=st.lists(st.integers(min_value=0, max_value=10_000),
@@ -101,21 +101,11 @@ _ACTIONS = st.lists(st.tuples(
     max_size=8)
 
 
-@given(scripts=st.lists(_ACTIONS, min_size=1, max_size=4),
-       calls=st.lists(_INSTANTS, max_size=4),
-       seed=st.integers(0, 2 ** 20),
-       instrumented=st.booleans(),
-       pause_at=st.one_of(st.none(), _INSTANTS))
-@settings(max_examples=60, deadline=None)
-def test_threads_and_callbacks_run_in_one_order(scripts, calls, seed,
-                                                instrumented, pause_at):
-    """Every event runs in (virtual time, scheduling order), whichever
-    queue holds it: a thread's Delay/YieldNow is numbered just before it
-    yields, a wake through its value, a ``call_at`` through its argument.
-    Delays of 0 and unjittered delays make the instants collide."""
-    sched = Scheduler(seed=seed, jitter=0.1)
-    if instrumented:
-        sched.set_stats(SchedStats())
+def _scripted_world(sched, scripts, calls):
+    """Spawn one thread per script and queue the ``calls``; every event
+    logs ``(virtual time, scheduling number)`` at least once.  A thread's
+    Delay is numbered just before it yields, a wake through its value, a
+    ``call_at`` through its argument; ``"yield"`` is ``Delay(0)``."""
     seq = itertools.count()
     log = []
 
@@ -136,7 +126,7 @@ def test_threads_and_callbacks_run_in_one_order(scripts, calls, seed,
                 record((yield SUSPEND))
             else:
                 number = next(seq)
-                yield (YieldNow() if kind == "yield"
+                yield (Delay(0) if kind == "yield"
                        else Delay(ns, jitter=kind == "delay"))
                 record(number)
 
@@ -144,9 +134,94 @@ def test_threads_and_callbacks_run_in_one_order(scripts, calls, seed,
         sched.spawn(worker(script, next(seq)))
     for when in calls:
         sched.call_at(when, record, next(seq))
+    return log, seq
+
+
+@given(scripts=st.lists(_ACTIONS, min_size=1, max_size=4),
+       calls=st.lists(_INSTANTS, max_size=4),
+       seed=st.integers(0, 2 ** 20),
+       instrumented=st.booleans(),
+       pause_at=st.one_of(st.none(), _INSTANTS))
+@settings(max_examples=60, deadline=None)
+def test_threads_and_callbacks_run_in_one_order(scripts, calls, seed,
+                                                instrumented, pause_at):
+    """Every event runs in (virtual time, scheduling order), whichever
+    queue holds it.  Delays of 0 and unjittered delays make the instants
+    collide."""
+    sched = Scheduler(seed=seed, jitter=0.1)
+    if instrumented:
+        sched.set_stats(SchedStats())
+    log, seq = _scripted_world(sched, scripts, calls)
     if pause_at is not None:
         sched.run(max_time=pause_at)
     sched.run()
     assert log == sorted(log)
     assert sorted(number for _, number in log) == list(range(next(seq)))
     assert sched._ready == [] and sched._calls == []
+
+
+class _Hook:
+    """Sampler- and watchdog-style hook: logs each call, re-arms later."""
+
+    def __init__(self, sched, name, due, interval, calls):
+        self.sched, self.name = sched, name
+        self.due, self.interval = due, interval
+        self.calls = calls
+
+    def sample(self, now):
+        assert self.sched.now == now and self.sched.current is None
+        self.calls.append((now, self.name))
+        self.due = now + self.interval
+
+    check = sample
+
+
+def _expected_calls(times, hooks):
+    """The hook calls the contract asks for: each hook runs at the first
+    event time at or after its ``due`` (the sampler first), then re-arms."""
+    due = {name: first for name, first, _ in hooks}
+    out = []
+    for t in times:
+        for name, _, interval in hooks:
+            if t >= due[name]:
+                out.append((t, name))
+                due[name] = t + interval
+    return out
+
+
+@given(scripts=st.lists(_ACTIONS, min_size=1, max_size=4),
+       calls=st.lists(_INSTANTS, max_size=4),
+       seed=st.integers(0, 2 ** 20),
+       sampler=st.one_of(st.none(), st.tuples(st.integers(0, 150),
+                                              st.integers(1, 80))),
+       watchdog=st.one_of(st.none(), st.tuples(st.integers(0, 150),
+                                               st.integers(1, 80))),
+       instrumented=st.booleans(),
+       pauses=st.lists(st.integers(0, 160), max_size=3))
+@settings(max_examples=80, deadline=None)
+def test_hooks_run_at_the_first_event_at_or_after_due(
+        scripts, calls, seed, sampler, watchdog, instrumented, pauses):
+    """The loop looks at its hooks only when virtual time moves; that
+    must call each one at exactly the first event time at or after its
+    ``due``, whether the run is paused (``max_time``) or counted, and a
+    paused run must never pass its bound."""
+    sched = Scheduler(seed=seed, jitter=0.1)
+    if instrumented:
+        sched.set_stats(SchedStats())
+    hook_calls = []
+    hooks = []
+    for name, spec, install in (("sampler", sampler, sched.set_sampler),
+                                ("watchdog", watchdog, sched.set_watchdog)):
+        if spec is not None:
+            install(_Hook(sched, name, spec[0], spec[1], hook_calls))
+            hooks.append((name,) + spec)
+    log, _ = _scripted_world(sched, scripts, calls)
+    for bound in sorted(pauses):
+        seen = len(log)
+        sched.run(max_time=bound)
+        assert sched.now <= bound
+        assert all(t <= bound for t, _ in log[seen:])
+    sched.run()
+    times = [t for t, _ in log]
+    assert times == sorted(times)
+    assert hook_calls == _expected_calls(times, hooks)

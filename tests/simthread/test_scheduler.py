@@ -9,7 +9,6 @@ from repro.simthread import (
     SchedStats,
     Scheduler,
     SimThreadError,
-    YieldNow,
 )
 
 
@@ -36,7 +35,17 @@ def test_single_thread_delay_advances_time():
 
 def test_delay_jitter_is_bounded():
     sched = Scheduler(seed=1, jitter=0.1)
-    samples = [sched.jittered(1000) for _ in range(200)]
+    samples = []
+
+    def body():
+        for _ in range(200):
+            start = sched.now
+            yield Delay(1000)
+            samples.append(sched.now - start)
+
+    sched.spawn(body())
+    sched.run()
+    assert len(samples) == 200
     assert all(900 <= s <= 1100 for s in samples)
     assert len(set(samples)) > 10  # actually varies
 
@@ -99,11 +108,12 @@ def test_same_seed_same_schedule():
 
 
 def test_yieldnow_runs_after_queued_peers():
-    sched = Scheduler(jitter=0.0)
+    """``Delay(0)`` is the cooperative yield, jittered or not."""
+    sched = Scheduler(jitter=0.3)
     log = []
 
     def yielder():
-        yield YieldNow()
+        yield Delay(0)
         log.append("yielder")
 
     def plain():
@@ -113,7 +123,7 @@ def test_yieldnow_runs_after_queued_peers():
 
     sched.spawn(yielder())
     sched.spawn(plain())
-    sched.run()
+    assert sched.run() == 0
     assert log == ["plain", "yielder"]
 
 
@@ -307,18 +317,6 @@ def test_wake_errors():
     sched.wake(t3)  # the rejected wake left it parked
     sched.run()
     assert t3.done
-
-
-def test_max_events_guard():
-    sched = Scheduler()
-
-    def forever():
-        while True:
-            yield Delay(1)
-
-    sched.spawn(forever())
-    with pytest.raises(SimThreadError, match="max_events"):
-        sched.run(max_events=100)
 
 
 def test_max_time_pauses_not_raises():

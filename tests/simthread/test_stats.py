@@ -1,7 +1,6 @@
 """Scheduler event-loop counters (SchedStats) and the lock registry."""
 
-from repro.simthread import (SUSPEND, Delay, Scheduler, SchedStats, SimLock,
-                             YieldNow)
+from repro.simthread import SUSPEND, Delay, Scheduler, SchedStats, SimLock
 from repro.simthread.stats import lock_rows
 
 
@@ -20,16 +19,15 @@ def test_counters_track_command_kinds():
     def body():
         yield Delay(10)
         yield Delay(10)
-        yield YieldNow()
+        yield Delay(0)
 
     _, stats = run_counted(body)
     assert stats.spawns == 1
-    assert stats.events_delay == 2
-    assert stats.events_yield == 1
+    assert stats.events_delay == 3
     assert stats.events_suspend == 0
     # every dispatched event was pushed and popped exactly once
     assert stats.heap_pushes == stats.heap_pops
-    # spawn + 2 delays + 1 yield + final StopIteration step
+    # spawn + 3 delays + final StopIteration step
     assert stats.gen_steps == 4
 
 
@@ -129,6 +127,5 @@ def test_lock_rows_read_the_lock_counters():
 
 def test_as_dict_order_is_stable():
     keys = list(SchedStats().as_dict())
-    assert keys == ["events_delay", "events_yield", "events_suspend",
-                    "events_callback", "heap_pushes", "heap_pops",
+    assert keys == ["events_delay", "events_suspend", "events_callback", "heap_pushes", "heap_pops",
                     "gen_steps", "wakes", "spawns"]

@@ -1,13 +1,17 @@
 """CLI behaviour (in-process; subprocess start-up is covered by examples).
 
-The last test drives ``python -m repro`` itself: only the entry point
-decides how a closed output pipe ends the process.
+The last two tests drive ``python -m repro`` itself: only the entry
+point decides how a closed output pipe ends the process, and only a
+process can inherit an ignored SIGINT.
 """
 
 import os
 import pathlib
+import signal
 import subprocess
 import sys
+import time
+import urllib.request
 
 import pytest
 
@@ -521,3 +525,37 @@ def test_closed_stdout_pipe_exits_without_traceback():
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert "BrokenPipeError" not in proc.stderr
+
+
+def test_serve_stops_on_sigint_it_inherited_ignored(tmp_path):
+    # ``python -m repro serve &`` in a non-interactive shell starts with
+    # SIGINT ignored; the service must still stop on it, and exit 0.
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--root",
+         str(tmp_path / "served"), "--port", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": str(src), "PYTHONUNBUFFERED": "1"},
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN))
+    try:
+        banner = proc.stdout.readline()      # "serving on <url>  (...)"
+        assert banner.startswith("serving on "), banner
+        url = banner.split()[2]
+        deadline = time.monotonic() + 30
+        while True:
+            try:
+                with urllib.request.urlopen(url + "/healthz",
+                                            timeout=2) as resp:
+                    assert resp.status == 200
+                break
+            except OSError:
+                assert time.monotonic() < deadline, "no /healthz answer"
+                time.sleep(0.1)
+        proc.send_signal(signal.SIGINT)
+        assert proc.wait(timeout=10) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()

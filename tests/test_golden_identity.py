@@ -1,11 +1,11 @@
-"""Golden byte-identity suite: the fast path and the traced path cannot
+"""Golden byte-identity suite: the untraced and the traced run cannot
 diverge silently.
 
-The scheduler picks an uninstrumented loop body when no observability is
-installed (see docs/PERFORMANCE.md).  These tests run the tiny (micro)
-fig3a and chaos scenarios twice -- tracing off, then tracing on -- and
-compare the deterministic artifacts byte-for-byte against goldens
-committed under ``tests/goldens/``:
+The scheduler runs one loop body whatever is installed (see
+docs/PERFORMANCE.md).  These tests run the tiny (micro) fig3a and chaos
+scenarios twice -- tracing off, then tracing on -- and compare the
+deterministic artifacts byte-for-byte against goldens committed under
+``tests/goldens/``:
 
 * the run-summary CSV (virtual elapsed, events, SPCs, latency summary)
   must be identical for the untraced AND the traced run -- toggling the
